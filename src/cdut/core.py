@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,6 +31,8 @@ __all__ = [
     "chamfer",
     "chamfer_translated",
     "chamfer_many",
+    "chamfer_argmin",
+    "ArgminResult",
     "bbox_diameter",
 ]
 
@@ -295,6 +297,68 @@ def chamfer_translated(
     )
 
 
+# query rows built at once by one evaluation, summed over its workers
+_QUERY_ROWS = 1 << 20
+# column stages of A in chamfer_argmin
+_ARGMIN_STAGES = 8
+# a partial sum and the full sum it bounds are rounded in different orders;
+# a candidate is dropped only when its partial sum clears the bound by more
+_PRUNE_SLACK = 1e-9
+
+
+class ArgminResult(NamedTuple):
+    """Winner of ``chamfer_argmin``: position, exact value, query rows evaluated."""
+
+    pos: int
+    value: float
+    rows: int
+
+
+def _as_translations(a: PointSet, translations) -> np.ndarray:
+    ts = np.asarray(translations, dtype=np.float64)
+    if ts.ndim == 1:
+        ts = ts.reshape(-1, 1) if a.dim == 1 else ts.reshape(1, -1)
+    if ts.ndim != 2 or ts.shape[1] != a.dim:
+        raise ValueError(f"translations must have shape (*, {a.dim})")
+    return ts
+
+
+def _distances(cols: np.ndarray, ts: np.ndarray, index: NearestIndex, want_assignments: bool):
+    """NN distances (and indices when asked) of ``cols + t``, one row per translation.
+
+    Translations are split between workers by ``run_chunked``.  Each block
+    builds its queries in tiles, so all workers together hold at most
+    ``_QUERY_ROWS`` query rows.  A distance does not depend on which block or
+    tile computed it.
+    """
+    c, d = cols.shape
+    workers = worker_count()
+    tile = max(1, _QUERY_ROWS // workers)
+    t_step, c_step = max(1, tile // c), min(c, tile)
+
+    def eval_block(block: np.ndarray):
+        k = len(block)
+        dist = np.empty((k, c))
+        idx = np.empty((k, c), dtype=np.int64) if want_assignments else None
+        for t0 in range(0, k, t_step):
+            tb = block[t0 : t0 + t_step]
+            for c0 in range(0, c, c_step):
+                cb = cols[c0 : c0 + c_step]
+                queries = (tb[:, None, :] + cb[None, :, :]).reshape(-1, d)
+                dd, ii = index.query_many(queries, normalize_ties=want_assignments)
+                at = (slice(t0, t0 + len(tb)), slice(c0, c0 + len(cb)))
+                dist[at] = dd.reshape(len(tb), len(cb))
+                if idx is not None:
+                    idx[at] = ii.reshape(len(tb), len(cb))
+        return dist, idx
+
+    results = run_chunked(eval_block, ts, workers)
+    if len(results) == 1:
+        return results[0]
+    dist = np.concatenate([r[0] for r in results])
+    return dist, (np.concatenate([r[1] for r in results]) if want_assignments else None)
+
+
 def chamfer_many(
     a: PointSet,
     translations: np.ndarray,
@@ -305,35 +369,81 @@ def chamfer_many(
 ):
     """Exact Chamfer values of ``a`` under many translations at once.
 
-    All queries go through a single batched index lookup, which is the hot
-    path for every candidate-enumeration algorithm in this package.  Returns
-    the (T,) value array, or (values, assignments) when requested.
+    Scans every translation in full: the oracles rely on that, and
+    ``chamfer_argmin`` is tested against it.  Each value is one contiguous
+    ``sum`` over the translation's m distances.  Queries are built and
+    looked up in batches of at most 2^20 rows.  Returns the (T,) value
+    array, or (values, assignments) when requested.
     """
     _check_same_dim(a, b)
-    ts = np.asarray(translations, dtype=np.float64)
-    if ts.ndim == 1:
-        ts = ts.reshape(-1, 1) if a.dim == 1 else ts.reshape(1, -1)
-    if ts.shape[1] != a.dim:
-        raise ValueError(f"translations must have shape (*, {a.dim})")
+    ts = _as_translations(a, translations)
     if index is None:
         index = build_index(b, metric)
-    m = len(a)
+    dist, assigns = _distances(a.points, ts, index, want_assignments)
+    values = dist.sum(axis=1)
+    return (values, assigns) if want_assignments else values
 
-    def eval_block(block: np.ndarray):
-        queries = (block[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
-        dists, idx = index.query_many(queries, normalize_ties=want_assignments)
-        values = dists.reshape(len(block), m).sum(axis=1)
-        return (values, idx.reshape(len(block), m)) if want_assignments else (values, None)
 
-    workers = worker_count()
-    results = run_chunked(eval_block, ts, workers)
-    values = np.concatenate([r[0] for r in results]) if len(results) > 1 else results[0][0]
-    if not want_assignments:
-        return values
-    assigns = (
-        np.concatenate([r[1] for r in results], axis=0) if len(results) > 1 else results[0][1]
-    )
-    return values, assigns
+def chamfer_argmin(
+    a: PointSet,
+    translations: np.ndarray,
+    b: PointSet,
+    metric: Metric = L2,
+    index: Optional[NearestIndex] = None,
+    upper: float = math.inf,
+) -> ArgminResult:
+    """First minimum of ``chamfer_many(a, translations, b, metric)``, found early.
+
+    Position and value are bit-identical to ``argmin`` over ``chamfer_many``,
+    but a candidate is abandoned once it cannot win.  A's points are
+    evaluated in column stages, and each candidate keeps its distances.
+    After each stage but the last, the candidate with the smallest partial
+    sum is completed, and the best complete value bounds the rest: before
+    the next stage, every candidate whose partial sum exceeds the bound is
+    dropped.  Complete values are the same contiguous row sums that
+    ``chamfer_many`` takes, so ties still go to the first position.
+
+    ``upper`` pre-seeds the bound: only a value <= ``upper`` can win, and if
+    none does the result is ``(-1, inf)``.  ``rows`` counts the query rows
+    evaluated, at most ``len(translations) * len(a)``.
+    """
+    _check_same_dim(a, b)
+    ts = _as_translations(a, translations)
+    if index is None:
+        index = build_index(b, metric)
+    total, m = len(ts), len(a)
+    cuts = np.linspace(0, m, min(m, _ARGMIN_STAGES) + 1).astype(int)
+    # ``total`` stands for "no winner yet": it sorts after every real position
+    best_val, best_pos = float(upper), total
+    alive, partial = np.arange(total), np.zeros(total)
+    stored = []  # distances of the alive candidates, one array per stage
+    rows = 0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        keep = partial <= best_val * (1.0 + _PRUNE_SLACK)
+        if not keep.all():
+            alive, partial = alive[keep], partial[keep]
+            stored = [dist[keep] for dist in stored]
+        if alive.size == 0:
+            break
+        dist = _distances(a.points[lo:hi], ts[alive], index, False)[0]
+        rows += dist.size
+        stored.append(dist)
+        partial += dist.sum(axis=1)
+        lead = int(np.argmin(partial))
+        if hi < m and partial[lead] <= best_val * (1.0 + _PRUNE_SLACK):
+            # complete the leader; it leaves the pool at the next prune
+            rest = _distances(a.points[hi:], ts[alive[lead]][None], index, False)[0]
+            rows += rest.size
+            row = np.concatenate([d[lead] for d in stored] + [rest[0]])
+            best_val, best_pos = min((best_val, best_pos), (float(row.sum()), int(alive[lead])))
+            partial[lead] = math.inf
+    if alive.size:
+        values = np.hstack(stored).sum(axis=1)
+        first = int(np.argmin(values))
+        best_val, best_pos = min((best_val, best_pos), (float(values[first]), int(alive[first])))
+    if best_pos == total:
+        return ArgminResult(-1, math.inf, rows)
+    return ArgminResult(best_pos, best_val, rows)
 
 
 def bbox_diameter(ps: PointSet, metric: Metric = L2) -> float:

@@ -28,7 +28,8 @@ from .core import (
     Metric,
     PointSet,
     build_index,
-    chamfer_many,
+    chamfer_argmin,
+    chamfer_many,  # noqa: F401  still importable here; perfbench's tracer patches it per module
     chamfer_translated,
 )
 
@@ -184,9 +185,7 @@ def cdut_localnet(
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     index = build_index(b, metric)
     candidates = _sample_candidates(a, b, config, seed)
-    cand_values = chamfer_many(a, candidates, b, metric, index=index)
-    u_pos = int(np.argmin(cand_values))
-    u = float(cand_values[u_pos])
+    u_pos, u, rows = chamfer_argmin(a, candidates, b, metric, index=index)
     m = len(a)
     if u == 0.0:
         # a zero-cost candidate is globally optimal; the net radii degenerate
@@ -199,14 +198,20 @@ def cdut_localnet(
             epsilon=config.epsilon,
             seed=seed,
             evaluations=0,
-            extras={"u": u, "radius": 0.0, "rho": 0.0, "candidates": int(len(candidates))},
+            extras={
+                "u": u,
+                "radius": 0.0,
+                "rho": 0.0,
+                "candidates": int(len(candidates)),
+                "engine_rows": rows,
+                "engine_rows_full": len(candidates) * m,
+            },
         )
     radius = (1.0 + config.gamma) * u / m
     rho = config.epsilon * u / (config.h * m)
     net = _net_phase(a.dim, metric, candidates, radius, rho, config.union_mode)
-    values = chamfer_many(a, net, b, metric, index=index)
-    best = int(np.argmin(values))
-    best_t = net[best] if values[best] < u else candidates[u_pos]
+    best, value, net_rows = chamfer_argmin(a, net, b, metric, index=index, upper=u)
+    best_t = net[best] if value < u else candidates[u_pos]
     report = chamfer_translated(a, best_t, b, metric)
     return ChamferReport(
         value=report.value,
@@ -221,6 +226,8 @@ def cdut_localnet(
             "radius": radius,
             "rho": rho,
             "candidates": int(len(candidates)),
+            "engine_rows": rows + net_rows,
+            "engine_rows_full": (len(candidates) + len(net)) * m,
         },
     )
 

@@ -2,7 +2,8 @@
 
 CDUT_THREADS caps the worker count (0 = one per CPU, unset/1 = serial).
 Chunks are reassembled in submission order, so results do not depend on
-how many workers ran them.
+how many workers ran them.  The thread pool never outgrows the CPUs this
+process may run on, whatever worker count is asked for.
 """
 
 from __future__ import annotations
@@ -28,12 +29,18 @@ def worker_count() -> int:
     return max(1, n)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_chunked(fn, items: np.ndarray, workers: int) -> list:
-    """Apply ``fn`` to contiguous slices of ``items``, in order."""
+    """Apply ``fn`` to ``workers`` contiguous slices of ``items``, in order."""
     total = len(items)
     if workers <= 1 or total < 4 * workers:
         return [fn(items)]
     bounds = np.linspace(0, total, workers + 1, dtype=int)
     blocks = [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, _usable_cpus())) as pool:
         return list(pool.map(fn, blocks))

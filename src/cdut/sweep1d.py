@@ -33,6 +33,7 @@ from .core import (
     ChamferReport,
     Metric,
     PointSet,
+    chamfer_argmin,
     chamfer_many,
     chamfer_translated,
 )
@@ -171,13 +172,12 @@ def cdut_exact_l1_linf(
         rot = np.array([[1.0, 1.0], [1.0, -1.0]])
         ra, rb = a.points @ rot.T, b.points @ rot.T
         candidates = _alignment_grid(ra, rb, candidate_budget)
-        values = chamfer_many(PointSet(ra), candidates, PointSet(rb), L1)
-        best = int(np.argmin(values))
+        best, _, rows = chamfer_argmin(PointSet(ra), candidates, PointSet(rb), L1)
         t = candidates[best] @ np.array([[0.5, 0.5], [0.5, -0.5]]).T
     else:
         candidates = _alignment_grid(a.points, b.points, candidate_budget)
-        values = chamfer_many(a, candidates, b, metric)
-        best = int(np.argmin(values))  # first minimum = lexicographically smallest t
+        # first minimum = lexicographically smallest t
+        best, _, rows = chamfer_argmin(a, candidates, b, metric)
         t = candidates[best]
     report = chamfer_translated(a, t, b, metric)
     return ChamferReport(
@@ -186,4 +186,5 @@ def cdut_exact_l1_linf(
         assignment=report.assignment,
         algorithm="exact-l1linf",
         evaluations=int(len(candidates)),
+        extras={"engine_rows": rows, "engine_rows_full": len(candidates) * len(a)},
     )

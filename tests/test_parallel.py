@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 
+import cdut.parallel
 from cdut import chamfer_many
-from cdut.parallel import worker_count
+from cdut.parallel import run_chunked, worker_count
 from cdut.instances import uniform_instance
 
 
@@ -33,3 +36,29 @@ class TestDeterministicReduction:
         monkeypatch.setenv("CDUT_THREADS", "4")
         parallel = chamfer_many(a, ts, b)
         assert np.array_equal(serial, parallel)
+
+
+class TestPoolSize:
+    def test_pool_never_outgrows_usable_cpus(self, monkeypatch):
+        seen = []
+
+        class RecordingPool:
+            # records the pool size and runs blocks inline, so no thread starts
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, blocks):
+                return map(fn, blocks)
+
+        monkeypatch.setattr(cdut.parallel, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setenv("CDUT_THREADS", "100000")
+        items = np.arange(400_000)
+        blocks = run_chunked(len, items, worker_count())
+        assert len(blocks) == 100_000 and sum(blocks) == len(items)
+        assert seen == [min(100_000, len(os.sched_getaffinity(0)))]
