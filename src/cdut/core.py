@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .parallel import worker_count, run_chunked
+from .parallel import concurrency, run_chunked, worker_count
 
 __all__ = [
     "PointSet",
@@ -327,13 +327,13 @@ def _distances(cols: np.ndarray, ts: np.ndarray, index: NearestIndex, want_assig
     """NN distances (and indices when asked) of ``cols + t``, one row per translation.
 
     Translations are split between workers by ``run_chunked``.  Each block
-    builds its queries in tiles, so all workers together hold at most
-    ``_QUERY_ROWS`` query rows.  A distance does not depend on which block or
-    tile computed it.
+    builds its queries in tiles, so the blocks that run at once together hold
+    at most ``_QUERY_ROWS`` query rows.  A distance does not depend on which
+    block or tile computed it.
     """
     c, d = cols.shape
     workers = worker_count()
-    tile = max(1, _QUERY_ROWS // workers)
+    tile = max(1, _QUERY_ROWS // concurrency(len(ts), workers))
     t_step, c_step = max(1, tile // c), min(c, tile)
 
     def eval_block(block: np.ndarray):
@@ -366,14 +366,16 @@ def chamfer_many(
     metric: Metric = L2,
     index: Optional[NearestIndex] = None,
     want_assignments: bool = False,
+    want_distances: bool = False,
 ):
     """Exact Chamfer values of ``a`` under many translations at once.
 
     Scans every translation in full: the oracles rely on that, and
-    ``chamfer_argmin`` is tested against it.  Each value is one contiguous
-    ``sum`` over the translation's m distances.  Queries are built and
-    looked up in batches of at most 2^20 rows.  Returns the (T,) value
-    array, or (values, assignments) when requested.
+    ``chamfer_argmin`` evaluates its stages with it.  Each value is one
+    contiguous ``sum`` over the translation's m distances.  Queries are
+    built and looked up in batches of at most 2^20 rows.  Returns the (T,)
+    value array; when requested, the (T, m) nearest indices and then the
+    (T, m) distances follow it in a tuple.
     """
     _check_same_dim(a, b)
     ts = _as_translations(a, translations)
@@ -381,7 +383,9 @@ def chamfer_many(
         index = build_index(b, metric)
     dist, assigns = _distances(a.points, ts, index, want_assignments)
     values = dist.sum(axis=1)
-    return (values, assigns) if want_assignments else values
+    if not (want_assignments or want_distances):
+        return values
+    return (values,) + ((assigns,) if want_assignments else ()) + ((dist,) if want_distances else ())
 
 
 def chamfer_argmin(
@@ -396,7 +400,8 @@ def chamfer_argmin(
 
     Position and value are bit-identical to ``argmin`` over ``chamfer_many``,
     but a candidate is abandoned once it cannot win.  A's points are
-    evaluated in column stages, and each candidate keeps its distances.
+    evaluated in column stages, each one a ``chamfer_many`` call over a
+    slice of A, and each candidate keeps its distances.
     After each stage but the last, the candidate with the smallest partial
     sum is completed, and the best complete value bounds the rest: before
     the next stage, every candidate whose partial sum exceeds the bound is
@@ -425,14 +430,16 @@ def chamfer_argmin(
             stored = [dist[keep] for dist in stored]
         if alive.size == 0:
             break
-        dist = _distances(a.points[lo:hi], ts[alive], index, False)[0]
+        stage = PointSet(a.points[lo:hi])
+        sums, dist = chamfer_many(stage, ts[alive], b, metric, index, want_distances=True)
         rows += dist.size
         stored.append(dist)
-        partial += dist.sum(axis=1)
+        partial += sums
         lead = int(np.argmin(partial))
         if hi < m and partial[lead] <= best_val * (1.0 + _PRUNE_SLACK):
             # complete the leader; it leaves the pool at the next prune
-            rest = _distances(a.points[hi:], ts[alive[lead]][None], index, False)[0]
+            tail = PointSet(a.points[hi:])
+            rest = chamfer_many(tail, ts[alive[lead]][None], b, metric, index, want_distances=True)[1]
             rows += rest.size
             row = np.concatenate([d[lead] for d in stored] + [rest[0]])
             best_val, best_pos = min((best_val, best_pos), (float(row.sum()), int(alive[lead])))

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-__all__ = ["worker_count", "run_chunked"]
+__all__ = ["worker_count", "concurrency", "run_chunked"]
 
 
 def worker_count() -> int:
@@ -35,12 +35,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _serial(total: int, workers: int) -> bool:
+    return workers <= 1 or total < 4 * workers
+
+
+def concurrency(total: int, workers: int) -> int:
+    """How many blocks ``run_chunked`` runs at once over ``total`` items."""
+    return 1 if _serial(total, workers) else min(workers, _usable_cpus())
+
+
 def run_chunked(fn, items: np.ndarray, workers: int) -> list:
     """Apply ``fn`` to ``workers`` contiguous slices of ``items``, in order."""
     total = len(items)
-    if workers <= 1 or total < 4 * workers:
+    if _serial(total, workers):
         return [fn(items)]
     bounds = np.linspace(0, total, workers + 1, dtype=int)
     blocks = [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=min(workers, _usable_cpus())) as pool:
+    with ThreadPoolExecutor(max_workers=concurrency(total, workers)) as pool:
         return list(pool.map(fn, blocks))

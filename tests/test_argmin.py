@@ -7,6 +7,7 @@ same float.
 
 import math
 import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import cdut.approx
 import cdut.core
 import cdut.localnet
+import cdut.parallel
 import cdut.sweep1d
 from cdut import L1, L2, LINF, LocalNetConfig, PointSet, build_index, chamfer_many
 from cdut.approx import cdut_approx_v1
@@ -123,25 +125,65 @@ def test_upper_bound(metric):
     assert got.rows <= len(ts) * len(a)
 
 
+def _record_query_rows(monkeypatch):
+    """Record each query batch, and the peak number of query rows held at once."""
+    seen, live, peak, lock = [], [0], [0], threading.Lock()
+    query_many = cdut.core.NearestIndex.query_many
+
+    def recording(self, queries, normalize_ties=True):
+        with lock:
+            seen.append(len(queries))
+            live[0] += len(queries)
+            peak[0] = max(peak[0], live[0])
+        try:
+            return query_many(self, queries, normalize_ties)
+        finally:
+            with lock:
+                live[0] -= len(queries)
+
+    monkeypatch.setattr(cdut.core.NearestIndex, "query_many", recording)
+    return seen, peak
+
+
 def test_query_rows_stay_under_the_cap(monkeypatch):
     a, b = instance(9, 40, 30, 3, grid=False)
     ts = translations(9, a, b, 50)
     pos, value = full_scan(a, ts, b, L2)
-    seen = []
-    query_many = cdut.core.NearestIndex.query_many
-
-    def recording(self, queries, normalize_ties=True):
-        seen.append(len(queries))
-        return query_many(self, queries, normalize_ties)
-
     monkeypatch.setattr(cdut.core, "_QUERY_ROWS", 64)
-    monkeypatch.setattr(cdut.core.NearestIndex, "query_many", recording)
+    seen, peak = _record_query_rows(monkeypatch)
     for workers in (1, 2):
         monkeypatch.setenv("CDUT_THREADS", str(workers))
         seen.clear()
+        peak[0] = 0
         got = chamfer_argmin(a, ts, b, L2)
         assert (got.pos, bits(got.value)) == (pos, bits(value))
-        assert seen and max(seen) * workers <= 64
+        assert seen and peak[0] <= 64
+
+
+def test_huge_thread_count_keeps_serial_batches_whole(monkeypatch):
+    # 100 translations are too few to split between 100,000 workers, so the
+    # evaluation runs serially and must not shrink its query batches
+    a, b = instance(9, 40, 30, 3, grid=False)
+    ts = translations(9, a, b, 50)
+    want = chamfer_many(a, ts, b, L2)
+    seen, _ = _record_query_rows(monkeypatch)
+    monkeypatch.setattr(cdut.parallel, "ThreadPoolExecutor", None)  # no thread may start
+    monkeypatch.setenv("CDUT_THREADS", "100000")
+    assert np.array_equal(chamfer_many(a, ts, b, L2), want)
+    assert seen == [len(ts) * len(a)]
+
+
+def test_chamfer_many_returns_indices_then_distances():
+    a, b = instance(11, 12, 20, 2, grid=False)
+    ts = translations(11, a, b, 10)
+    values = chamfer_many(a, ts, b, L1)
+    _, assigns = chamfer_many(a, ts, b, L1, want_assignments=True)
+    got_values, got_assigns, dist = chamfer_many(a, ts, b, L1, want_assignments=True, want_distances=True)
+    assert np.array_equal(got_values, values) and np.array_equal(got_assigns, assigns)
+    assert dist.shape == (len(ts), len(a))
+    assert np.array_equal(dist.sum(axis=1), values)
+    shifted = a.points[None, :, :] + ts[:, None, :]
+    assert np.array_equal(dist, L1.norms(shifted - b.points[assigns]))
 
 
 # -- callers: same report as a full-scan argmin --------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 
 import cdut.parallel
 from cdut import chamfer_many
-from cdut.parallel import run_chunked, worker_count
+from cdut.parallel import concurrency, run_chunked, worker_count
 from cdut.instances import uniform_instance
 
 
@@ -62,3 +62,11 @@ class TestPoolSize:
         blocks = run_chunked(len, items, worker_count())
         assert len(blocks) == 100_000 and sum(blocks) == len(items)
         assert seen == [min(100_000, len(os.sched_getaffinity(0)))]
+        assert seen == [concurrency(len(items), worker_count())]
+
+    def test_concurrency_follows_the_serial_path(self, monkeypatch):
+        monkeypatch.setattr(cdut.parallel, "_usable_cpus", lambda: 8)
+        assert concurrency(10**6, 1) == 1
+        assert concurrency(399_999, 100_000) == 1
+        assert concurrency(400_000, 100_000) == 8
+        assert concurrency(400, 4) == 4
