@@ -9,16 +9,7 @@ hardness-gadget generators (``gadgets``), and brute-force oracles
 """
 
 from .ann import AnnAnswer, ScaleLadder, build_ladder
-from .approx import (
-    CandidateTranslation,
-    EstimatorConfig,
-    EstimatorError,
-    cdut_approx,
-    cdut_approx_v1,
-    cdut_approx_v2,
-    median_boosted,
-    sample_anchors,
-)
+from .approx import cdut_approx_v1, cdut_approx_v2, sample_anchors
 from .core import (
     L1,
     L2,
@@ -48,21 +39,18 @@ from .decision import (
     verify_emd_equivalence,
 )
 from .gadgets import GadgetInstance, combine_gadgets, gadget_a, gadget_b, gadget_width, ov_pair
-from .localnet import LocalNetConfig, NetSpec, build_net, cdut_localnet, cdut_localnet_union, covering_audit
+from .localnet import LocalNetConfig, NetSpec, build_net, cdut_localnet, covering_audit
 from .oracle import GridOracleResult, GridSearchSpec, oracle_cdut_1d, oracle_cdut_grid
-from .sweep1d import SweepEvent, build_events, cdut_exact_1d, cdut_exact_l1_linf, sweep_curve
+from .sweep1d import cdut_exact_1d, cdut_exact_l1_linf, sweep_curve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnnAnswer",
     "AssumptionError",
-    "CandidateTranslation",
     "ChamferReport",
     "DecisionResult",
     "DifferenceSet",
-    "EstimatorConfig",
-    "EstimatorError",
     "GadgetInstance",
     "GridOracleResult",
     "GridSearchSpec",
@@ -78,19 +66,15 @@ __all__ = [
     "ScaleLadder",
     "SeparationCertificate",
     "SeparationError",
-    "SweepEvent",
     "bbox_diameter",
-    "build_events",
     "build_index",
     "build_ladder",
     "build_net",
-    "cdut_approx",
     "cdut_approx_v1",
     "cdut_approx_v2",
     "cdut_exact_1d",
     "cdut_exact_l1_linf",
     "cdut_localnet",
-    "cdut_localnet_union",
     "chamfer",
     "chamfer_many",
     "chamfer_translated",
@@ -103,7 +87,6 @@ __all__ = [
     "gadget_b",
     "gadget_width",
     "geometric_median",
-    "median_boosted",
     "oracle_cdut_1d",
     "oracle_cdut_grid",
     "ov_pair",

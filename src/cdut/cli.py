@@ -13,11 +13,11 @@ import sys
 import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .approx import EstimatorConfig, cdut_approx
+from .approx import DEFAULT_DELTA, cdut_approx_v1, cdut_approx_v2
 from .core import ChamferReport, Metric, PointSet
 from .decision import SeparationError, decide_cdut
 from .gadgets import combine_gadgets, ov_pair
@@ -30,10 +30,9 @@ from .instances import (
 )
 from .io import InstanceParseError, read_instance, write_instance
 from .localnet import LocalNetConfig, cdut_localnet
-from .oracle import oracle_cdut_1d, oracle_cdut_grid
+from .oracle import default_grid_spec, oracle_cdut_1d, oracle_cdut_grid
 from .sweep1d import cdut_exact_1d, cdut_exact_l1_linf
 
-ALGORITHMS = ("exact1d", "exact-l1linf", "approx-v1", "approx-v2", "localnet", "oracle-1d", "oracle-grid")
 GENERATORS = ("uniform", "clustered", "translated-copy", "ov-gadget", "combined-gadget", "separated-planted")
 
 EXIT_OK = 0
@@ -99,45 +98,57 @@ def _load_pair(args) -> tuple[PointSet, PointSet, Metric]:
     return a, b, metric
 
 
-def _dispatch(args, a: PointSet, b: PointSet, metric: Metric) -> ChamferReport:
-    algo = args.algorithm
-    if algo == "exact1d":
-        return cdut_exact_1d(a, b)
-    if algo == "exact-l1linf":
-        return cdut_exact_l1_linf(a, b, metric)
-    if algo == "approx-v1":
-        config = EstimatorConfig(kind="exact", epsilon=args.epsilon, seed=args.seed)
-        if args.delta is not None:
-            return cdut_approx(a, b, config, delta=args.delta, metric=metric)
-        return cdut_approx(a, b, config, metric=metric)
-    if algo == "approx-v2":
-        config = EstimatorConfig(kind="ann", epsilon=args.epsilon, c=args.c, seed=args.seed)
-        if args.delta is not None:
-            return cdut_approx(a, b, config, delta=args.delta, metric=metric)
-        return cdut_approx(a, b, config, metric=metric)
-    if algo == "localnet":
-        config = LocalNetConfig(
-            epsilon=args.epsilon,
-            delta=0.1 if args.delta is None else args.delta,
-            union_mode=args.union_net,
-        )
-        return cdut_localnet(a, b, config, seed=args.seed, metric=metric)
-    if algo == "oracle-1d":
-        return oracle_cdut_1d(a, b)
-    if algo == "oracle-grid":
-        spec = None
-        if args.resolution is not None:
-            from .oracle import default_grid_spec
+class SolveOptions(NamedTuple):
+    """The algorithm options ``compute`` and ``bench`` pass to a solver."""
 
-            spec = default_grid_spec(a, b, resolution=args.resolution)
-        return oracle_cdut_grid(a, b, spec=spec, metric=metric).report
-    raise ValueError(f"unknown algorithm {algo!r}")
+    epsilon: float
+    c: float
+    delta: Optional[float]
+    seed: int
+    union_net: bool = False
+    resolution: Optional[float] = None
+
+
+def _localnet(a: PointSet, b: PointSet, metric: Metric, opts: SolveOptions) -> ChamferReport:
+    config = LocalNetConfig(
+        epsilon=opts.epsilon,
+        delta=0.1 if opts.delta is None else opts.delta,
+        union_mode=opts.union_net,
+    )
+    return cdut_localnet(a, b, config, seed=opts.seed, metric=metric)
+
+
+def _oracle_grid(a: PointSet, b: PointSet, metric: Metric, opts: SolveOptions) -> ChamferReport:
+    spec = None if opts.resolution is None else default_grid_spec(a, b, resolution=opts.resolution)
+    return oracle_cdut_grid(a, b, spec=spec, metric=metric).report
+
+
+def _approx_delta(opts: SolveOptions) -> float:
+    return DEFAULT_DELTA if opts.delta is None else opts.delta
+
+
+# algorithm name -> solver; ``compute`` and ``bench`` both run algorithms from here
+SOLVERS: dict[str, Callable[[PointSet, PointSet, Metric, SolveOptions], ChamferReport]] = {
+    "exact1d": lambda a, b, metric, opts: cdut_exact_1d(a, b),
+    "exact-l1linf": lambda a, b, metric, opts: cdut_exact_l1_linf(a, b, metric),
+    "approx-v1": lambda a, b, metric, opts: cdut_approx_v1(
+        a, b, opts.epsilon, seed=opts.seed, delta=_approx_delta(opts), metric=metric
+    ),
+    "approx-v2": lambda a, b, metric, opts: cdut_approx_v2(
+        a, b, opts.epsilon, opts.c, seed=opts.seed, delta=_approx_delta(opts), metric=metric
+    ),
+    "localnet": _localnet,
+    "oracle-1d": lambda a, b, metric, opts: oracle_cdut_1d(a, b),
+    "oracle-grid": _oracle_grid,
+}
+ALGORITHMS = tuple(SOLVERS)
 
 
 def cmd_compute(args) -> int:
     a, b, metric = _load_pair(args)
+    opts = SolveOptions(args.epsilon, args.c, args.delta, args.seed, args.union_net, args.resolution)
     start = time.perf_counter()
-    report = _dispatch(args, a, b, metric)
+    report = SOLVERS[args.algorithm](a, b, metric, opts)
     wall_ms = (time.perf_counter() - start) * 1000.0
     record = _record_from_report(report, metric, wall_ms)
     print(record.to_json() if args.json else record.to_kv())
@@ -205,9 +216,9 @@ def cmd_gen(args) -> int:
         ys = [_parse_bits(tok) for tok in args.y.split(",")]
         if len(xs) != len(ys):
             raise ValueError("need the same number of x and y vectors")
-        pairs = [(ov_pair(x, y).points_a, ov_pair(x, y).points_b) for x, y in zip(xs, ys)]
-        a, b = combine_gadgets(pairs)
-        meta.update(pairs=len(pairs))
+        gadgets = [ov_pair(x, y) for x, y in zip(xs, ys)]
+        a, b = combine_gadgets([(g.points_a, g.points_b) for g in gadgets])
+        meta.update(pairs=len(gadgets))
     elif args.generator == "separated-planted":
         planted = separated_planted_instance(
             args.m, args.n, args.dim, args.radius, args.c, args.epsilon, args.mode, seed
@@ -252,16 +263,8 @@ def cmd_bench(args) -> int:
             baseline = None
             if args.dim == 1 and size * size <= 10_000:
                 baseline = oracle_cdut_1d(a, b).value
+            opts = SolveOptions(args.epsilon, args.c, args.delta, seed=seed)
             for algo in algos:
-                ns = argparse.Namespace(
-                    algorithm=algo,
-                    epsilon=args.epsilon,
-                    c=args.c,
-                    delta=args.delta,
-                    seed=seed,
-                    union_net=False,
-                    resolution=None,
-                )
                 row = {
                     "algorithm": algo,
                     "family": args.family,
@@ -276,7 +279,7 @@ def cmd_bench(args) -> int:
                 }
                 start = time.perf_counter()
                 try:
-                    report = _dispatch(ns, a, b, metric)
+                    report = SOLVERS[algo](a, b, metric, opts)
                 except ValueError as exc:
                     row["error"] = str(exc)
                     rows.append(row)

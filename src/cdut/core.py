@@ -11,7 +11,7 @@ are required to produce bit-identical assignments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -33,6 +33,7 @@ __all__ = [
     "chamfer_many",
     "chamfer_argmin",
     "ArgminResult",
+    "difference_candidates",
     "bbox_diameter",
 ]
 
@@ -158,6 +159,10 @@ class ChamferReport:
     extras: Optional[dict] = None
 
 
+# entries in the brute backend's query-minus-point tensor, per chunk
+_BRUTE_ENTRIES = 1 << 22
+
+
 class NearestIndex:
     """Exact nearest-neighbor index over a point set.
 
@@ -192,29 +197,6 @@ class NearestIndex:
             return self._brute(q)
         return self._kdtree(q, normalize_ties)
 
-    def query_two(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and indices of the two nearest points (runner-up unordered ties)."""
-        q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
-        pts = self.source.points
-        if len(self.source) < 2:
-            d, i = self.query_many(q)
-            return np.stack([d, np.full_like(d, np.inf)], axis=1), np.stack(
-                [i, np.full_like(i, -1)], axis=1
-            )
-        if self._tree is not None:
-            _, idx = self._tree.query(q, k=2, p=self.metric.p)
-            d0 = self.metric.norms(q - pts[idx[:, 0]])
-            d1 = self.metric.norms(q - pts[idx[:, 1]])
-            swap = d1 < d0
-            idx[swap] = idx[swap][:, ::-1]
-            return np.stack([np.minimum(d0, d1), np.maximum(d0, d1)], axis=1), idx
-        dmat = self._distance_matrix(q)
-        idx = np.argpartition(dmat, 1, axis=1)[:, :2]
-        rows = np.arange(len(q))[:, None]
-        pair = dmat[rows, idx]
-        order = np.argsort(pair, axis=1, kind="stable")
-        return pair[rows, order], idx[rows, order]
-
     # -- internals ----------------------------------------------------------
 
     def _distance_matrix(self, q: np.ndarray) -> np.ndarray:
@@ -224,8 +206,8 @@ class NearestIndex:
         n = len(self.source)
         out_d = np.empty(len(q), dtype=np.float64)
         out_i = np.empty(len(q), dtype=np.int64)
-        # cap the temporary distance matrix at ~4M entries
-        chunk = max(1, (1 << 22) // max(n, 1))
+        # the (rows, n, d) difference tensor is the largest temporary
+        chunk = max(1, _BRUTE_ENTRIES // (n * self.source.dim))
         for start in range(0, len(q), chunk):
             stop = min(len(q), start + chunk)
             dmat = self._distance_matrix(q[start:stop])
@@ -288,13 +270,16 @@ def chamfer_translated(
     """Exact Chamfer distance of ``a`` shifted by ``t`` against ``b``."""
     _check_same_dim(a, b)
     t = as_translation(t, a.dim)
-    report = chamfer(a.translated(t), b, metric, backend)
-    return ChamferReport(
-        value=report.value,
-        translation=t,
-        assignment=report.assignment,
-        algorithm="exact",
-    )
+    return replace(chamfer(a.translated(t), b, metric, backend), translation=t)
+
+
+def difference_candidates(a: PointSet, b: PointSet, anchors: np.ndarray) -> np.ndarray:
+    """Translations ``b - a`` for every anchor ``a`` of A and every ``b`` of B.
+
+    Rows are ordered by (anchor position, index in B), so a first minimum
+    over them goes to the lexicographically first pair.
+    """
+    return (b.points[None, :, :] - a.points[anchors][:, None, :]).reshape(-1, a.dim)
 
 
 # query rows built at once by one evaluation, summed over its workers

@@ -31,6 +31,7 @@ from .core import (
     PointSet,
     bbox_diameter,
     build_index,
+    difference_candidates,
 )
 
 __all__ = [
@@ -224,7 +225,7 @@ def decide_cdut(
 
     rng = np.random.default_rng(seed)
     anchor_idx = rng.integers(0, m, size=max(1, anchors))
-    translations = (b.points[None, :, :] - a.points[anchor_idx][:, None, :]).reshape(-1, a.dim)
+    translations = difference_candidates(a, b, anchor_idx)
     ladder = build_ladder(
         b,
         c,

@@ -17,7 +17,7 @@ the same set of translations and agree on the minimum value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -31,9 +31,10 @@ from .core import (
     chamfer_argmin,
     chamfer_many,  # noqa: F401  still importable here; perfbench's tracer patches it per module
     chamfer_translated,
+    difference_candidates,
 )
 
-__all__ = ["NetSpec", "LocalNetConfig", "build_net", "cdut_localnet", "cdut_localnet_union", "covering_audit"]
+__all__ = ["NetSpec", "LocalNetConfig", "build_net", "cdut_localnet", "covering_audit"]
 
 _MAX_NET_DIM = 6
 _NET_BUDGET = 2_000_000
@@ -142,7 +143,7 @@ def _sample_candidates(a: PointSet, b: PointSet, config: LocalNetConfig, seed: i
         anchors = np.arange(len(a))
     else:
         anchors = rng.choice(len(a), size=k, replace=False)
-    return (b.points[None, :, :] - a.points[anchors][:, None, :]).reshape(-1, a.dim)
+    return difference_candidates(a, b, anchors)
 
 
 def _net_phase(
@@ -187,36 +188,18 @@ def cdut_localnet(
     candidates = _sample_candidates(a, b, config, seed)
     u_pos, u, rows = chamfer_argmin(a, candidates, b, metric, index=index)
     m = len(a)
-    if u == 0.0:
-        # a zero-cost candidate is globally optimal; the net radii degenerate
-        report = chamfer_translated(a, candidates[u_pos], b, metric)
-        return ChamferReport(
-            value=report.value,
-            translation=report.translation,
-            assignment=report.assignment,
-            algorithm="localnet-union" if config.union_mode else "localnet",
-            epsilon=config.epsilon,
-            seed=seed,
-            evaluations=0,
-            extras={
-                "u": u,
-                "radius": 0.0,
-                "rho": 0.0,
-                "candidates": int(len(candidates)),
-                "engine_rows": rows,
-                "engine_rows_full": len(candidates) * m,
-            },
-        )
     radius = (1.0 + config.gamma) * u / m
     rho = config.epsilon * u / (config.h * m)
-    net = _net_phase(a.dim, metric, candidates, radius, rho, config.union_mode)
+    # a zero-cost candidate is globally optimal and the net radii degenerate,
+    # so no net is built and the candidate wins
+    if u == 0.0:
+        net = np.empty((0, a.dim))
+    else:
+        net = _net_phase(a.dim, metric, candidates, radius, rho, config.union_mode)
     best, value, net_rows = chamfer_argmin(a, net, b, metric, index=index, upper=u)
     best_t = net[best] if value < u else candidates[u_pos]
-    report = chamfer_translated(a, best_t, b, metric)
-    return ChamferReport(
-        value=report.value,
-        translation=report.translation,
-        assignment=report.assignment,
+    return replace(
+        chamfer_translated(a, best_t, b, metric),
         algorithm="localnet-union" if config.union_mode else "localnet",
         epsilon=config.epsilon,
         seed=seed,
@@ -230,13 +213,3 @@ def cdut_localnet(
             "engine_rows_full": (len(candidates) + len(net)) * m,
         },
     )
-
-
-def cdut_localnet_union(
-    a: PointSet, b: PointSet, config: LocalNetConfig, seed: int = 0, metric: Metric = L2
-) -> ChamferReport:
-    """Union-net variant: overlapping balls share lattice points."""
-    merged = LocalNetConfig(
-        epsilon=config.epsilon, gamma=config.gamma, delta=config.delta, h=config.h, union_mode=True
-    )
-    return cdut_localnet(a, b, merged, seed, metric)

@@ -10,12 +10,21 @@ additive slack, bracketing the optimum for the approximation algorithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import L2, ChamferReport, Metric, PointSet, build_index, chamfer_many, chamfer_translated
+from .core import (
+    L2,
+    ChamferReport,
+    Metric,
+    PointSet,
+    build_index,
+    chamfer_many,
+    chamfer_translated,
+    difference_candidates,
+)
 
 __all__ = ["GridSearchSpec", "GridOracleResult", "oracle_cdut_1d", "oracle_cdut_grid", "default_grid_spec"]
 
@@ -61,14 +70,7 @@ def oracle_cdut_1d(a: PointSet, b: PointSet) -> ChamferReport:
     cands = np.unique(b.points[:, 0][None, :] - a.points[:, 0][:, None])
     values = chamfer_many(a, cands.reshape(-1, 1), b)
     best = int(np.argmin(values))  # first minimum = smallest t
-    report = chamfer_translated(a, cands[best], b)
-    return ChamferReport(
-        value=report.value,
-        translation=report.translation,
-        assignment=report.assignment,
-        algorithm="oracle-1d",
-        evaluations=int(cands.size),
-    )
+    return replace(chamfer_translated(a, cands[best], b), algorithm="oracle-1d", evaluations=int(cands.size))
 
 
 def _half_cell(metric: Metric, g: float, d: int) -> float:
@@ -82,7 +84,7 @@ def _half_cell(metric: Metric, g: float, d: int) -> float:
 
 def default_grid_spec(a: PointSet, b: PointSet, resolution: Optional[float] = None) -> GridSearchSpec:
     """Box around all difference vectors b - a, padded by a coarse OPT/m estimate."""
-    diffs = (b.points[None, :, :] - a.points[:, None, :]).reshape(-1, a.dim)
+    diffs = difference_candidates(a, b, np.arange(len(a)))
     estimate = float(np.min(chamfer_many(a, np.unique(diffs, axis=0), b)))
     pad = estimate / len(a) if estimate > 0 else 1e-9
     lo = diffs.min(axis=0) - pad
@@ -122,12 +124,9 @@ def oracle_cdut_grid(
     index = build_index(b, metric)
     values = chamfer_many(a, grid, b, metric, index=index)
     best = int(np.argmin(values))
-    report = chamfer_translated(a, grid[best], b, metric)
     slack = len(a) * _half_cell(metric, g, a.dim)
-    report = ChamferReport(
-        value=report.value,
-        translation=report.translation,
-        assignment=report.assignment,
+    report = replace(
+        chamfer_translated(a, grid[best], b, metric),
         algorithm="oracle-grid",
         evaluations=int(total),
         extras={"slack": slack},

@@ -45,11 +45,12 @@ def concurrency(total: int, workers: int) -> int:
 
 
 def run_chunked(fn, items: np.ndarray, workers: int) -> list:
-    """Apply ``fn`` to ``workers`` contiguous slices of ``items``, in order."""
+    """Apply ``fn`` to ``concurrency(...)`` contiguous slices of ``items``, in order."""
     total = len(items)
     if _serial(total, workers):
         return [fn(items)]
-    bounds = np.linspace(0, total, workers + 1, dtype=int)
+    pool_size = concurrency(total, workers)
+    bounds = np.linspace(0, total, pool_size + 1, dtype=int)
     blocks = [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=concurrency(total, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=pool_size) as pool:
         return list(pool.map(fn, blocks))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,22 +38,7 @@ from .core import (
     chamfer_translated,
 )
 
-__all__ = [
-    "SweepEvent",
-    "build_events",
-    "sweep_curve",
-    "cdut_exact_1d",
-    "cdut_exact_l1_linf",
-]
-
-
-@dataclass(frozen=True)
-class SweepEvent:
-    """A critical translation with its match/midpoint pair multiplicities."""
-
-    t: float
-    n_match: int
-    n_mid: int
+__all__ = ["sweep_curve", "cdut_exact_1d", "cdut_exact_l1_linf"]
 
 
 def _require_1d(a: PointSet, b: PointSet) -> None:
@@ -73,13 +58,6 @@ def _event_arrays(a: PointSet, b: PointSet):
     n_match = np.bincount(inverse[: t_match.size], minlength=uniq.size)
     n_mid = np.bincount(inverse[t_match.size :], minlength=uniq.size)
     return uniq, n_match.astype(np.int64), n_mid.astype(np.int64)
-
-
-def build_events(a: PointSet, b: PointSet) -> list[SweepEvent]:
-    """All critical translations, merged on exact equality, sorted ascending."""
-    _require_1d(a, b)
-    ts, n_match, n_mid = _event_arrays(a, b)
-    return [SweepEvent(float(t), int(nb), int(nm)) for t, nb, nm in zip(ts, n_match, n_mid)]
 
 
 def sweep_curve(a: PointSet, b: PointSet):
@@ -112,15 +90,7 @@ def cdut_exact_1d(a: PointSet, b: PointSet) -> ChamferReport:
     ts, values, n_match, _ = sweep_curve(a, b)
     match_pos = np.flatnonzero(n_match > 0)
     best = match_pos[np.argmin(values[match_pos])]
-    t_best = ts[best]
-    report = chamfer_translated(a, t_best, b)
-    return ChamferReport(
-        value=report.value,
-        translation=report.translation,
-        assignment=report.assignment,
-        algorithm="exact1d",
-        evaluations=int(ts.size),
-    )
+    return replace(chamfer_translated(a, ts[best], b), algorithm="exact1d", evaluations=int(ts.size))
 
 
 def _alignment_values(points_a: np.ndarray, points_b: np.ndarray, axis: int) -> np.ndarray:
@@ -179,11 +149,8 @@ def cdut_exact_l1_linf(
         # first minimum = lexicographically smallest t
         best, _, rows = chamfer_argmin(a, candidates, b, metric)
         t = candidates[best]
-    report = chamfer_translated(a, t, b, metric)
-    return ChamferReport(
-        value=report.value,
-        translation=report.translation,
-        assignment=report.assignment,
+    return replace(
+        chamfer_translated(a, t, b, metric),
         algorithm="exact-l1linf",
         evaluations=int(len(candidates)),
         extras={"engine_rows": rows, "engine_rows_full": len(candidates) * len(a)},

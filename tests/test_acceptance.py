@@ -6,6 +6,7 @@ failure) so the suite doubles as a checklist:
     pytest tests/test_acceptance.py -s
 """
 
+import dataclasses
 import math
 import time
 
@@ -23,7 +24,6 @@ from cdut import (
     cdut_exact_1d,
     cdut_exact_l1_linf,
     cdut_localnet,
-    cdut_localnet_union,
     chamfer_translated,
     decide_cdut,
     difference_set,
@@ -142,7 +142,7 @@ def test_04_local_net():
             ok, detail = False, f"underestimate at seed {seed}"
             break
         hits += plain.value <= (1.0 + eps) * opt + REL
-        union = cdut_localnet_union(a, b, config, seed=seed)
+        union = cdut_localnet(a, b, dataclasses.replace(config, union_mode=True), seed=seed)
         if abs(union.value - plain.value) > REL * max(1.0, abs(plain.value)):
             ok, detail = False, f"union/plain mismatch at seed {seed}"
             break
@@ -151,7 +151,7 @@ def test_04_local_net():
     for seed in range(10):
         inst = noisy_copy_instance(20, 1, 4000 + seed, noise=0.5)
         plain = cdut_localnet(inst.a, inst.b, config, seed=seed)
-        union = cdut_localnet_union(inst.a, inst.b, config, seed=seed)
+        union = cdut_localnet(inst.a, inst.b, dataclasses.replace(config, union_mode=True), seed=seed)
         savings += union.evaluations < plain.evaluations
     ok = ok and savings == 10
     gate(

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from cdut import (
-    EstimatorConfig,
-    EstimatorError,
     cdut_approx_v1,
     cdut_approx_v2,
     cdut_exact_1d,
     chamfer_translated,
-    median_boosted,
     oracle_cdut_1d,
     sample_anchors,
 )
@@ -82,53 +79,6 @@ class TestVariantOne:
             tight.append(cdut_approx_v1(a, b, 0.1, seed=seed).value)
             loose.append(cdut_approx_v1(a, b, 0.9, seed=seed).value)
         assert np.mean(tight) <= np.mean(loose) + REL
-
-    def test_custom_estimator_is_used(self):
-        a, b = uniform_instance(6, 6, 1, 5)
-        calls = []
-
-        def noisy(a_, t, b_, metric):
-            value = chamfer_translated(a_, t, b_, metric).value
-            calls.append(1)
-            return value * 1.05
-
-        report = cdut_approx_v1(a, b, 0.5, estimator=noisy, seed=2)
-        exact = cdut_approx_v1(a, b, 0.5, seed=2)
-        assert len(calls) == report.evaluations
-        assert report.value == pytest.approx(exact.value * 1.05, rel=REL)
-
-    def test_estimator_failure_is_tagged(self):
-        a, b = uniform_instance(4, 4, 1, 5)
-
-        def broken(a_, t, b_, metric):
-            raise RuntimeError("boom")
-
-        with pytest.raises(EstimatorError):
-            cdut_approx_v1(a, b, 0.5, estimator=broken, seed=0)
-
-
-class TestMedianBoosting:
-    def test_boosted_estimator_stops_underestimating(self):
-        from cdut import L2
-
-        a, b = uniform_instance(8, 8, 1, 13)
-        eps = 0.5
-        rng = np.random.default_rng(99)
-
-        def jittery(a_, t, b_, metric):
-            exact = chamfer_translated(a_, t, b_, metric).value
-            return exact * (1.0 + rng.uniform(-eps / 16.0, eps / 16.0))
-
-        boosted = median_boosted(jittery, runs=9, epsilon=eps)
-        t = np.array([1.0])
-        exact = chamfer_translated(a, t, b).value
-        for _ in range(20):
-            est = boosted(a, t, b, L2)
-            assert exact - 1e-9 <= est <= (1.0 + eps / 4.0) * exact + 1e-9
-
-    def test_run_count_validation(self):
-        with pytest.raises(ValueError):
-            median_boosted(lambda *args: 0.0, runs=0, epsilon=0.5)
 
 
 class TestVariantTwo:
@@ -210,27 +160,3 @@ class TestCandidateLemmas:
             good = int(np.sum(per_point <= (1.0 + eps) * sweep.value / m + 1e-12))
             assert good >= math.floor(m * eps / 2.0)
 
-
-class TestEstimatorConfig:
-    def test_valid_configurations(self):
-        assert EstimatorConfig(kind="exact", epsilon=0.5).kind == "exact"
-        assert EstimatorConfig(kind="ann", epsilon=0.5, c=2.0).c == 2.0
-
-    def test_invalid_configurations(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(kind="magic")
-        with pytest.raises(ValueError):
-            EstimatorConfig(kind="exact", epsilon=1.5)
-        with pytest.raises(ValueError):
-            EstimatorConfig(kind="ann", epsilon=0.5, c=0.5)
-
-    def test_dispatcher_routes_by_kind(self):
-        from cdut import cdut_approx
-
-        a, b = uniform_instance(8, 10, 1, 2)
-        exact = cdut_approx(a, b, EstimatorConfig(kind="exact", epsilon=0.5, seed=3))
-        ann = cdut_approx(a, b, EstimatorConfig(kind="ann", epsilon=0.5, c=2.0, seed=3))
-        assert exact.algorithm == "approx-v1"
-        assert ann.algorithm == "approx-v2"
-        assert exact.value == cdut_approx_v1(a, b, 0.5, seed=3).value
-        assert ann.value == cdut_approx_v2(a, b, 0.5, c=2.0, seed=3).value

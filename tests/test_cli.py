@@ -3,8 +3,22 @@ import json
 import numpy as np
 import pytest
 
-from cdut import Metric, PointSet, check_separation
-from cdut.cli import main
+from cdut import (
+    L1,
+    LocalNetConfig,
+    Metric,
+    PointSet,
+    cdut_approx_v1,
+    cdut_approx_v2,
+    cdut_exact_1d,
+    cdut_exact_l1_linf,
+    cdut_localnet,
+    check_separation,
+    oracle_cdut_1d,
+    oracle_cdut_grid,
+)
+from cdut.cli import ALGORITHMS, main
+from cdut.instances import uniform_instance
 from cdut.io import InstanceParseError, read_instance, write_instance
 
 
@@ -107,6 +121,80 @@ class TestCompute:
         code, _, err = run(capsys, ["compute", "exact1d", str(tmp_path / "no.txt"), str(tmp_path / "no.txt")])
         assert code == 1
         assert "error" in err
+
+
+    @pytest.mark.parametrize("algorithm", ["approx-v1", "approx-v2"])
+    @pytest.mark.parametrize("epsilon", ["1.0", "0.0"])
+    def test_epsilon_outside_the_open_unit_interval_exits_2(self, capsys, tmp_path, algorithm, epsilon):
+        out = tmp_path / "uni"
+        run(capsys, ["gen", "uniform", "--out", str(out), "--m", "6", "--n", "6", "--seed", "2"])
+        code, text, err = run(
+            capsys, ["compute", algorithm, f"{out}_a.txt", f"{out}_b.txt", "--epsilon", epsilon]
+        )
+        assert code == 2 and text == ""
+        assert "epsilon" in err
+
+
+class TestRegistry:
+    # CLI arguments and the library call they stand for, on a 1D l1 instance
+    CALLS = [
+        ("exact1d", [], lambda a, b: cdut_exact_1d(a, b)),
+        ("exact-l1linf", [], lambda a, b: cdut_exact_l1_linf(a, b, L1)),
+        ("approx-v1", ["--seed", "3"], lambda a, b: cdut_approx_v1(a, b, 0.5, seed=3, metric=L1)),
+        (
+            "approx-v2",
+            ["--seed", "3", "--c", "3.0"],
+            lambda a, b: cdut_approx_v2(a, b, 0.5, 3.0, seed=3, metric=L1),
+        ),
+        (
+            "localnet",
+            ["--seed", "3", "--delta", "0.3"],
+            lambda a, b: cdut_localnet(a, b, LocalNetConfig(epsilon=0.5, delta=0.3), seed=3, metric=L1),
+        ),
+        (
+            "localnet",
+            ["--seed", "3", "--union-net"],
+            lambda a, b: cdut_localnet(a, b, LocalNetConfig(epsilon=0.5, union_mode=True), seed=3, metric=L1),
+        ),
+        ("oracle-1d", [], lambda a, b: oracle_cdut_1d(a, b)),
+        ("oracle-grid", [], lambda a, b: oracle_cdut_grid(a, b, metric=L1).report),
+    ]
+
+    def test_compute_matches_the_library_call(self, capsys, tmp_path):
+        out = tmp_path / "uni"
+        gen = ["gen", "uniform", "--out", str(out), "--m", "9", "--n", "11", "--seed", "5", "--metric", "l1"]
+        run(capsys, gen)
+        a, _ = read_instance(f"{out}_a.txt")
+        b, _ = read_instance(f"{out}_b.txt")
+        assert {name for name, _, _ in self.CALLS} == set(ALGORITHMS)
+        for name, flags, call in self.CALLS:
+            code, text, _ = run(capsys, ["compute", name, f"{out}_a.txt", f"{out}_b.txt", "--json", *flags])
+            assert code == 0, name
+            record = json.loads(text)
+            report = call(a, b)
+            assert record["algorithm"] == report.algorithm
+            assert repr(record["value"]) == repr(float(report.value)), name
+            assert record["translation"] == [float(v) for v in np.atleast_1d(report.translation)], name
+
+    def test_bench_rows_match_compute(self, capsys, tmp_path):
+        size, seed = 8, 8  # bench seeds rep 0 of size s with --seed + s
+        a, b = uniform_instance(size, size, 1, seed)
+        write_instance(tmp_path / "a.txt", a)
+        write_instance(tmp_path / "b.txt", b)
+        bench = ["bench", "--algos", ",".join(ALGORITHMS), "--sizes", str(size), "--seed", "0", "--json"]
+        code, text, _ = run(capsys, bench)
+        assert code == 0
+        rows = [json.loads(line) for line in text.strip().splitlines()]
+        assert [row["algorithm"] for row in rows] == list(ALGORITHMS)
+        for row in rows:
+            assert row["seed"] == seed
+            argv = ["compute", row["algorithm"], str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+            code, text, _ = run(capsys, argv + ["--seed", str(seed), "--json"])
+            if row["error"] is not None:
+                assert code == 2, row
+                continue
+            assert code == 0, row
+            assert repr(json.loads(text)["value"]) == repr(row["value"]), row
 
 
 class TestDecideCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cdut.core
 from cdut import (
     L1,
     L2,
@@ -127,6 +128,30 @@ class TestNearestIndex:
             br = chamfer(a, b, backend="brute")
             assert kd.value == br.value
             assert np.array_equal(kd.assignment, br.assignment)
+
+    def test_brute_chunks_cap_the_difference_tensor(self, monkeypatch):
+        # every chunk's (rows, n, d) tensor stays under the cap, d included
+        cap = 1 << 10
+        monkeypatch.setattr(cdut.core, "_BRUTE_ENTRIES", cap)
+        rng = np.random.default_rng(3)
+        b = PointSet(rng.integers(-3, 4, size=(15, 3)).astype(np.float64))
+        queries = rng.integers(-4, 5, size=(500, 3)).astype(np.float64)
+        index = build_index(b, L1, "brute")
+        shapes = []
+        full = index._distance_matrix
+
+        def recording(q):
+            shapes.append(q.shape)
+            return full(q)
+
+        monkeypatch.setattr(index, "_distance_matrix", recording)
+        dist, idx = index.query_many(queries)
+        assert len(shapes) > 1 and sum(rows for rows, _ in shapes) == len(queries)
+        assert all(rows * len(b) * b.dim <= cap for rows, _ in shapes)
+        # integer grids tie often: chunking keeps the first minimum
+        ref = L1.norms(queries[:, None, :] - b.points[None, :, :])
+        assert np.array_equal(idx, np.argmin(ref, axis=1))
+        assert np.array_equal(dist, ref.min(axis=1))
 
     def test_tie_normalization_with_duplicates(self):
         b = pts([[1.0], [1.0], [3.0], [3.0]])

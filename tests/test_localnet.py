@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from cdut import (
     build_net,
     cdut_exact_1d,
     cdut_localnet,
-    cdut_localnet_union,
     chamfer_translated,
     covering_audit,
 )
@@ -164,7 +165,7 @@ class TestUnionMode:
         a = PointSet(np.array([[0.1]]))
         b = PointSet(np.array([[0.3]]))
         plain = cdut_localnet(a, b, LocalNetConfig(epsilon=0.5), seed=0)
-        union = cdut_localnet_union(a, b, LocalNetConfig(epsilon=0.5), seed=0)
+        union = cdut_localnet(a, b, LocalNetConfig(epsilon=0.5, union_mode=True), seed=0)
         assert plain.evaluations == union.evaluations
         assert union.value == pytest.approx(plain.value, rel=REL, abs=1e-15)
 
@@ -173,7 +174,7 @@ class TestUnionMode:
             inst = noisy_copy_instance(20, 1, 110_000 + seed, noise=0.5)
             config = LocalNetConfig(epsilon=0.25, delta=0.1)
             plain = cdut_localnet(inst.a, inst.b, config, seed=seed)
-            union = cdut_localnet_union(inst.a, inst.b, config, seed=seed)
+            union = cdut_localnet(inst.a, inst.b, dataclasses.replace(config, union_mode=True), seed=seed)
             assert union.evaluations < 0.5 * plain.evaluations
             assert union.value == pytest.approx(plain.value, rel=REL, abs=1e-12)
 
@@ -182,6 +183,6 @@ class TestUnionMode:
             a, b = uniform_instance(7, 9, 1, 120_000 + seed)
             config = LocalNetConfig(epsilon=0.5)
             plain = cdut_localnet(a, b, config, seed=seed)
-            union = cdut_localnet_union(a, b, config, seed=seed)
+            union = cdut_localnet(a, b, dataclasses.replace(config, union_mode=True), seed=seed)
             assert union.value == pytest.approx(plain.value, rel=REL, abs=1e-12)
             assert union.evaluations <= plain.evaluations

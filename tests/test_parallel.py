@@ -60,7 +60,7 @@ class TestPoolSize:
         monkeypatch.setenv("CDUT_THREADS", "100000")
         items = np.arange(400_000)
         blocks = run_chunked(len, items, worker_count())
-        assert len(blocks) == 100_000 and sum(blocks) == len(items)
+        assert len(blocks) == concurrency(len(items), worker_count()) and sum(blocks) == len(items)
         assert seen == [min(100_000, len(os.sched_getaffinity(0)))]
         assert seen == [concurrency(len(items), worker_count())]
 

@@ -6,7 +6,6 @@ from cdut import (
     L2,
     LINF,
     PointSet,
-    build_events,
     cdut_exact_1d,
     cdut_exact_l1_linf,
     chamfer_translated,
@@ -22,14 +21,18 @@ def pts1(values):
     return PointSet(np.asarray(values, dtype=np.float64)[:, None])
 
 
+def events(a, b):
+    """(t, n_match, n_mid) for every event of the sweep."""
+    ts, _, n_match, n_mid = sweep_curve(a, b)
+    return [(float(t), int(nb), int(nm)) for t, nb, nm in zip(ts, n_match, n_mid)]
+
+
 class TestBuildEvents:
     def test_singleton_a(self):
-        events = build_events(pts1([0.0]), pts1([0.0, 2.0]))
-        assert [(e.t, e.n_match, e.n_mid) for e in events] == [(0.0, 1, 0), (1.0, 0, 1), (2.0, 1, 0)]
+        assert events(pts1([0.0]), pts1([0.0, 2.0])) == [(0.0, 1, 0), (1.0, 0, 1), (2.0, 1, 0)]
 
     def test_merging_of_equal_positions(self):
-        events = build_events(pts1([0.0, 1.0]), pts1([0.0, 2.0]))
-        assert [(e.t, e.n_match, e.n_mid) for e in events] == [
+        assert events(pts1([0.0, 1.0]), pts1([0.0, 2.0])) == [
             (-1.0, 1, 0),
             (0.0, 1, 1),
             (1.0, 1, 1),
@@ -37,26 +40,24 @@ class TestBuildEvents:
         ]
 
     def test_duplicate_points_double_multiplicities(self):
-        single = build_events(pts1([0.0]), pts1([0.0, 2.0]))
-        doubled = build_events(pts1([0.0, 0.0]), pts1([0.0, 2.0]))
-        assert [(e.t, 2 * e.n_match, 2 * e.n_mid) for e in single] == [
-            (e.t, e.n_match, e.n_mid) for e in doubled
-        ]
+        single = events(pts1([0.0]), pts1([0.0, 2.0]))
+        doubled = events(pts1([0.0, 0.0]), pts1([0.0, 2.0]))
+        assert [(t, 2 * nb, 2 * nm) for t, nb, nm in single] == doubled
 
     def test_event_count_bound(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
             m, n = int(rng.integers(1, 15)), int(rng.integers(1, 15))
             a, b = uniform_instance(m, n, 1, seed)
-            events = build_events(a, b)
-            assert len(events) <= m * (2 * n - 1)
-            assert all(e.n_match + e.n_mid >= 1 for e in events)
-            positions = [e.t for e in events]
+            found = events(a, b)
+            assert len(found) <= m * (2 * n - 1)
+            assert all(nb + nm >= 1 for _, nb, nm in found)
+            positions = [t for t, _, _ in found]
             assert positions == sorted(positions)
 
     def test_rejects_higher_dimensions(self):
         with pytest.raises(ValueError, match="one-dimensional"):
-            build_events(PointSet([[0.0, 0.0]]), PointSet([[1.0, 1.0]]))
+            sweep_curve(PointSet([[0.0, 0.0]]), PointSet([[1.0, 1.0]]))
 
 
 class TestSweep:
