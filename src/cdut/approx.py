@@ -117,16 +117,20 @@ def cdut_approx_v2(
         metric=metric,
         miss_prob=miss_prob,
     )
-    m = len(a)
-    queries = (candidates[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
+    m, n = len(a), len(b)
+    # the ladder answers each row on its own, so a repeated anchor's rows are
+    # queried once and gathered back to every position that drew it
+    distinct, inverse = np.unique(anchors, return_inverse=True)
+    queries = (difference_candidates(a, b, distinct)[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
     dists, idx = ladder.query_batch(queries)
-    sums = dists.reshape(len(candidates), m).sum(axis=1)
+    dists = dists.reshape(len(distinct), n, m)[inverse].reshape(len(candidates), m)
+    idx = idx.reshape(len(distinct), n, m)[inverse].reshape(len(candidates), m)
+    sums = dists.sum(axis=1)
     best = int(np.argmin(sums))
-    n = len(b)
     return ChamferReport(
         value=float(sums[best]),
         translation=candidates[best],
-        assignment=idx.reshape(len(candidates), m)[best],
+        assignment=idx[best],
         algorithm="approx-v2",
         epsilon=epsilon,
         c=c,

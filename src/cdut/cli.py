@@ -179,6 +179,8 @@ def cmd_decide(args) -> int:
         "min_pairwise_b": cert.min_pairwise_b,
         "separation_threshold": cert.threshold,
         "translations_tested": result.translations_tested,
+        "median_iterations": result.median_iterations,
+        "medians_nonconverged": result.medians_nonconverged,
     }
     if args.json:
         print(json.dumps(payload, sort_keys=True))

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import cdut.ann
 from cdut import (
+    L1,
+    L2,
+    LINF,
     cdut_approx_v1,
     cdut_approx_v2,
     cdut_exact_1d,
@@ -11,6 +15,9 @@ from cdut import (
     oracle_cdut_1d,
     sample_anchors,
 )
+from cdut.ann import build_ladder
+from cdut.approx import DEFAULT_DELTA
+from cdut.core import bbox_diameter, difference_candidates
 from cdut.oracle import default_grid_spec, oracle_cdut_grid
 from cdut.instances import translated_copy_instance, uniform_instance
 
@@ -113,6 +120,40 @@ class TestVariantTwo:
         a, b = uniform_instance(4, 4, 1, 0)
         with pytest.raises(ValueError, match="c must exceed"):
             cdut_approx_v2(a, b, 0.5, c=1.0)
+
+    @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    def test_repeated_anchors_queried_once_with_identical_reports(self, metric, monkeypatch):
+        rows = []
+        query = cdut.ann.ScaleLadder.query_batch
+
+        def counting(self, queries):
+            rows.append(len(queries))
+            return query(self, queries)
+
+        monkeypatch.setattr(cdut.ann.ScaleLadder, "query_batch", counting)
+        repeats = 0
+        for seed in range(6):
+            m, n = random_sizes(40_000 + seed, 4, 12)
+            a, b = uniform_instance(m, n, 3, 40_000 + seed)
+            report = cdut_approx_v2(a, b, 0.5, c=2.0, seed=seed, metric=metric)
+            # reference: every candidate row queried, repeats included
+            anchors = sample_anchors(a, 0.5, DEFAULT_DELTA, seed)
+            candidates = difference_candidates(a, b, anchors)
+            ladder = build_ladder(
+                b, 2.0, U=bbox_diameter(a, metric) + bbox_diameter(b, metric), seed=seed,
+                metric=metric, miss_prob=0.1,
+            )
+            dists, idx = query(ladder, (candidates[:, None, :] + a.points[None, :, :]).reshape(-1, 3))
+            sums = dists.reshape(len(candidates), m).sum(axis=1)
+            best = int(np.argmin(sums))
+            assert np.float64(report.value).tobytes() == np.float64(sums[best]).tobytes()
+            assert report.translation.tobytes() == candidates[best].tobytes()
+            assert report.assignment.tobytes() == idx.reshape(len(candidates), m)[best].tobytes()
+            assert report.extras["source_a"] == int(anchors[best // n])
+            assert report.extras["source_b"] == best % n
+            assert rows[-1] == np.unique(anchors).size * n * m
+            repeats += anchors.size - np.unique(anchors).size
+        assert repeats > 0
 
 
 class TestCandidateLemmas:

@@ -230,7 +230,10 @@ class TestDecideCommand:
             capsys, ["decide", f"{out}_a.txt", f"{out}_b.txt", "--radius", "1.0", "--json"]
         )
         assert code == 0
-        assert json.loads(text)["answer"] == "YES"
+        payload = json.loads(text)
+        assert payload["answer"] == "YES"
+        assert payload["median_iterations"] > 0
+        assert payload["medians_nonconverged"] == 0
 
     def test_no_instance_exits_3(self, capsys, tmp_path):
         out = self._gen(capsys, tmp_path, "no")

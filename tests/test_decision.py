@@ -1,8 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cdut.ann
+import cdut.decision
 from cdut import (
+    L1,
+    L2,
     AssumptionError,
+    ChamferReport,
     PointSet,
     SeparationError,
     cdut_exact_1d,
@@ -14,6 +23,9 @@ from cdut import (
     total_distance,
     verify_emd_equivalence,
 )
+from cdut.ann import build_ladder
+from cdut.core import bbox_diameter, difference_candidates
+from cdut.decision import _median_rows
 from cdut.instances import separated_planted_instance, uniform_instance
 
 REL = 1e-9
@@ -21,6 +33,108 @@ REL = 1e-9
 
 def pts(rows):
     return PointSet(np.asarray(rows, dtype=np.float64))
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def reference_median(points, additive_accuracy, max_iter=None):
+    """The one-candidate Weiszfeld loop that the lockstep routine replaced, verbatim."""
+    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    k, d = p.shape
+    cap = max_iter if max_iter is not None else 10 * k * d + 1000
+    x = p.mean(axis=0)
+    converged = False
+    it = 0
+    for it in range(1, cap + 1):
+        dist = np.sqrt(np.sum((p - x) ** 2, axis=-1))
+        on_point = dist == 0.0
+        hits = int(on_point.sum())
+        if hits == k:
+            converged = True
+            break
+        away = p[~on_point]
+        d_away = dist[~on_point]
+        scaled = d_away.min() / d_away
+        pull = (away * scaled[:, None]).sum(axis=0) / scaled.sum()
+        if hits:
+            residual = ((away - x) / d_away[:, None]).sum(axis=0)
+            r = float(np.sqrt(np.sum(residual**2)))
+            if r <= hits:
+                converged = True
+                break
+            beta = hits / r
+            new_x = (1.0 - beta) * pull + beta * x
+        else:
+            new_x = pull
+        step = float(np.sqrt(np.sum((new_x - x) ** 2)))
+        x = new_x
+        if step < additive_accuracy / 2.0:
+            converged = True
+            break
+    total = float(np.sum(np.sqrt(np.sum((p - x) ** 2, axis=-1))))
+    return x, total, it, converged
+
+
+def assert_same_median(got, want):
+    point, total, iterations, converged = got
+    assert np.asarray(point).tobytes() == want[0].tobytes()
+    assert bits(total) == bits(want[1])
+    assert int(iterations) == want[2]
+    assert bool(converged) == want[3]
+
+
+def reference_decide(a, b, radius, epsilon, c, seed=0, anchors=6, metric=L2):
+    """decide_cdut as one reference median per candidate row, repeated anchors included.
+
+    Also returns the median iterations and non-converged count summed over
+    every distinct anchor's rows up to the anchor that answered.
+    """
+    m, n = len(a), len(b)
+    anchor_idx = np.random.default_rng(seed).integers(0, m, size=max(1, anchors))
+    translations = difference_candidates(a, b, anchor_idx)
+    ladder = build_ladder(
+        b,
+        c,
+        U=bbox_diameter(a, metric) + bbox_diameter(b, metric),
+        seed=seed,
+        metric=metric,
+        miss_prob=min(0.1, 1.0 / (4.0 * m)),
+    )
+    queries = (translations[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
+    nn_idx = ladder.query_batch(queries)[1].reshape(len(translations), m)
+    accuracy = epsilon * radius / m
+    best_s, best, answer, tested = math.inf, None, "NO", len(translations)
+    iterations = nonconverged = 0
+    seen = set()
+    for j, anchor in enumerate(anchor_idx.tolist()):
+        medians = []
+        for row in range(j * n, (j + 1) * n):
+            deltas = b.points[nn_idx[row]] - a.points
+            medians.append((deltas, reference_median(deltas, accuracy)))
+        if anchor not in seen:
+            seen.add(anchor)
+            iterations += sum(med[2] for _, med in medians)
+            nonconverged += sum(not med[3] for _, med in medians)
+        for i, (deltas, med) in enumerate(medians):
+            row = j * n + i
+            s = total_distance(deltas, med[0], metric)
+            if s < best_s:
+                best_s = s
+                best = ChamferReport(
+                    value=s,
+                    translation=med[0],
+                    assignment=nn_idx[row],
+                    algorithm="decide",
+                    epsilon=epsilon,
+                    c=c,
+                    seed=seed,
+                    extras={"candidate": translations[row].tolist(), "median_converged": med[3]},
+                )
+            if s <= radius * (1.0 + epsilon):
+                return "YES", best, row + 1, iterations, nonconverged
+    return answer, best, tested, iterations, nonconverged
 
 
 def two_nearest(b, queries):
@@ -100,6 +214,86 @@ class TestGeometricMedian:
     def test_validation(self):
         with pytest.raises(ValueError, match="accuracy"):
             geometric_median(np.array([[0.0]]), 0.0)
+
+
+def point_sets(k, d):
+    """Small integer grids, so duplicates, collinear sets and hit iterates are common."""
+    return st.lists(
+        st.lists(st.integers(-3, 3).map(float), min_size=d, max_size=d), min_size=k, max_size=k
+    ).map(lambda rows: np.array(rows, dtype=np.float64).reshape(k, d))
+
+
+ACCURACIES = st.sampled_from([1e-1, 1e-4, 1e-9])
+MAX_ITERS = st.one_of(st.none(), st.integers(0, 6))
+
+
+class TestLockstepMedian:
+    """_median_rows and geometric_median equal the one-candidate loop bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(1, 7),
+        d=st.sampled_from([1, 2, 3, 16]),
+        rows=st.integers(1, 5),
+        accuracy=ACCURACIES,
+        max_iter=MAX_ITERS,
+        jitter=st.booleans(),
+    )
+    def test_block_rows_match_reference(self, data, k, d, rows, accuracy, max_iter, jitter):
+        block = np.stack([data.draw(point_sets(k, d)) for _ in range(rows)])
+        if jitter:
+            # off-grid rows rarely land on a data point; grid rows often do
+            noise = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+            rng = np.random.default_rng(rows * 1000 + k * 10 + d)
+            block[np.array(noise)] += rng.normal(scale=0.3, size=block[np.array(noise)].shape)
+        points, totals, iterations, converged = _median_rows(block, accuracy, max_iter)
+        for r in range(rows):
+            want = reference_median(block[r], accuracy, max_iter)
+            assert_same_median((points[r], totals[r], iterations[r], converged[r]), want)
+            one = geometric_median(block[r], accuracy, max_iter)
+            assert_same_median((one.point, one.total_distance, one.iterations, one.converged), want)
+            assert type(one.iterations) is int and type(one.converged) is bool
+
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_single_point(self, d):
+        p = np.arange(1.0, d + 1.0)[None, :]
+        want = reference_median(p, 1e-6)
+        points, totals, iterations, converged = _median_rows(p[None], 1e-6)
+        assert_same_median((points[0], totals[0], iterations[0], converged[0]), want)
+        assert want[2] == 1 and want[3]
+
+    def test_mean_on_a_data_point_takes_the_hit_branch_at_once(self):
+        cloud = np.array([[-1.0], [0.0], [1.0]])
+        want = reference_median(cloud, 1e-9)
+        assert want[0].tolist() == [0.0] and want[2] == 1 and want[3]
+        med = geometric_median(cloud, 1e-9)
+        assert_same_median((med.point, med.total_distance, med.iterations, med.converged), want)
+
+    def test_duplicates_collinear_and_caps(self):
+        clouds = [
+            np.array([[1.0, 1.0]] * 4),  # every point equal: all hits at the mean
+            np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]]),  # double point is the median
+            np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [7.0, 14.0]]),  # collinear
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+        ]
+        for cloud in clouds:
+            for max_iter in (None, 0, 1, 2):
+                want = reference_median(cloud, 1e-12, max_iter)
+                med = geometric_median(cloud, 1e-12, max_iter)
+                assert_same_median((med.point, med.total_distance, med.iterations, med.converged), want)
+
+    def test_mixed_block_of_hit_and_plain_rows(self):
+        rng = np.random.default_rng(5)
+        block = rng.normal(size=(6, 3, 2))
+        block[1] = [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # mean is the middle point
+        block[4] = [[2.0, 2.0], [2.0, 2.0], [2.0, 2.0]]  # all points hit
+        points, totals, iterations, converged = _median_rows(block, 1e-9)
+        for r in range(len(block)):
+            want = reference_median(block[r], 1e-9)
+            assert_same_median((points[r], totals[r], iterations[r], converged[r]), want)
+        assert iterations[1] == iterations[4] == 1
+        assert iterations.max() > 1
 
 
 class TestDifferenceSets:
@@ -203,6 +397,77 @@ class TestDecide:
             assert result.yes
             witness_cost = chamfer_translated(inst.a, result.evidence.translation, inst.b).value
             assert witness_cost <= opt + 0.25 * 1.0 + REL
+
+
+def assert_same_decision(result, want):
+    answer, evidence, tested, iterations, nonconverged = want
+    assert result.answer == answer
+    assert result.translations_tested == tested
+    assert bits(result.evidence.value) == bits(evidence.value)
+    assert result.evidence.translation.tobytes() == evidence.translation.tobytes()
+    assert result.evidence.assignment.tobytes() == evidence.assignment.tobytes()
+    assert result.evidence.extras == evidence.extras
+    assert result.median_iterations == iterations
+    assert result.medians_nonconverged == nonconverged
+
+
+class TestLockstepDecide:
+    """decide_cdut against one reference median per candidate row."""
+
+    @pytest.mark.parametrize("metric", [L1, L2], ids=["l1", "l2"])
+    @pytest.mark.parametrize("m,n,d", [(6, 12, 2), (6, 10, 16), (16, 24, 2), (16, 20, 16)])
+    def test_matches_per_candidate_reference(self, m, n, d, metric):
+        repeats = 0
+        for seed in range(3):
+            for answer in ("yes", "no"):
+                inst = separated_planted_instance(m, n, d, 1.0, 2.0, 0.25, answer, seed)
+                result = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=seed, anchors=8, metric=metric)
+                want = reference_decide(inst.a, inst.b, 1.0, 0.25, 2.0, seed=seed, anchors=8, metric=metric)
+                assert_same_decision(result, want)
+                anchor_idx = np.random.default_rng(seed).integers(0, m, size=8)
+                repeats += 8 - np.unique(anchor_idx).size
+        assert repeats > 0  # some anchors repeated, so skipping them was exercised
+
+    def test_blocks_are_capped_in_entries(self, monkeypatch):
+        m, n, d = 6, 14, 2
+        cap = 5 * m * d
+        inst = separated_planted_instance(m, n, d, 1.0, 2.0, 0.25, "no", 2)
+        want = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=2)
+        monkeypatch.setattr(cdut.decision, "_MEDIAN_ENTRIES", cap)
+        shapes = []
+        full = cdut.decision._median_rows
+
+        def recording(p, accuracy):
+            shapes.append(p.shape)
+            return full(p, accuracy)
+
+        monkeypatch.setattr(cdut.decision, "_median_rows", recording)
+        result = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=2)
+        distinct = np.unique(np.random.default_rng(2).integers(0, m, size=6)).size
+        assert len(shapes) == distinct * 3  # 14 rows in blocks of 5, 5 and 4
+        assert sum(rows for rows, _, _ in shapes) == distinct * n
+        assert all(rows * k * dim <= cap for rows, k, dim in shapes)
+        assert_same_decision(
+            result,
+            (want.answer, want.evidence, want.translations_tested, want.median_iterations,
+             want.medians_nonconverged),
+        )
+
+    def test_queries_distinct_anchors_only(self, monkeypatch):
+        m, n = 6, 12
+        inst = separated_planted_instance(m, n, 2, 1.0, 2.0, 0.25, "no", 0)
+        anchor_idx = np.random.default_rng(0).integers(0, m, size=6)
+        rows = []
+        query = cdut.ann.ScaleLadder.query_batch
+
+        def counting(self, queries):
+            rows.append(len(queries))
+            return query(self, queries)
+
+        monkeypatch.setattr(cdut.ann.ScaleLadder, "query_batch", counting)
+        result = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=0)
+        assert result.answer == "NO" and result.translations_tested == 6 * n
+        assert rows == [np.unique(anchor_idx).size * n * m]
 
 
 class TestEmdEquivalence:
