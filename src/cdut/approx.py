@@ -108,7 +108,6 @@ def cdut_approx_v2(
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     anchors = sample_anchors(a, epsilon, delta, seed)
-    candidates = difference_candidates(a, b, anchors)
     ladder = build_ladder(
         b,
         c,
@@ -121,21 +120,21 @@ def cdut_approx_v2(
     # the ladder answers each row on its own, so a repeated anchor's rows are
     # queried once and gathered back to every position that drew it
     distinct, inverse = np.unique(anchors, return_inverse=True)
-    queries = (difference_candidates(a, b, distinct)[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
+    candidates = difference_candidates(a, b, distinct)
+    queries = (candidates[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
     dists, idx = ladder.query_batch(queries)
-    dists = dists.reshape(len(distinct), n, m)[inverse].reshape(len(candidates), m)
-    idx = idx.reshape(len(distinct), n, m)[inverse].reshape(len(candidates), m)
-    sums = dists.sum(axis=1)
+    rows = (inverse[:, None] * n + np.arange(n)).ravel()
+    sums = dists.reshape(len(candidates), m)[rows].sum(axis=1)
     best = int(np.argmin(sums))
     return ChamferReport(
         value=float(sums[best]),
-        translation=candidates[best],
-        assignment=idx[best],
+        translation=candidates[rows[best]],
+        assignment=idx.reshape(len(candidates), m)[rows[best]],
         algorithm="approx-v2",
         epsilon=epsilon,
         c=c,
         seed=seed,
-        evaluations=int(len(candidates)),
+        evaluations=int(len(rows)),
         extras={"anchors": int(anchors.size), "source_a": int(anchors[best // n]), "source_b": int(best % n)},
     )
 

@@ -137,88 +137,6 @@ def check_separation(
     )
 
 
-# entries (rows * m * d) of one block of difference sets in decide_cdut
-_MEDIAN_ENTRIES = 1 << 22
-
-
-def _deflect(p: np.ndarray, x: np.ndarray, dist: np.ndarray, on_point: np.ndarray):
-    """Next iterate from ``x`` lying on data points of ``p``; None if ``x`` is optimal.
-
-    At a data point the median is that point iff the pull from the remaining
-    points is no stronger than the point's own multiplicity; otherwise the
-    step deflects off the singularity (Vardi and Zhang, PNAS 2000).
-    """
-    hits = int(on_point.sum())
-    if hits == len(p):
-        return None
-    away = p[~on_point]
-    d_away = dist[~on_point]
-    scaled = d_away.min() / d_away
-    pull = (away * scaled[:, None]).sum(axis=0) / scaled.sum()
-    residual = ((away - x) / d_away[:, None]).sum(axis=0)
-    r = float(np.sqrt(np.sum(residual**2)))
-    if r <= hits:
-        return None
-    beta = hits / r
-    return (1.0 - beta) * pull + beta * x
-
-
-def _median_rows(p: np.ndarray, additive_accuracy: float, max_iter: Optional[int] = None):
-    """Geometric medians of every row of a (T, k, d) block, computed in lockstep.
-
-    Returns (points (T, d), total distances (T,), iterations (T,), converged
-    (T,)).  Each row starts at its coordinate-wise mean and runs iteratively
-    reweighted least squares until its iterate moves less than
-    additive_accuracy / 2, or lands on a data point that is optimal, or
-    reaches the iteration cap.  Every reduction runs over one row's own
-    axis in the same order whatever the block holds, so a row's result does
-    not depend on the rows beside it.
-    """
-    T, k, d = p.shape
-    cap = max_iter if max_iter is not None else 10 * k * d + 1000
-    half = additive_accuracy / 2.0
-    x = p.mean(axis=1)
-    iterations = np.zeros(T, dtype=np.int64)
-    converged = np.zeros(T, dtype=bool)
-    # live rows, their points and their iterates
-    live, q, xl = np.arange(T), p, x.copy()
-    for it in range(1, cap + 1):
-        if live.size == 0:
-            break
-        dist = np.sqrt(np.sum((q - xl[:, None, :]) ** 2, axis=-1))
-        on_point = dist == 0.0
-        hit = on_point.any(axis=1)
-        # rows off every data point take the plain step together
-        plain = np.flatnonzero(~hit) if hit.any() else slice(None)
-        dp = dist[plain]
-        # weights scaled by the smallest distance so reciprocals cannot
-        # overflow when an iterate creeps within a few ulps of a point
-        scaled = dp.min(axis=1)[:, None] / dp
-        new_x = xl.copy()
-        new_x[plain] = (q[plain] * scaled[:, :, None]).sum(axis=1) / scaled.sum(axis=1)[:, None]
-        stop = np.zeros(live.size, dtype=bool)
-        for r in np.flatnonzero(hit):
-            moved = _deflect(q[r], xl[r], dist[r], on_point[r])
-            if moved is None:
-                stop[r] = True
-            else:
-                new_x[r] = moved
-        step = np.sqrt(np.sum((new_x - xl) ** 2, axis=-1))
-        xl = new_x
-        done = stop | (step < half)
-        if done.any():
-            x[live[done]] = xl[done]
-            iterations[live[done]] = it
-            converged[live[done]] = True
-            keep = ~done
-            live, q, xl = live[keep], q[keep], xl[keep]
-    # rows still live ran out of iterations
-    x[live] = xl
-    iterations[live] = max(cap, 0)
-    totals = np.sum(np.sqrt(np.sum((p - x[:, None, :]) ** 2, axis=-1)), axis=1)
-    return x, totals, iterations, converged
-
-
 def geometric_median(points, additive_accuracy: float, max_iter: Optional[int] = None) -> MedianResult:
     """Iteratively reweighted least squares for the geometric median.
 
@@ -227,18 +145,48 @@ def geometric_median(points, additive_accuracy: float, max_iter: Optional[int] =
     point, the subgradient condition decides whether that point is optimal;
     otherwise the step deflects off the singularity and continues.
     """
-    p = np.atleast_2d(np.ascontiguousarray(points, dtype=np.float64))
+    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if p.shape[0] == 0:
         raise ValueError("point list must be nonempty")
     if not additive_accuracy > 0.0:
         raise ValueError("additive accuracy must be positive")
-    x, totals, iterations, converged = _median_rows(p[None], additive_accuracy, max_iter)
-    return MedianResult(
-        point=x[0],
-        total_distance=float(totals[0]),
-        iterations=int(iterations[0]),
-        converged=bool(converged[0]),
-    )
+    k, d = p.shape
+    cap = max_iter if max_iter is not None else 10 * k * d + 1000
+    x = p.mean(axis=0)
+    converged = False
+    it = 0
+    for it in range(1, cap + 1):
+        dist = np.sqrt(np.sum((p - x) ** 2, axis=-1))
+        on_point = dist == 0.0
+        hits = int(on_point.sum())
+        if hits == k:
+            converged = True
+            break
+        away = p[~on_point]
+        d_away = dist[~on_point]
+        # weights scaled by the smallest distance so reciprocals cannot
+        # overflow when an iterate creeps within a few ulps of a point
+        scaled = d_away.min() / d_away
+        pull = (away * scaled[:, None]).sum(axis=0) / scaled.sum()
+        if hits:
+            # at a data point: optimal iff the pull from the remaining
+            # points is no stronger than the point's own multiplicity
+            residual = ((away - x) / d_away[:, None]).sum(axis=0)
+            r = float(np.sqrt(np.sum(residual**2)))
+            if r <= hits:
+                converged = True
+                break
+            beta = hits / r
+            new_x = (1.0 - beta) * pull + beta * x
+        else:
+            new_x = pull
+        step = float(np.sqrt(np.sum((new_x - x) ** 2)))
+        x = new_x
+        if step < additive_accuracy / 2.0:
+            converged = True
+            break
+    total = float(np.sum(np.sqrt(np.sum((p - x) ** 2, axis=-1))))
+    return MedianResult(point=x, total_distance=total, iterations=it, converged=converged)
 
 
 def difference_set(a: PointSet, b: PointSet, t, metric: Metric = L2) -> DifferenceSet:
@@ -254,6 +202,21 @@ def total_distance(deltas: np.ndarray, point: np.ndarray, metric: Metric = L2) -
     return float(np.sum(metric.norms(np.asarray(deltas) - np.asarray(point))))
 
 
+# relative slack on _total_floors, far above the rounding of a floor or a total
+_FLOOR_SLACK = 1e-9
+
+
+def _total_floors(deltas: np.ndarray, metric: Metric = L2) -> np.ndarray:
+    """Lower bounds on the total distance from each (k, d) set in ``deltas`` to any point.
+
+    Pairs vector i with vector i + k // 2.  For any point x the triangle
+    inequality gives |d_i - x| + |d_j - x| >= |d_i - d_j|, so the pair
+    distances sum to at most the total distance to x, in any metric.
+    """
+    half = deltas.shape[-2] // 2
+    return np.sum(metric.norms(deltas[..., :half, :] - deltas[..., half : 2 * half, :]), axis=-1)
+
+
 def decide_cdut(
     a: PointSet,
     b: PointSet,
@@ -267,6 +230,9 @@ def decide_cdut(
     """YES if CDuT(A,B) <= R, NO if it exceeds R(1 + eps); either in between.
 
     Requires the separation assumption on B and refuses to run without it.
+    A candidate whose difference vectors are too spread out to beat the best
+    total so far skips its median, so answer, evidence and
+    translations_tested are those of scoring every candidate in turn.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -297,41 +263,38 @@ def decide_cdut(
     n = len(b)
     accuracy = epsilon * radius / m
     bound = radius * (1.0 + epsilon)
-    block = max(1, _MEDIAN_ENTRIES // (m * a.dim))
     best_s = math.inf
     best_evidence = None
     iterations = nonconverged = 0
     # candidate rows in their original order, skipping repeated anchors
     for u in np.argsort(first):
-        for lo in range(0, n, block):
-            rows = slice(u * n + lo, u * n + min(n, lo + block))
-            assigned = nn_idx[rows]
-            deltas = b.points[assigned] - a.points
-            points, _, its, conv = _median_rows(deltas, accuracy)
-            iterations += int(its.sum())
-            nonconverged += int(np.count_nonzero(~conv))
-            scores = np.sum(metric.norms(deltas - points[:, None, :]), axis=1)
-            for i, s in enumerate(scores.tolist()):
-                if s < best_s:
-                    best_s = s
-                    best_evidence = ChamferReport(
-                        value=s,
-                        translation=points[i],
-                        assignment=assigned[i],
-                        algorithm="decide",
-                        epsilon=epsilon,
-                        c=c,
-                        seed=seed,
-                        extras={
-                            "candidate": translations[rows][i].tolist(),
-                            "median_converged": bool(conv[i]),
-                        },
-                    )
-                if s <= bound:
-                    tested = int(first[u]) * n + lo + i + 1
-                    return DecisionResult(
-                        "YES", certificate, best_evidence, tested, iterations, nonconverged
-                    )
+        deltas = b.points[nn_idx[u * n : (u + 1) * n]] - a.points
+        floors = _total_floors(deltas, metric) * (1.0 - _FLOOR_SLACK)
+        for i in range(n):
+            # best_s > bound until the answer is YES, so a row whose floor
+            # reaches best_s can neither answer YES nor beat the evidence
+            if floors[i] >= best_s:
+                continue
+            row = u * n + i
+            median = geometric_median(deltas[i], accuracy)
+            iterations += median.iterations
+            nonconverged += not median.converged
+            s = total_distance(deltas[i], median.point, metric)
+            if s < best_s:
+                best_s = s
+                best_evidence = ChamferReport(
+                    value=s,
+                    translation=median.point,
+                    assignment=nn_idx[row],
+                    algorithm="decide",
+                    epsilon=epsilon,
+                    c=c,
+                    seed=seed,
+                    extras={"candidate": translations[row].tolist(), "median_converged": median.converged},
+                )
+            if s <= bound:
+                tested = int(first[u]) * n + i + 1
+                return DecisionResult("YES", certificate, best_evidence, tested, iterations, nonconverged)
     return DecisionResult(
         "NO", certificate, best_evidence, len(anchor_idx) * n, iterations, nonconverged
     )

@@ -10,6 +10,7 @@ import cdut.decision
 from cdut import (
     L1,
     L2,
+    LINF,
     AssumptionError,
     ChamferReport,
     PointSet,
@@ -25,7 +26,7 @@ from cdut import (
 )
 from cdut.ann import build_ladder
 from cdut.core import bbox_diameter, difference_candidates
-from cdut.decision import _median_rows
+from cdut.decision import _FLOOR_SLACK, _total_floors
 from cdut.instances import separated_planted_instance, uniform_instance
 
 REL = 1e-9
@@ -39,59 +40,12 @@ def bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
-def reference_median(points, additive_accuracy, max_iter=None):
-    """The one-candidate Weiszfeld loop that the lockstep routine replaced, verbatim."""
-    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    k, d = p.shape
-    cap = max_iter if max_iter is not None else 10 * k * d + 1000
-    x = p.mean(axis=0)
-    converged = False
-    it = 0
-    for it in range(1, cap + 1):
-        dist = np.sqrt(np.sum((p - x) ** 2, axis=-1))
-        on_point = dist == 0.0
-        hits = int(on_point.sum())
-        if hits == k:
-            converged = True
-            break
-        away = p[~on_point]
-        d_away = dist[~on_point]
-        scaled = d_away.min() / d_away
-        pull = (away * scaled[:, None]).sum(axis=0) / scaled.sum()
-        if hits:
-            residual = ((away - x) / d_away[:, None]).sum(axis=0)
-            r = float(np.sqrt(np.sum(residual**2)))
-            if r <= hits:
-                converged = True
-                break
-            beta = hits / r
-            new_x = (1.0 - beta) * pull + beta * x
-        else:
-            new_x = pull
-        step = float(np.sqrt(np.sum((new_x - x) ** 2)))
-        x = new_x
-        if step < additive_accuracy / 2.0:
-            converged = True
-            break
-    total = float(np.sum(np.sqrt(np.sum((p - x) ** 2, axis=-1))))
-    return x, total, it, converged
-
-
-def assert_same_median(got, want):
-    point, total, iterations, converged = got
-    assert np.asarray(point).tobytes() == want[0].tobytes()
-    assert bits(total) == bits(want[1])
-    assert int(iterations) == want[2]
-    assert bool(converged) == want[3]
-
-
 def reference_decide(a, b, radius, epsilon, c, seed=0, anchors=6, metric=L2):
-    """decide_cdut as one reference median per candidate row, repeated anchors included.
+    """decide_cdut as one median per candidate row, repeated anchors included.
 
-    Also returns the median iterations and non-converged count summed over
-    every distinct anchor's rows up to the anchor that answered.
+    Returns (answer, evidence, translations_tested).
     """
-    m, n = len(a), len(b)
+    m = len(a)
     anchor_idx = np.random.default_rng(seed).integers(0, m, size=max(1, anchors))
     translations = difference_candidates(a, b, anchor_idx)
     ladder = build_ladder(
@@ -105,36 +59,26 @@ def reference_decide(a, b, radius, epsilon, c, seed=0, anchors=6, metric=L2):
     queries = (translations[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
     nn_idx = ladder.query_batch(queries)[1].reshape(len(translations), m)
     accuracy = epsilon * radius / m
-    best_s, best, answer, tested = math.inf, None, "NO", len(translations)
-    iterations = nonconverged = 0
-    seen = set()
-    for j, anchor in enumerate(anchor_idx.tolist()):
-        medians = []
-        for row in range(j * n, (j + 1) * n):
-            deltas = b.points[nn_idx[row]] - a.points
-            medians.append((deltas, reference_median(deltas, accuracy)))
-        if anchor not in seen:
-            seen.add(anchor)
-            iterations += sum(med[2] for _, med in medians)
-            nonconverged += sum(not med[3] for _, med in medians)
-        for i, (deltas, med) in enumerate(medians):
-            row = j * n + i
-            s = total_distance(deltas, med[0], metric)
-            if s < best_s:
-                best_s = s
-                best = ChamferReport(
-                    value=s,
-                    translation=med[0],
-                    assignment=nn_idx[row],
-                    algorithm="decide",
-                    epsilon=epsilon,
-                    c=c,
-                    seed=seed,
-                    extras={"candidate": translations[row].tolist(), "median_converged": med[3]},
-                )
-            if s <= radius * (1.0 + epsilon):
-                return "YES", best, row + 1, iterations, nonconverged
-    return answer, best, tested, iterations, nonconverged
+    best_s, best = math.inf, None
+    for row, t in enumerate(translations):
+        deltas = b.points[nn_idx[row]] - a.points
+        median = geometric_median(deltas, accuracy)
+        s = total_distance(deltas, median.point, metric)
+        if s < best_s:
+            best_s = s
+            best = ChamferReport(
+                value=s,
+                translation=median.point,
+                assignment=nn_idx[row],
+                algorithm="decide",
+                epsilon=epsilon,
+                c=c,
+                seed=seed,
+                extras={"candidate": t.tolist(), "median_converged": median.converged},
+            )
+        if s <= radius * (1.0 + epsilon):
+            return "YES", best, row + 1
+    return "NO", best, len(translations)
 
 
 def two_nearest(b, queries):
@@ -217,83 +161,64 @@ class TestGeometricMedian:
 
 
 def point_sets(k, d):
-    """Small integer grids, so duplicates, collinear sets and hit iterates are common."""
+    """Small integer grids, so duplicates and collinear sets are common."""
     return st.lists(
         st.lists(st.integers(-3, 3).map(float), min_size=d, max_size=d), min_size=k, max_size=k
     ).map(lambda rows: np.array(rows, dtype=np.float64).reshape(k, d))
 
 
-ACCURACIES = st.sampled_from([1e-1, 1e-4, 1e-9])
-MAX_ITERS = st.one_of(st.none(), st.integers(0, 6))
+class TestTotalFloors:
+    """_total_floors never exceeds the total distance to any point."""
 
-
-class TestLockstepMedian:
-    """_median_rows and geometric_median equal the one-candidate loop bit for bit."""
-
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         data=st.data(),
-        k=st.integers(1, 7),
+        k=st.integers(1, 20),
         d=st.sampled_from([1, 2, 3, 16]),
-        rows=st.integers(1, 5),
-        accuracy=ACCURACIES,
-        max_iter=MAX_ITERS,
+        metric=st.sampled_from([L1, L2, LINF]),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
         jitter=st.booleans(),
     )
-    def test_block_rows_match_reference(self, data, k, d, rows, accuracy, max_iter, jitter):
-        block = np.stack([data.draw(point_sets(k, d)) for _ in range(rows)])
+    def test_floor_is_below_every_total(self, data, k, d, metric, scale, jitter):
+        deltas = data.draw(point_sets(k, d))
+        rng = np.random.default_rng(k * 100 + d)
         if jitter:
-            # off-grid rows rarely land on a data point; grid rows often do
-            noise = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-            rng = np.random.default_rng(rows * 1000 + k * 10 + d)
-            block[np.array(noise)] += rng.normal(scale=0.3, size=block[np.array(noise)].shape)
-        points, totals, iterations, converged = _median_rows(block, accuracy, max_iter)
-        for r in range(rows):
-            want = reference_median(block[r], accuracy, max_iter)
-            assert_same_median((points[r], totals[r], iterations[r], converged[r]), want)
-            one = geometric_median(block[r], accuracy, max_iter)
-            assert_same_median((one.point, one.total_distance, one.iterations, one.converged), want)
-            assert type(one.iterations) is int and type(one.converged) is bool
-
-    @pytest.mark.parametrize("d", [1, 2, 16])
-    def test_single_point(self, d):
-        p = np.arange(1.0, d + 1.0)[None, :]
-        want = reference_median(p, 1e-6)
-        points, totals, iterations, converged = _median_rows(p[None], 1e-6)
-        assert_same_median((points[0], totals[0], iterations[0], converged[0]), want)
-        assert want[2] == 1 and want[3]
-
-    def test_mean_on_a_data_point_takes_the_hit_branch_at_once(self):
-        cloud = np.array([[-1.0], [0.0], [1.0]])
-        want = reference_median(cloud, 1e-9)
-        assert want[0].tolist() == [0.0] and want[2] == 1 and want[3]
-        med = geometric_median(cloud, 1e-9)
-        assert_same_median((med.point, med.total_distance, med.iterations, med.converged), want)
-
-    def test_duplicates_collinear_and_caps(self):
-        clouds = [
-            np.array([[1.0, 1.0]] * 4),  # every point equal: all hits at the mean
-            np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]]),  # double point is the median
-            np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [7.0, 14.0]]),  # collinear
-            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+            deltas = deltas + rng.normal(scale=0.3, size=deltas.shape)
+        deltas = deltas * scale
+        floor = float(_total_floors(deltas, metric)) * (1.0 - _FLOOR_SLACK)
+        probes = [
+            geometric_median(deltas, 1e-9 * scale).point,
+            deltas.mean(axis=0),
+            deltas[data.draw(st.integers(0, k - 1))],
+            rng.normal(scale=2.0 * scale, size=d),
         ]
-        for cloud in clouds:
-            for max_iter in (None, 0, 1, 2):
-                want = reference_median(cloud, 1e-12, max_iter)
-                med = geometric_median(cloud, 1e-12, max_iter)
-                assert_same_median((med.point, med.total_distance, med.iterations, med.converged), want)
+        for x in probes:
+            assert floor <= total_distance(deltas, x, metric)
 
-    def test_mixed_block_of_hit_and_plain_rows(self):
-        rng = np.random.default_rng(5)
-        block = rng.normal(size=(6, 3, 2))
-        block[1] = [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # mean is the middle point
-        block[4] = [[2.0, 2.0], [2.0, 2.0], [2.0, 2.0]]  # all points hit
-        points, totals, iterations, converged = _median_rows(block, 1e-9)
-        for r in range(len(block)):
-            want = reference_median(block[r], 1e-9)
-            assert_same_median((points[r], totals[r], iterations[r], converged[r]), want)
-        assert iterations[1] == iterations[4] == 1
-        assert iterations.max() > 1
+    def test_reduces_over_the_last_two_axes(self):
+        block = np.random.default_rng(3).normal(size=(4, 7, 3))
+        for metric in (L1, L2, LINF):
+            floors = _total_floors(block, metric)
+            assert floors.shape == (4,)
+            for r in range(4):
+                assert floors[r] == pytest.approx(float(_total_floors(block[r], metric)), rel=1e-12)
+
+    def test_slack_covers_rounding_between_two_vectors(self):
+        # with two vectors the total at the median equals the floor in exact
+        # arithmetic, and rounding can leave the raw floor above it
+        cases = [
+            (L1, [[-0.7434992493538084, -0.9217253762584194], [-0.45772582566733916, 0.2201951234700494]]),
+            (L2, [[-0.013914668524093734, 1.0418397592128221], [1.4022648267725224, 1.1501656361496921]]),
+        ]
+        for metric, rows in cases:
+            deltas = np.array(rows)
+            total = total_distance(deltas, geometric_median(deltas, 1e-9).point, metric)
+            floor = float(_total_floors(deltas, metric))
+            assert floor > total
+            assert floor * (1.0 - _FLOOR_SLACK) <= total
+
+    def test_single_vector_has_a_zero_floor(self):
+        assert float(_total_floors(np.ones((1, 3)))) == 0.0
 
 
 class TestDifferenceSets:
@@ -400,58 +325,64 @@ class TestDecide:
 
 
 def assert_same_decision(result, want):
-    answer, evidence, tested, iterations, nonconverged = want
+    answer, evidence, tested = want
     assert result.answer == answer
     assert result.translations_tested == tested
     assert bits(result.evidence.value) == bits(evidence.value)
     assert result.evidence.translation.tobytes() == evidence.translation.tobytes()
     assert result.evidence.assignment.tobytes() == evidence.assignment.tobytes()
     assert result.evidence.extras == evidence.extras
-    assert result.median_iterations == iterations
-    assert result.medians_nonconverged == nonconverged
 
 
-class TestLockstepDecide:
-    """decide_cdut against one reference median per candidate row."""
+def recording_medians(monkeypatch):
+    """Record every median decide_cdut computes through geometric_median."""
+    medians = []
 
-    @pytest.mark.parametrize("metric", [L1, L2], ids=["l1", "l2"])
-    @pytest.mark.parametrize("m,n,d", [(6, 12, 2), (6, 10, 16), (16, 24, 2), (16, 20, 16)])
-    def test_matches_per_candidate_reference(self, m, n, d, metric):
-        repeats = 0
+    def recording(points, accuracy):
+        medians.append(geometric_median(points, accuracy))
+        return medians[-1]
+
+    monkeypatch.setattr(cdut.decision, "geometric_median", recording)
+    return medians
+
+
+class TestPrunedDecide:
+    """decide_cdut against one median per candidate row."""
+
+    @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    @pytest.mark.parametrize("m,n,d", [(6, 12, 1), (6, 12, 2), (6, 10, 16), (16, 24, 2), (16, 20, 16)])
+    def test_matches_per_candidate_reference(self, m, n, d, metric, monkeypatch):
+        medians = recording_medians(monkeypatch)
+        repeats = rows = computed = 0
         for seed in range(3):
             for answer in ("yes", "no"):
                 inst = separated_planted_instance(m, n, d, 1.0, 2.0, 0.25, answer, seed)
-                result = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=seed, anchors=8, metric=metric)
                 want = reference_decide(inst.a, inst.b, 1.0, 0.25, 2.0, seed=seed, anchors=8, metric=metric)
+                del medians[:]
+                result = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=seed, anchors=8, metric=metric)
                 assert_same_decision(result, want)
+                assert result.median_iterations == sum(med.iterations for med in medians)
+                assert result.medians_nonconverged == sum(not med.converged for med in medians)
                 anchor_idx = np.random.default_rng(seed).integers(0, m, size=8)
                 repeats += 8 - np.unique(anchor_idx).size
+                if result.answer == "NO":
+                    rows += np.unique(anchor_idx).size * n
+                    computed += len(medians)
         assert repeats > 0  # some anchors repeated, so skipping them was exercised
+        assert computed < rows  # some candidates were ruled out by their floor
 
-    def test_blocks_are_capped_in_entries(self, monkeypatch):
-        m, n, d = 6, 14, 2
-        cap = 5 * m * d
-        inst = separated_planted_instance(m, n, d, 1.0, 2.0, 0.25, "no", 2)
-        want = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=2)
-        monkeypatch.setattr(cdut.decision, "_MEDIAN_ENTRIES", cap)
-        shapes = []
-        full = cdut.decision._median_rows
-
-        def recording(p, accuracy):
-            shapes.append(p.shape)
-            return full(p, accuracy)
-
-        monkeypatch.setattr(cdut.decision, "_median_rows", recording)
-        result = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=2)
-        distinct = np.unique(np.random.default_rng(2).integers(0, m, size=6)).size
-        assert len(shapes) == distinct * 3  # 14 rows in blocks of 5, 5 and 4
-        assert sum(rows for rows, _, _ in shapes) == distinct * n
-        assert all(rows * k * dim <= cap for rows, k, dim in shapes)
-        assert_same_decision(
-            result,
-            (want.answer, want.evidence, want.translations_tested, want.median_iterations,
-             want.medians_nonconverged),
-        )
+    @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    def test_matches_reference_on_unplanted_instances(self, metric):
+        # a radius just inside B's separation makes every row a close call for
+        # the evidence; at m = 2 a row's total equals its floor up to rounding
+        c = 2.0
+        for seed in range(40):
+            m, n, d = (1, 2, 2, 3, 5, 8)[seed % 6], 3 + seed % 8, 1 + seed % 3
+            a, b = uniform_instance(m, n, d, seed)
+            gaps = metric.norms(b.points[:, None, :] - b.points[None, :, :])
+            radius = 0.99 * gaps[~np.eye(n, dtype=bool)].min() / ((c + 1.0) * (1.0 + 2.0 / m))
+            result = decide_cdut(a, b, radius, 0.25, c, seed=seed, metric=metric)
+            assert_same_decision(result, reference_decide(a, b, radius, 0.25, c, seed=seed, metric=metric))
 
     def test_queries_distinct_anchors_only(self, monkeypatch):
         m, n = 6, 12
