@@ -8,7 +8,7 @@ hardness-gadget generators (``gadgets``), and brute-force oracles
 (``oracle``).
 """
 
-from .ann import AnnAnswer, ScaleLadder, build_ladder
+from .ann import ScaleLadder, build_ladder
 from .approx import cdut_approx_v1, cdut_approx_v2, sample_anchors
 from .core import (
     L1,
@@ -39,20 +39,18 @@ from .decision import (
     verify_emd_equivalence,
 )
 from .gadgets import GadgetInstance, combine_gadgets, gadget_a, gadget_b, gadget_width, ov_pair
-from .localnet import LocalNetConfig, NetSpec, build_net, cdut_localnet, covering_audit
-from .oracle import GridOracleResult, GridSearchSpec, oracle_cdut_1d, oracle_cdut_grid
+from .localnet import LocalNetConfig, cdut_localnet
+from .oracle import GridSearchSpec, oracle_cdut_1d, oracle_cdut_grid
 from .sweep1d import cdut_exact_1d, cdut_exact_l1_linf, sweep_curve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnAnswer",
     "AssumptionError",
     "ChamferReport",
     "DecisionResult",
     "DifferenceSet",
     "GadgetInstance",
-    "GridOracleResult",
     "GridSearchSpec",
     "L1",
     "L2",
@@ -61,7 +59,6 @@ __all__ = [
     "MedianResult",
     "Metric",
     "NearestIndex",
-    "NetSpec",
     "PointSet",
     "ScaleLadder",
     "SeparationCertificate",
@@ -69,7 +66,6 @@ __all__ = [
     "bbox_diameter",
     "build_index",
     "build_ladder",
-    "build_net",
     "cdut_approx_v1",
     "cdut_approx_v2",
     "cdut_exact_1d",
@@ -80,7 +76,6 @@ __all__ = [
     "chamfer_translated",
     "check_separation",
     "combine_gadgets",
-    "covering_audit",
     "decide_cdut",
     "difference_set",
     "gadget_a",

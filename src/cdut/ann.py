@@ -1,10 +1,11 @@
 """Multi-scale locality-sensitive hashing for approximate nearest neighbors.
 
-The ladder keeps one LSH structure per radius R_i = c^(i-1) * L up to U,
-plus an exact hash table for distance-0 lookups.  A query walks the scales
-for the smallest radius at which some point of B lands in its bucket within
-c * R_i, recomputing every candidate distance exactly, so the reported
-distance is the true distance to a real point of B and can never
+The ladder keeps one LSH structure per radius R_i = U / c^i, grown down
+from U until no two distinct points share a bucket within c * R_i, plus an
+exact hash table for distance-0 lookups.  Each query of a batch walks the
+scales for the smallest radius at which some point of B lands in its bucket
+within c * R_i, recomputing every candidate distance exactly, so the
+reported distance is the true distance to a real point of B and can never
 underestimate the nearest-neighbor distance.  If every scale misses, the
 query falls back to an exact linear scan.
 
@@ -18,26 +19,19 @@ probability at least 1 - miss_prob.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import L2, Metric, PointSet, bbox_diameter, build_index
 
-__all__ = ["ScaleLadder", "AnnAnswer", "build_ladder"]
+__all__ = ["ScaleLadder", "build_ladder"]
 
 _MAX_SCALES = 80
 _MAX_HASHES = 40
 _MAX_TABLES = 160
-
-
-@dataclass(frozen=True)
-class AnnAnswer:
-    """Reported neighbor: index into B (or None) and its exact distance."""
-
-    index: Optional[int]
-    distance: float
+# bucket width as a multiple of the scale's radius
+_WIDTH_FACTOR = 4.0
 
 
 def _phi(x: float) -> float:
@@ -115,21 +109,10 @@ class _Scale:
 class ScaleLadder:
     """Immutable multi-scale near-neighbor structure over one point set."""
 
-    def __init__(
-        self,
-        source: PointSet,
-        metric: Metric,
-        c: float,
-        L: float,
-        U: float,
-        scales: list[_Scale],
-        seed: int,
-    ):
+    def __init__(self, source: PointSet, metric: Metric, c: float, scales: list[_Scale], seed: int):
         self.source = source
         self.metric = metric
         self.c = c
-        self.L = L
-        self.U = U
         self.scales = scales
         self.seed = seed
         pts = source.points
@@ -144,10 +127,6 @@ class ScaleLadder:
         self._exact_ids = hashes[order][keep]
         self._exact_idx = order[keep]  # lowest index per hash (stable sort)
         self._fallback = build_index(source, metric)
-
-    @property
-    def scale_radii(self) -> list[float]:
-        return [s.radius for s in self.scales]
 
     # -- queries -------------------------------------------------------------
 
@@ -211,59 +190,19 @@ class ScaleLadder:
             best_i[active] = i
         return best_d, best_i
 
-    def query(self, point) -> AnnAnswer:
-        """Single query via binary search over the scales."""
-        q = np.ascontiguousarray(np.asarray(point, dtype=np.float64).reshape(1, -1))
-        if q.shape[1] != self.source.dim:
-            raise ValueError(f"query has dimension {q.shape[1]}, expected {self.source.dim}")
-        best_d, best_i = self._exact_lookup(q)
-        if best_d[0] == 0.0:
-            return AnnAnswer(int(best_i[0]), 0.0)
-        rows = np.array([0])
-        lo, hi = 0, len(self.scales) - 1
-        succeeded = False
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            scale = self.scales[mid]
-            for table in scale.tables:
-                self._probe_table(table, q, rows, best_d, best_i)
-                if best_d[0] <= self.c * scale.radius:
-                    break
-            if best_d[0] <= self.c * scale.radius:
-                succeeded = True
-                hi = mid - 1
-            else:
-                lo = mid + 1
-        if not succeeded:
-            d, i = self._fallback.query_many(q)
-            return AnnAnswer(int(i[0]), float(d[0]))
-        return AnnAnswer(int(best_i[0]), float(best_d[0]))
 
-    def scale_hits(self, point) -> list[bool]:
-        """Per-scale success flags with candidates carried across scales."""
-        q = np.ascontiguousarray(np.asarray(point, dtype=np.float64).reshape(1, -1))
-        best_d, best_i = self._exact_lookup(q)
-        rows = np.array([0])
-        hits = []
-        for scale in self.scales:
-            for table in scale.tables:
-                self._probe_table(table, q, rows, best_d, best_i)
-            hits.append(bool(best_d[0] <= self.c * scale.radius))
-        return hits
-
-
-def _scale_parameters(family: str, n: int, c: float, width_factor: float, miss_prob: float):
-    p1 = _collision_prob(family, width_factor)
-    p2 = _collision_prob(family, width_factor / c)
+def _scale_parameters(family: str, n: int, c: float, miss_prob: float):
+    p1 = _collision_prob(family, _WIDTH_FACTOR)
+    p2 = _collision_prob(family, _WIDTH_FACTOR / c)
     k = max(1, min(_MAX_HASHES, math.ceil(math.log(max(n, 2)) / math.log(1.0 / p2))))
     hit = p1**k
     tables = max(1, min(_MAX_TABLES, math.ceil(math.log(1.0 / miss_prob) / -math.log1p(-hit))))
     return k, tables
 
 
-def _build_scale(points, radius, family, n, c, width_factor, miss_prob, rng) -> _Scale:
-    k, tables = _scale_parameters(family, n, c, width_factor, miss_prob)
-    width = width_factor * radius
+def _build_scale(points, radius, family, n, c, miss_prob, rng) -> _Scale:
+    k, tables = _scale_parameters(family, n, c, miss_prob)
+    width = _WIDTH_FACTOR * radius
     return _Scale(radius, [_Table(points, width, family, k, rng) for _ in range(tables)])
 
 
@@ -288,20 +227,18 @@ def _has_close_bucket_pair(scale: _Scale, points: np.ndarray, metric: Metric, cu
 def build_ladder(
     b: PointSet,
     c: float,
-    L: Optional[float] = None,
     U: Optional[float] = None,
     seed: int = 0,
     metric: Metric = L2,
     miss_prob: float = 0.1,
-    width_factor: float = 4.0,
 ) -> ScaleLadder:
     """Build the multi-scale structure over ``b``.
 
     ``U`` defaults to the bounding-box diameter of ``b``; callers comparing
-    against a second set should pass diam(A) + diam(B).  When ``L`` is not
-    given, scales are grown downward from U and construction stops at the
-    first scale where no two distinct points share a bucket within c * R,
-    below which any query has at most one candidate anyway.
+    against a second set should pass diam(A) + diam(B).  Scales are grown
+    downward from U and construction stops at the first scale where no two
+    distinct points share a bucket within c * R, below which any query has
+    at most one candidate anyway.
     """
     if not c > 1.0:
         raise ValueError("approximation factor c must exceed 1")
@@ -314,25 +251,15 @@ def build_ladder(
     if U is None:
         U = bbox_diameter(b, metric)
     if distinct.shape[0] < 2 or U <= 0.0:
-        return ScaleLadder(b, metric, c, L or 0.0, U or 0.0, [], seed)
+        return ScaleLadder(b, metric, c, [], seed)
     rng = np.random.default_rng(seed)
     scales: list[_Scale] = []
-    if L is not None:
-        if not 0.0 < L <= U:
-            raise ValueError("bounds must satisfy 0 < L <= U")
-        count = max(1, math.ceil(math.log(U / L) / math.log(c))) if U > L else 1
-        if count > _MAX_SCALES:
-            raise ValueError(f"{count} scales requested; cap is {_MAX_SCALES}")
-        for i in range(count):
-            scales.append(_build_scale(pts, (c**i) * L, family, n, c, width_factor, miss_prob, rng))
-    else:
-        radius = float(U)
-        for _ in range(_MAX_SCALES):
-            scale = _build_scale(pts, radius, family, n, c, width_factor, miss_prob, rng)
-            scales.append(scale)
-            if not _has_close_bucket_pair(scale, pts, metric, c * radius):
-                break
-            radius /= c
-        scales.reverse()
-        L = scales[0].radius
-    return ScaleLadder(b, metric, c, float(L), float(U), scales, seed)
+    radius = float(U)
+    for _ in range(_MAX_SCALES):
+        scale = _build_scale(pts, radius, family, n, c, miss_prob, rng)
+        scales.append(scale)
+        if not _has_close_bucket_pair(scale, pts, metric, c * radius):
+            break
+        radius /= c
+    scales.reverse()
+    return ScaleLadder(b, metric, c, scales, seed)

@@ -93,7 +93,6 @@ def cdut_approx_v2(
     seed: int = 0,
     delta: float = DEFAULT_DELTA,
     metric: Metric = L2,
-    miss_prob: float = 0.1,
 ) -> ChamferReport:
     """(2 + eps) * c approximation scoring candidates with the ANN ladder.
 
@@ -114,7 +113,6 @@ def cdut_approx_v2(
         U=bbox_diameter(a, metric) + bbox_diameter(b, metric),
         seed=seed,
         metric=metric,
-        miss_prob=miss_prob,
     )
     m, n = len(a), len(b)
     # the ladder answers each row on its own, so a repeated anchor's rows are

@@ -120,7 +120,7 @@ def _localnet(a: PointSet, b: PointSet, metric: Metric, opts: SolveOptions) -> C
 
 def _oracle_grid(a: PointSet, b: PointSet, metric: Metric, opts: SolveOptions) -> ChamferReport:
     spec = None if opts.resolution is None else default_grid_spec(a, b, resolution=opts.resolution)
-    return oracle_cdut_grid(a, b, spec=spec, metric=metric).report
+    return oracle_cdut_grid(a, b, spec=spec, metric=metric)
 
 
 def _approx_delta(opts: SolveOptions) -> float:

@@ -107,10 +107,6 @@ class PointSet:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-    @classmethod
-    def from_rows(cls, rows) -> "PointSet":
-        return cls(np.asarray(rows, dtype=np.float64))
-
     @property
     def dim(self) -> int:
         return self.points.shape[1]
@@ -180,11 +176,6 @@ class NearestIndex:
         self.metric = metric
         self.backend = backend
         self._tree = cKDTree(source.points) if backend == "kdtree" else None
-
-    def query(self, q) -> tuple[float, int]:
-        q = np.asarray(q, dtype=np.float64).reshape(1, -1)
-        d, i = self.query_many(q)
-        return float(d[0]), int(i[0])
 
     def query_many(
         self, queries: np.ndarray, normalize_ties: bool = True
@@ -308,8 +299,8 @@ def _as_translations(a: PointSet, translations) -> np.ndarray:
     return ts
 
 
-def _distances(cols: np.ndarray, ts: np.ndarray, index: NearestIndex, want_assignments: bool):
-    """NN distances (and indices when asked) of ``cols + t``, one row per translation.
+def _distances(cols: np.ndarray, ts: np.ndarray, index: NearestIndex) -> np.ndarray:
+    """NN distances of ``cols + t``, one row per translation.
 
     Translations are split between workers by ``run_chunked``.  Each block
     builds its queries in tiles, so the blocks that run at once together hold
@@ -324,24 +315,17 @@ def _distances(cols: np.ndarray, ts: np.ndarray, index: NearestIndex, want_assig
     def eval_block(block: np.ndarray):
         k = len(block)
         dist = np.empty((k, c))
-        idx = np.empty((k, c), dtype=np.int64) if want_assignments else None
         for t0 in range(0, k, t_step):
             tb = block[t0 : t0 + t_step]
             for c0 in range(0, c, c_step):
                 cb = cols[c0 : c0 + c_step]
                 queries = (tb[:, None, :] + cb[None, :, :]).reshape(-1, d)
-                dd, ii = index.query_many(queries, normalize_ties=want_assignments)
-                at = (slice(t0, t0 + len(tb)), slice(c0, c0 + len(cb)))
-                dist[at] = dd.reshape(len(tb), len(cb))
-                if idx is not None:
-                    idx[at] = ii.reshape(len(tb), len(cb))
-        return dist, idx
+                dd, _ = index.query_many(queries, normalize_ties=False)
+                dist[t0 : t0 + len(tb), c0 : c0 + len(cb)] = dd.reshape(len(tb), len(cb))
+        return dist
 
     results = run_chunked(eval_block, ts, workers)
-    if len(results) == 1:
-        return results[0]
-    dist = np.concatenate([r[0] for r in results])
-    return dist, (np.concatenate([r[1] for r in results]) if want_assignments else None)
+    return results[0] if len(results) == 1 else np.concatenate(results)
 
 
 def chamfer_many(
@@ -350,7 +334,6 @@ def chamfer_many(
     b: PointSet,
     metric: Metric = L2,
     index: Optional[NearestIndex] = None,
-    want_assignments: bool = False,
     want_distances: bool = False,
 ):
     """Exact Chamfer values of ``a`` under many translations at once.
@@ -359,18 +342,16 @@ def chamfer_many(
     ``chamfer_argmin`` evaluates its stages with it.  Each value is one
     contiguous ``sum`` over the translation's m distances.  Queries are
     built and looked up in batches of at most 2^20 rows.  Returns the (T,)
-    value array; when requested, the (T, m) nearest indices and then the
-    (T, m) distances follow it in a tuple.
+    value array, or ``(values, distances)`` with the (T, m) distances when
+    ``want_distances`` is set.
     """
     _check_same_dim(a, b)
     ts = _as_translations(a, translations)
     if index is None:
         index = build_index(b, metric)
-    dist, assigns = _distances(a.points, ts, index, want_assignments)
+    dist = _distances(a.points, ts, index)
     values = dist.sum(axis=1)
-    if not (want_assignments or want_distances):
-        return values
-    return (values,) + ((assigns,) if want_assignments else ()) + ((dist,) if want_distances else ())
+    return (values, dist) if want_distances else values
 
 
 def chamfer_argmin(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -137,12 +136,13 @@ def check_separation(
     )
 
 
-def geometric_median(points, additive_accuracy: float, max_iter: Optional[int] = None) -> MedianResult:
+def geometric_median(points, additive_accuracy: float) -> MedianResult:
     """Iteratively reweighted least squares for the geometric median.
 
     Starts at the coordinate-wise mean and stops once the iterate moves less
-    than additive_accuracy / 2.  If the iterate lands exactly on an input
-    point, the subgradient condition decides whether that point is optimal;
+    than additive_accuracy / 2, or after 10 k d + 1000 iterations for k
+    points in d dimensions.  If the iterate lands exactly on an input point,
+    the subgradient condition decides whether that point is optimal;
     otherwise the step deflects off the singularity and continues.
     """
     p = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -151,7 +151,7 @@ def geometric_median(points, additive_accuracy: float, max_iter: Optional[int] =
     if not additive_accuracy > 0.0:
         raise ValueError("additive accuracy must be positive")
     k, d = p.shape
-    cap = max_iter if max_iter is not None else 10 * k * d + 1000
+    cap = 10 * k * d + 1000
     x = p.mean(axis=0)
     converged = False
     it = 0

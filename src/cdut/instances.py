@@ -115,6 +115,8 @@ def separated_planted_instance(
         raise ValueError("kind must be 'yes' or 'no'")
     if kind == "no" and m % 2:
         raise ValueError("NO instances need an even m so offsets pair up")
+    if m > n:
+        raise ValueError(f"m = {m} exceeds n = {n}: A's points are drawn from B's sites without replacement")
     rng = np.random.default_rng(seed)
     spacing = margin * (c + 1.0) * (1.0 + 2.0 / m) * radius
     side = math.ceil(n ** (1.0 / d))

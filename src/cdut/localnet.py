@@ -34,28 +34,10 @@ from .core import (
     difference_candidates,
 )
 
-__all__ = ["NetSpec", "LocalNetConfig", "build_net", "cdut_localnet", "covering_audit"]
+__all__ = ["LocalNetConfig", "cdut_localnet"]
 
 _MAX_NET_DIM = 6
 _NET_BUDGET = 2_000_000
-
-
-@dataclass(frozen=True)
-class NetSpec:
-    """A covering request: ball of radius ``radius`` around ``center``,
-    covering radius at most ``rho``."""
-
-    center: np.ndarray
-    radius: float
-    rho: float
-
-    def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=np.float64))
-        if not self.rho > 0:
-            raise ValueError("net spacing rho must be positive")
-        if self.rho > self.radius:
-            raise ValueError("rho must not exceed the ball radius")
-        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True)
@@ -99,41 +81,6 @@ def _lattice_points(lo: np.ndarray, hi: np.ndarray, step: float) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij")
     idx = np.stack([m.ravel() for m in mesh], axis=1)
     return idx, idx.astype(np.float64) * step
-
-
-def build_net(spec: NetSpec, d: int, metric: Metric = L2) -> np.ndarray:
-    """Grid covering the ball: every ball point is within rho of a net point.
-
-    Built as an axis-aligned grid around the origin and shifted by the
-    center, so nets at different centers are exact translates.
-    """
-    if d > _MAX_NET_DIM:
-        raise ValueError(f"net construction capped at dimension {_MAX_NET_DIM}, got {d}")
-    if spec.center.shape[0] != d:
-        raise ValueError(f"center has dimension {spec.center.shape[0]}, expected {d}")
-    step = _grid_step(metric, spec.rho, d)
-    reach = int(math.ceil(spec.radius / step + 1e-12))
-    if (2 * reach + 1) ** d > _NET_BUDGET:
-        raise ValueError("net size exceeds budget; loosen rho or shrink the radius")
-    _, pts = _lattice_points(np.full(d, -reach), np.full(d, reach), step)
-    keep = metric.norms(pts) <= spec.radius * (1.0 + 1e-9) + 1e-12
-    return pts[keep] + spec.center
-
-
-def covering_audit(
-    net: np.ndarray, spec: NetSpec, metric: Metric = L2, samples: int = 1000, seed: int = 0
-) -> float:
-    """Worst observed distance from random ball points to the net."""
-    rng = np.random.default_rng(seed)
-    d = spec.center.shape[0]
-    raw = rng.normal(size=(samples, d)) if metric.p == 2.0 else rng.uniform(-1, 1, (samples, d))
-    norms = metric.norms(raw)
-    norms[norms == 0] = 1.0
-    radii = spec.radius * rng.uniform(0, 1, samples) ** (1.0 / d)
-    pts = spec.center + raw / norms[:, None] * radii[:, None]
-    net_set = PointSet(net)
-    dists, _ = build_index(net_set, metric).query_many(pts)
-    return float(dists.max())
 
 
 def _sample_candidates(a: PointSet, b: PointSet, config: LocalNetConfig, seed: int) -> np.ndarray:

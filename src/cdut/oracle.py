@@ -4,7 +4,8 @@
 translation b - a, which contains a global optimum in 1D, so it certifies
 the sweep without sharing any of its event bookkeeping.  ``oracle_cdut_grid``
 scans a dense translation grid in any dimension and reports an explicit
-additive slack, bracketing the optimum for the approximation algorithms.
+additive slack in ``extras["slack"]``, bracketing the optimum for the
+approximation algorithms.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .core import (
     difference_candidates,
 )
 
-__all__ = ["GridSearchSpec", "GridOracleResult", "oracle_cdut_1d", "oracle_cdut_grid", "default_grid_spec"]
+__all__ = ["GridSearchSpec", "oracle_cdut_1d", "oracle_cdut_grid", "default_grid_spec"]
 
 _PAIR_BUDGET = 10_000
 _GRID_BUDGET = 10_000_000
@@ -49,15 +50,6 @@ class GridSearchSpec:
             raise ValueError("grid resolution must be positive")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-
-@dataclass(frozen=True)
-class GridOracleResult:
-    """Grid minimum plus the additive slack bounding its distance from OPT."""
-
-    report: ChamferReport
-    slack: float
-    grid_points: int
 
 
 def oracle_cdut_1d(a: PointSet, b: PointSet) -> ChamferReport:
@@ -99,12 +91,12 @@ def oracle_cdut_grid(
     b: PointSet,
     spec: Optional[GridSearchSpec] = None,
     metric: Metric = L2,
-) -> GridOracleResult:
+) -> ChamferReport:
     """Dense grid scan of the translation box.
 
     The returned value is an exact Chamfer cost at a real translation, hence
-    never below OPT; the slack m * (half cell diagonal) bounds how far above
-    OPT it can be.
+    never below OPT; ``extras["slack"]``, m * (half cell diagonal), bounds
+    how far above OPT it can be.  ``evaluations`` counts the grid points.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -124,11 +116,9 @@ def oracle_cdut_grid(
     index = build_index(b, metric)
     values = chamfer_many(a, grid, b, metric, index=index)
     best = int(np.argmin(values))
-    slack = len(a) * _half_cell(metric, g, a.dim)
-    report = replace(
+    return replace(
         chamfer_translated(a, grid[best], b, metric),
         algorithm="oracle-grid",
         evaluations=int(total),
-        extras={"slack": slack},
+        extras={"slack": len(a) * _half_cell(metric, g, a.dim)},
     )
-    return GridOracleResult(report=report, slack=slack, grid_points=int(total))

@@ -22,7 +22,6 @@ reduction exists and linf requests are refused.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import replace
 
@@ -39,6 +38,10 @@ from .core import (
 )
 
 __all__ = ["sweep_curve", "cdut_exact_1d", "cdut_exact_l1_linf"]
+
+# the alignment grid has up to (mn)^d points
+_MAX_DIM = 3
+_CANDIDATE_BUDGET = 2_000_000
 
 
 def _require_1d(a: PointSet, b: PointSet) -> None:
@@ -97,23 +100,19 @@ def _alignment_values(points_a: np.ndarray, points_b: np.ndarray, axis: int) -> 
     return np.unique(points_b[:, axis][None, :] - points_a[:, axis][:, None])
 
 
-def _alignment_grid(points_a: np.ndarray, points_b: np.ndarray, budget: int) -> np.ndarray:
+def _alignment_grid(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
+    """Every combination of per-dimension alignments, last dimension fastest."""
     per_dim = [_alignment_values(points_a, points_b, axis) for axis in range(points_a.shape[1])]
     total = 1
     for vals in per_dim:
         total *= vals.size
-    if total > budget:
-        raise ValueError(f"candidate grid has {total} points, over budget {budget}")
-    return np.array(list(itertools.product(*per_dim)), dtype=np.float64)
+    if total > _CANDIDATE_BUDGET:
+        raise ValueError(f"candidate grid has {total} points, over budget {_CANDIDATE_BUDGET}")
+    mesh = np.meshgrid(*per_dim, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def cdut_exact_l1_linf(
-    a: PointSet,
-    b: PointSet,
-    metric: Metric,
-    max_dim: int = 3,
-    candidate_budget: int = 2_000_000,
-) -> ChamferReport:
+def cdut_exact_l1_linf(a: PointSet, b: PointSet, metric: Metric) -> ChamferReport:
     """Exact CDuT for the l1 metric in low dimension, and for linf up to 2D.
 
     l1: enumerates every translation aligning some pair of coordinates in
@@ -130,8 +129,8 @@ def cdut_exact_l1_linf(
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if metric.p == 2.0:
         raise ValueError("alignment-candidate enumeration is only valid for l1/linf metrics")
-    if a.dim > max_dim:
-        raise ValueError(f"dimension {a.dim} exceeds the enumeration cap {max_dim}")
+    if a.dim > _MAX_DIM:
+        raise ValueError(f"dimension {a.dim} exceeds the enumeration cap {_MAX_DIM}")
     if metric.p == math.inf and a.dim > 2:
         raise ValueError(
             "exact linf search is limited to d <= 2; alignment candidates are "
@@ -141,11 +140,11 @@ def cdut_exact_l1_linf(
         # max(|x|, |y|) = (|x+y| + |x-y|) / 2: solve as l1 in rotated coords
         rot = np.array([[1.0, 1.0], [1.0, -1.0]])
         ra, rb = a.points @ rot.T, b.points @ rot.T
-        candidates = _alignment_grid(ra, rb, candidate_budget)
+        candidates = _alignment_grid(ra, rb)
         best, _, rows = chamfer_argmin(PointSet(ra), candidates, PointSet(rb), L1)
         t = candidates[best] @ np.array([[0.5, 0.5], [0.5, -0.5]]).T
     else:
-        candidates = _alignment_grid(a.points, b.points, candidate_budget)
+        candidates = _alignment_grid(a.points, b.points)
         # first minimum = lexicographically smallest t
         best, _, rows = chamfer_argmin(a, candidates, b, metric)
         t = candidates[best]

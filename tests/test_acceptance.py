@@ -271,8 +271,8 @@ def test_09_l1_linf_extension():
             a, b = uniform_instance(4, 4, 2, 9100 + seed, low=-5, high=5)
             exact = cdut_exact_l1_linf(a, b, metric)
             grid = oracle_cdut_grid(a, b, spec=default_grid_spec(a, b, resolution=0.05), metric=metric)
-            gap = grid.report.value - exact.value
-            if not (-1e-9 <= gap <= grid.slack + 1e-9):
+            gap = grid.value - exact.value
+            if not (-1e-9 <= gap <= grid.extras["slack"] + 1e-9):
                 ok, detail = False, f"grid mismatch ({metric.name}, seed {seed}, gap {gap})"
                 break
         if not ok:

@@ -9,12 +9,20 @@ def pts1(values):
     return PointSet(np.asarray(values, dtype=np.float64)[:, None])
 
 
-class TestBuild:
-    def test_scale_count_from_bounds(self):
-        ladder = build_ladder(pts1([0.0, 100.0]), c=2.0, L=1.0, U=200.0, seed=1)
-        assert len(ladder.scales) == 8  # ceil(log2 200)
-        assert ladder.scale_radii == [2.0**i for i in range(8)]
+def scale_hits(ladder, q):
+    """Per-scale success flags for one query, every table of every scale probed."""
+    q = np.asarray(q, dtype=np.float64).reshape(1, -1)
+    best_d, best_i = ladder._exact_lookup(q)
+    rows = np.array([0])
+    hits = []
+    for scale in ladder.scales:
+        for table in scale.tables:
+            ladder._probe_table(table, q, rows, best_d, best_i)
+        hits.append(bool(best_d[0] <= ladder.c * scale.radius))
+    return hits
 
+
+class TestBuild:
     def test_deterministic_under_seed(self):
         b, _ = uniform_instance(60, 5, 4, 9)
         first = build_ladder(b, c=2.0, seed=5)
@@ -34,17 +42,14 @@ class TestBuild:
     def test_single_point_degenerates_to_exact_table(self):
         ladder = build_ladder(pts1([3.0]), c=2.0, seed=0)
         assert ladder.scales == []
-        answer = ladder.query([3.0])
-        assert (answer.index, answer.distance) == (0, 0.0)
-        answer = ladder.query([5.0])
-        assert answer.distance == 2.0  # exact fallback
+        dist, idx = ladder.query_batch([[3.0], [5.0]])
+        assert (dist[0], idx[0]) == (0.0, 0)
+        assert dist[1] == 2.0  # exact fallback
 
     def test_parameter_validation(self):
         b = pts1([0.0, 1.0])
         with pytest.raises(ValueError, match="c must exceed"):
             build_ladder(b, c=1.0)
-        with pytest.raises(ValueError, match="bounds"):
-            build_ladder(b, c=2.0, L=-1.0, U=10.0)
         with pytest.raises(ValueError, match="miss_prob"):
             build_ladder(b, c=2.0, miss_prob=1.5)
 
@@ -53,15 +58,17 @@ class TestQuery:
     def test_member_point_hits_exact_table(self):
         b, _ = uniform_instance(40, 5, 3, 2)
         ladder = build_ladder(b, c=2.0, seed=2)
-        for row in (0, 7, 39):
-            answer = ladder.query(b.points[row])
-            assert answer.distance == 0.0
+        dist, _ = ladder.query_batch(b.points[[0, 7, 39]])
+        assert np.all(dist == 0.0)
 
     def test_query_at_exactly_l_stays_within_factor(self):
         b = pts1([0.0, 10.0, 20.0, 30.0])
-        ladder = build_ladder(b, c=2.0, L=1.0, U=60.0, seed=3, miss_prob=1e-3)
-        answer = ladder.query([1.0])  # distance exactly L from the unique nearest point
-        assert answer.distance <= 2.0 * 1.0 + 1e-12
+        ladder = build_ladder(b, c=2.0, U=60.0, seed=3, miss_prob=1e-3)
+        low = ladder.scales[0].radius
+        assert low < 5.0
+        # distance exactly the smallest radius from the unique nearest point
+        dist, _ = ladder.query_batch([[low]])
+        assert dist[0] <= 2.0 * low + 1e-12
 
     def test_never_underestimates(self):
         rng = np.random.default_rng(11)
@@ -83,17 +90,6 @@ class TestQuery:
         exact, _ = build_index(b).query_many(queries)
         assert np.mean(reported <= 2.0 * exact + 1e-12) >= 0.90
 
-    def test_single_query_agrees_with_contract(self):
-        b, _ = uniform_instance(80, 5, 4, 5)
-        ladder = build_ladder(b, c=2.0, seed=5)
-        exact_index = build_index(b)
-        rng = np.random.default_rng(5)
-        for q in rng.uniform(-100, 100, size=(25, 4)):
-            answer = ladder.query(q)
-            true_d, _ = exact_index.query(q)
-            assert answer.distance >= true_d - 1e-12
-            assert answer.distance == ladder.metric.norms(q - b.points[answer.index])
-
     @pytest.mark.parametrize("metric", [L1, LINF])
     def test_other_metrics_never_underestimate(self, metric):
         rng = np.random.default_rng(31)
@@ -108,10 +104,15 @@ class TestQuery:
         rng = np.random.default_rng(17)
         b = PointSet(rng.uniform(0, 1, size=(150, 6)))
         ladder = build_ladder(b, c=2.0, seed=17)
-        for q in rng.uniform(0, 1, size=(40, 6)):
-            hits = ladder.scale_hits(q)
+        queries = rng.uniform(0, 1, size=(40, 6))
+        reported, _ = ladder.query_batch(queries)
+        for q, dist in zip(queries, reported):
+            hits = scale_hits(ladder, q)
             first_true = next((i for i, h in enumerate(hits) if h), len(hits))
             assert all(hits[first_true:])
+            # the batch walk retires a query no later than its first hit scale
+            if first_true < len(hits):
+                assert dist <= ladder.c * ladder.scales[first_true].radius
 
     def test_far_query_falls_back_to_exact_scan(self):
         rng = np.random.default_rng(41)
@@ -122,10 +123,8 @@ class TestQuery:
         exact_d, exact_i = build_index(b).query_many(far)
         assert np.array_equal(reported, exact_d)
         assert np.array_equal(idx, exact_i)
-        single = ladder.query(far[0])
-        assert single.distance == exact_d[0]
 
     def test_dimension_mismatch(self):
         ladder = build_ladder(pts1([0.0, 5.0]), c=2.0, seed=0)
         with pytest.raises(ValueError, match="dimension|shape"):
-            ladder.query([1.0, 2.0])
+            ladder.query_batch([[1.0, 2.0]])

@@ -75,8 +75,8 @@ class TestVariantOne:
             got = cdut_approx_v1(a, b, eps, seed=seed).value
             grid = oracle_cdut_grid(a, b, spec=default_grid_spec(a, b, resolution=0.1))
             # grid value over-estimates OPT by at most slack
-            assert got <= (2.0 + eps) * grid.report.value + REL
-            assert got >= grid.report.value - grid.slack - REL
+            assert got <= (2.0 + eps) * grid.value + REL
+            assert got >= grid.value - grid.extras["slack"] - REL
 
     def test_monotone_in_epsilon_on_average(self):
         tight, loose = [], []

@@ -157,7 +157,7 @@ class TestRegistry:
             lambda a, b: cdut_localnet(a, b, LocalNetConfig(epsilon=0.5, union_mode=True), seed=3, metric=L1),
         ),
         ("oracle-1d", [], lambda a, b: oracle_cdut_1d(a, b)),
-        ("oracle-grid", [], lambda a, b: oracle_cdut_grid(a, b, metric=L1).report),
+        ("oracle-grid", [], lambda a, b: oracle_cdut_grid(a, b, metric=L1)),
     ]
 
     def test_compute_matches_the_library_call(self, capsys, tmp_path):
@@ -293,6 +293,14 @@ class TestGen:
         )
         b, _ = read_instance(f"{out}_b.txt")
         assert check_separation(b, c=2.0, radius=1.0, m=8).holds
+
+    def test_separated_planted_with_m_over_n_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "sep"
+        argv = ["gen", "separated-planted", "--out", str(out), "--m", "40", "--n", "12", "--dim", "2"]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "m = 40 exceeds n = 12" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_combined_gadget_generation(self, capsys, tmp_path):
         out = tmp_path / "comb"

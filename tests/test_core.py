@@ -96,15 +96,15 @@ class TestChamferTranslated:
 class TestNearestIndex:
     def test_simple_query(self):
         index = build_index(pts([[0.0, 0.0], [10.0, 0.0]]))
-        dist, idx = index.query([1.0, 0.0])
-        assert (dist, idx) == (1.0, 0)
+        dist, idx = index.query_many([[1.0, 0.0]])
+        assert (dist[0], idx[0]) == (1.0, 0)
 
     def test_indexed_point_has_zero_distance(self):
         b = pts([[2.0, 3.0], [5.0, 1.0]])
         for backend in ("brute", "kdtree"):
-            dist, idx = build_index(b, backend=backend).query([5.0, 1.0])
-            assert dist == 0.0
-            assert idx == 1
+            dist, idx = build_index(b, backend=backend).query_many([[5.0, 1.0]])
+            assert dist[0] == 0.0
+            assert idx[0] == 1
 
     @pytest.mark.parametrize("metric", [L1, L2, LINF])
     def test_matches_brute_scan(self, metric):

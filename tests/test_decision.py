@@ -152,7 +152,8 @@ class TestGeometricMedian:
     def test_optimal_data_point_is_recognized(self):
         # the middle of three collinear points is the exact median
         cloud = np.array([[0.0], [2.0], [10.0]])
-        result = geometric_median(cloud, 1e-10, max_iter=5000)
+        result = geometric_median(cloud, 1e-10)
+        assert result.converged
         assert total_distance(cloud, result.point) <= 10.0 + 1e-9
 
     def test_validation(self):

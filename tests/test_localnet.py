@@ -8,55 +8,80 @@ from cdut import (
     L2,
     LINF,
     LocalNetConfig,
-    NetSpec,
     PointSet,
-    build_net,
+    build_index,
     cdut_exact_1d,
     cdut_localnet,
     chamfer_translated,
-    covering_audit,
 )
 from cdut.instances import noisy_copy_instance, translated_copy_instance, uniform_instance
+from cdut.localnet import _net_phase
 
 REL = 1e-9
 
 
-class TestBuildNet:
-    def test_1d_grid_matches_hand_enumeration(self):
-        net = build_net(NetSpec(center=[0.0], radius=1.0, rho=0.5), d=1)
-        assert sorted(net.ravel().tolist()) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+def ball_samples(center, radius, metric, count, rng):
+    """Points of the metric ball: random interior points, random boundary
+    points, the axis points and the sign-vector points on the boundary."""
+    d = len(center)
+    raw = rng.normal(size=(2 * count, d)) if metric.p == 2.0 else rng.uniform(-1, 1, (2 * count, d))
+    norms = metric.norms(raw)
+    norms[norms == 0] = 1.0
+    unit = raw / norms[:, None]
+    radii = np.concatenate([radius * rng.uniform(0, 1, count) ** (1.0 / d), np.full(count, radius)])
+    axes = np.concatenate([np.eye(d), -np.eye(d)])
+    signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * d, indexing="ij")).reshape(d, -1).T
+    corners = np.concatenate([axes, signs / metric.norms(signs)[:, None]]) * radius
+    return center + np.concatenate([unit * radii[:, None], corners])
 
-    def test_translation_equivariance(self):
-        spec0 = NetSpec(center=[0.0, 0.0], radius=2.0, rho=0.4)
-        spec1 = NetSpec(center=[3.5, -1.25], radius=2.0, rho=0.4)
-        assert np.array_equal(build_net(spec1, d=2), build_net(spec0, d=2) + np.array([3.5, -1.25]))
+
+def covering_radius(net, centers, radius, metric, count=200, seed=0):
+    """Worst distance from sampled points of the balls around ``centers`` to the net."""
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([ball_samples(c, radius, metric, count, rng) for c in centers])
+    dists, _ = build_index(PointSet(net), metric).query_many(pts)
+    return float(dists.max())
+
+
+class TestBuildNet:
+    """The production net builder, ``_net_phase``, in plain and union mode."""
+
+    def test_1d_grid_matches_hand_enumeration(self):
+        for union in (False, True):
+            net = _net_phase(1, L2, np.zeros((1, 1)), radius=1.0, rho=0.5, union=union)
+            assert sorted(net.ravel().tolist()) == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
     @pytest.mark.parametrize("metric", [L1, L2, LINF])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_covering_radius_audit(self, metric, d):
-        spec = NetSpec(center=np.zeros(d), radius=1.5, rho=0.5)
-        net = build_net(spec, d=d, metric=metric)
-        worst = covering_audit(net, spec, metric=metric, samples=1000, seed=1)
-        assert worst <= spec.rho + 1e-12
+        rng = np.random.default_rng(d)
+        for ratio in (1.0, 1.7, 4.3, 9.0):
+            rho = float(rng.uniform(0.05, 2.0))
+            radius = ratio * rho
+            # two overlapping balls and one apart, off the lattice's origin
+            centers = rng.uniform(-3.0, 3.0, size=(1, d)) * radius
+            centers = np.concatenate([centers, centers + radius / 2.0, centers + 5.0 * radius])
+            for union in (False, True):
+                net = _net_phase(d, metric, centers, radius, rho, union)
+                worst = covering_radius(net, centers, radius, metric, seed=d)
+                assert worst <= rho * (1.0 + 1e-9), (ratio, union, worst / rho)
 
     def test_tight_net_still_covers(self):
-        spec = NetSpec(center=[0.5, 0.5], radius=0.3, rho=0.3)
-        net = build_net(spec, d=2)
-        assert covering_audit(net, spec, samples=1000, seed=2) <= 0.3 + 1e-12
+        centers = np.array([[0.5, 0.5]])
+        for union in (False, True):
+            net = _net_phase(2, L2, centers, radius=0.3, rho=0.3, union=union)
+            assert covering_radius(net, centers, 0.3, L2, count=1000, seed=2) <= 0.3 + 1e-12
 
     def test_size_bound(self):
-        spec = NetSpec(center=np.zeros(2), radius=1.0, rho=0.25)
-        net = build_net(spec, d=2)
+        net = _net_phase(2, L2, np.zeros((1, 2)), radius=1.0, rho=0.25, union=False)
         bound = (2 * int(np.ceil(1.0 * np.sqrt(2) / 0.25)) + 1) ** 2
         assert len(net) <= bound
 
     def test_guards(self):
-        with pytest.raises(ValueError, match="rho"):
-            NetSpec(center=[0.0], radius=1.0, rho=0.0)
-        with pytest.raises(ValueError, match="rho"):
-            NetSpec(center=[0.0], radius=0.5, rho=1.0)
         with pytest.raises(ValueError, match="dimension"):
-            build_net(NetSpec(center=np.zeros(7), radius=1.0, rho=0.5), d=7)
+            _net_phase(7, L2, np.zeros((1, 7)), radius=1.0, rho=0.5, union=False)
+        with pytest.raises(ValueError, match="budget"):
+            _net_phase(2, L2, np.zeros((1, 2)), radius=1.0, rho=1e-3, union=False)
 
 
 class TestConfig:
@@ -130,8 +155,8 @@ class TestLocalNet:
             report = cdut_localnet(a, b, LocalNetConfig(epsilon=eps), seed=seed)
             grid = oracle_cdut_grid(a, b, spec=default_grid_spec(a, b, resolution=0.1))
             # grid value is an exact cost at a real translation: OPT <= grid <= OPT + slack
-            assert report.value <= (1.0 + eps) * grid.report.value + 1e-9
-            assert report.value >= grid.report.value - grid.slack - 1e-9
+            assert report.value <= (1.0 + eps) * grid.value + 1e-9
+            assert report.value >= grid.value - grid.extras["slack"] - 1e-9
 
     def test_monotone_refinement_in_rho(self):
         for seed in range(10):

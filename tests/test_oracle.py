@@ -44,8 +44,8 @@ class TestGridOracle:
         moved = PointSet(base.points + shift)
         spec = GridSearchSpec(lo=shift - 1.0, hi=shift + 1.0, resolution=0.25)
         result = oracle_cdut_grid(base, moved, spec=spec)
-        assert result.report.value == 0.0
-        assert np.allclose(result.report.translation, shift)
+        assert result.value == 0.0
+        assert np.allclose(result.translation, shift)
 
     def test_gap_to_sweep_is_within_half_step(self):
         for seed in range(20):
@@ -54,9 +54,9 @@ class TestGridOracle:
             g = 0.05
             spec = default_grid_spec(a, b, resolution=g)
             result = oracle_cdut_grid(a, b, spec=spec)
-            gap = result.report.value - opt
+            gap = result.value - opt
             assert -1e-9 <= gap <= len(a) * g / 2.0 + 1e-9
-            assert result.slack == pytest.approx(len(a) * g / 2.0, rel=REL)
+            assert result.extras["slack"] == pytest.approx(len(a) * g / 2.0, rel=REL)
 
     def test_halving_the_step_shrinks_the_average_gap(self):
         coarse_gaps, fine_gaps = [], []
@@ -65,7 +65,7 @@ class TestGridOracle:
             opt = cdut_exact_1d(a, b).value
             for g, out in ((0.2, coarse_gaps), (0.1, fine_gaps)):
                 spec = default_grid_spec(a, b, resolution=g)
-                out.append(oracle_cdut_grid(a, b, spec=spec).report.value - opt)
+                out.append(oracle_cdut_grid(a, b, spec=spec).value - opt)
         assert np.mean(fine_gaps) <= 0.7 * np.mean(coarse_gaps) + 1e-12
 
     def test_budget_guard(self):
@@ -93,10 +93,10 @@ class TestGridOracle:
         for seed in range(3):
             a, b = uniform_instance(6, 6, 2, 460_000 + seed, low=-10.0, high=10.0)
             grid = oracle_cdut_grid(a, b, spec=default_grid_spec(a, b, resolution=0.1))
-            floor = grid.report.value - grid.slack - 1e-9
+            floor = grid.value - grid.extras["slack"] - 1e-9
             v1 = cdut_approx_v1(a, b, 0.5, seed=seed).value
             v2 = cdut_approx_v2(a, b, 0.5, c=2.0, seed=seed).value
             ln = cdut_localnet(a, b, LocalNetConfig(epsilon=0.5), seed=seed).value
             for value, bound in ((v1, 2.5), (v2, 5.0), (ln, 1.5)):
                 assert value >= floor
-                assert value <= bound * grid.report.value + 1e-9
+                assert value <= bound * grid.value + 1e-9

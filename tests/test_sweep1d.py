@@ -155,8 +155,8 @@ class TestAlignmentExtension:
             exact = cdut_exact_l1_linf(a, b, metric)
             spec = default_grid_spec(a, b, resolution=0.05)
             grid = oracle_cdut_grid(a, b, spec=spec, metric=metric)
-            gap = grid.report.value - exact.value
-            assert -1e-9 <= gap <= grid.slack + 1e-9
+            gap = grid.value - exact.value
+            assert -1e-9 <= gap <= grid.extras["slack"] + 1e-9
 
     def test_l2_rejected(self):
         a, b = uniform_instance(3, 3, 2, 0)
