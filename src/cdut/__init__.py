@@ -25,18 +25,14 @@ from .core import (
     chamfer_translated,
 )
 from .decision import (
-    AssumptionError,
     DecisionResult,
-    DifferenceSet,
     MedianResult,
     SeparationCertificate,
     SeparationError,
     check_separation,
     decide_cdut,
-    difference_set,
     geometric_median,
     total_distance,
-    verify_emd_equivalence,
 )
 from .gadgets import GadgetInstance, combine_gadgets, gadget_a, gadget_b, gadget_width, ov_pair
 from .localnet import LocalNetConfig, cdut_localnet
@@ -46,10 +42,8 @@ from .sweep1d import cdut_exact_1d, cdut_exact_l1_linf, sweep_curve
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionError",
     "ChamferReport",
     "DecisionResult",
-    "DifferenceSet",
     "GadgetInstance",
     "GridSearchSpec",
     "L1",
@@ -77,7 +71,6 @@ __all__ = [
     "check_separation",
     "combine_gadgets",
     "decide_cdut",
-    "difference_set",
     "gadget_a",
     "gadget_b",
     "gadget_width",
@@ -88,5 +81,4 @@ __all__ = [
     "sample_anchors",
     "sweep_curve",
     "total_distance",
-    "verify_emd_equivalence",
 ]

@@ -79,24 +79,27 @@ class _Table:
         self.combiner = (rng.integers(1, 2**62, size=k, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
         ids = self.hash_points(points)
         self.order = np.argsort(ids, kind="stable")
-        self.sorted_ids = ids[self.order]
+        # distinct bucket ids, with each bucket's first position in order and its size
+        self.bucket_ids, self.bucket_start, self.bucket_size = np.unique(
+            ids[self.order], return_index=True, return_counts=True
+        )
 
     def hash_points(self, pts: np.ndarray) -> np.ndarray:
         codes = np.floor((pts @ self.proj + self.offsets) / self.width).astype(np.int64)
-        return (codes.astype(np.uint64) * self.combiner).sum(axis=1, dtype=np.uint64)
+        # uint64 arithmetic wraps mod 2^64, so the ids do not depend on the summation order
+        return codes.view(np.uint64) @ self.combiner
 
     def candidates(self, qids: np.ndarray):
         """Ragged bucket lookup: (query row repeats, member indices into B)."""
-        left = np.searchsorted(self.sorted_ids, qids, side="left")
-        right = np.searchsorted(self.sorted_ids, qids, side="right")
-        counts = right - left
-        nz = np.flatnonzero(counts)
+        pos = np.minimum(np.searchsorted(self.bucket_ids, qids), self.bucket_ids.size - 1)
+        nz = np.flatnonzero(self.bucket_ids[pos] == qids)
         if nz.size == 0:
             return None, None
-        c = counts[nz]
+        bucket = pos[nz]
+        c = self.bucket_size[bucket]
         rep = np.repeat(nz, c)
         ends = np.cumsum(c)
-        flat = np.arange(ends[-1]) - np.repeat(ends - c, c) + np.repeat(left[nz], c)
+        flat = np.arange(ends[-1]) - np.repeat(ends - c, c) + np.repeat(self.bucket_start[bucket], c)
         return rep, self.order[flat]
 
 
@@ -209,18 +212,12 @@ def _build_scale(points, radius, family, n, c, miss_prob, rng) -> _Scale:
 def _has_close_bucket_pair(scale: _Scale, points: np.ndarray, metric: Metric, cutoff: float) -> bool:
     """Whether any table puts two distinct points in one bucket within cutoff."""
     for table in scale.tables:
-        ids = table.sorted_ids
-        order = table.order
-        start = 0
-        for end in range(1, ids.size + 1):
-            if end == ids.size or ids[end] != ids[start]:
-                if end - start > 1:
-                    members = points[order[start:end]]
-                    diffs = metric.norms(members[:, None, :] - members[None, :, :])
-                    close = diffs[(diffs > 0.0) & (diffs <= cutoff)]
-                    if close.size:
-                        return True
-                start = end
+        shared = table.bucket_size > 1
+        for start, size in zip(table.bucket_start[shared], table.bucket_size[shared]):
+            members = points[table.order[start : start + size]]
+            diffs = metric.norms(members[:, None, :] - members[None, :, :])
+            if np.any((diffs > 0.0) & (diffs <= cutoff)):
+                return True
     return False
 
 

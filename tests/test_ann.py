@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cdut import L1, LINF, PointSet, build_index, build_ladder
+from cdut import L1, L2, LINF, PointSet, build_index, build_ladder
+from cdut.ann import _family_for, _has_close_bucket_pair, _Scale, _Table
 from cdut.instances import uniform_instance
 
 
@@ -30,7 +31,8 @@ class TestBuild:
         assert len(first.scales) == len(second.scales)
         for s1, s2 in zip(first.scales, second.scales):
             for t1, t2 in zip(s1.tables, s2.tables):
-                assert np.array_equal(t1.sorted_ids, t2.sorted_ids)
+                assert np.array_equal(t1.bucket_ids, t2.bucket_ids)
+                assert np.array_equal(t1.order, t2.order)
                 assert np.array_equal(t1.proj, t2.proj)
 
     def test_distinct_seeds_give_distinct_tables(self):
@@ -52,6 +54,80 @@ class TestBuild:
             build_ladder(b, c=1.0)
         with pytest.raises(ValueError, match="miss_prob"):
             build_ladder(b, c=2.0, miss_prob=1.5)
+
+
+def old_hash(table, pts):
+    codes = np.floor((pts @ table.proj + table.offsets) / table.width).astype(np.int64)
+    return (codes.astype(np.uint64) * table.combiner).sum(axis=1, dtype=np.uint64)
+
+
+def old_candidates(sorted_ids, order, qids):
+    left = np.searchsorted(sorted_ids, qids, side="left")
+    right = np.searchsorted(sorted_ids, qids, side="right")
+    counts = right - left
+    nz = np.flatnonzero(counts)
+    if nz.size == 0:
+        return None, None
+    c = counts[nz]
+    rep = np.repeat(nz, c)
+    ends = np.cumsum(c)
+    flat = np.arange(ends[-1]) - np.repeat(ends - c, c) + np.repeat(left[nz], c)
+    return rep, order[flat]
+
+
+def old_has_close_bucket_pair(scale, points, metric, cutoff):
+    for table in scale.tables:
+        order = table.order
+        ids = old_hash(table, points)[order]
+        start = 0
+        for end in range(1, ids.size + 1):
+            if end == ids.size or ids[end] != ids[start]:
+                if end - start > 1:
+                    members = points[order[start:end]]
+                    diffs = metric.norms(members[:, None, :] - members[None, :, :])
+                    if diffs[(diffs > 0.0) & (diffs <= cutoff)].size:
+                        return True
+                start = end
+    return False
+
+
+class TestTable:
+    """Bucket ids and lookups against the per-column sum and two-sided search."""
+
+    @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    def test_matches_the_old_formulas_on_integer_grids(self, metric):
+        rng = np.random.default_rng(7)
+        for trial in range(40):
+            d = (1, 2, 3, 8)[trial % 4]
+            # integer grids around 0 with many duplicates: codes go negative
+            # and many points share a bucket
+            b = rng.integers(-4, 5, size=(30, d)).astype(np.float64)
+            q = np.vstack([b[:10], rng.integers(-6, 7, size=(40, d)).astype(np.float64)])
+            table = _Table(b, float(rng.choice([0.5, 1.0, 3.0])), _family_for(metric), 1 + trial % 5, rng)
+            assert np.array_equal(table.hash_points(b), old_hash(table, b))
+            qids = table.hash_points(q)
+            assert np.array_equal(qids, old_hash(table, q))
+            sorted_ids = old_hash(table, b)[table.order]
+            want, got = old_candidates(sorted_ids, table.order, qids), table.candidates(qids)
+            assert (want[0] is None) == (got[0] is None)
+            if want[0] is not None:
+                assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+
+    def test_close_pair_scan_matches_the_run_length_loop(self):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            b = PointSet(rng.integers(-3, 4, size=(25, 2)).astype(np.float64))
+            ladder = build_ladder(b, c=2.0, seed=seed)
+            for scale in ladder.scales:
+                for cutoff in (0.5, 2.0 * scale.radius):
+                    got = _has_close_bucket_pair(scale, b.points, L2, cutoff)
+                    assert got == old_has_close_bucket_pair(scale, b.points, L2, cutoff)
+        # the only shared bucket holds exactly two points
+        pair = np.array([[0.0], [0.1], [50.0], [80.0]])
+        table = _Table(pair, 10.0, "coord", 1, np.random.default_rng(0))
+        assert sorted(table.bucket_size) == [1, 1, 2]
+        assert _has_close_bucket_pair(_Scale(2.5, [table]), pair, L2, 1.0)
+        assert not _has_close_bucket_pair(_Scale(2.5, [table]), pair, L2, 0.05)
 
 
 class TestQuery:

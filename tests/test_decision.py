@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,27 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdut.ann
+import cdut.core
 import cdut.decision
 from cdut import (
     L1,
     L2,
     LINF,
-    AssumptionError,
     ChamferReport,
     PointSet,
     SeparationError,
+    build_index,
     cdut_exact_1d,
     chamfer_translated,
     check_separation,
     decide_cdut,
-    difference_set,
     geometric_median,
     total_distance,
-    verify_emd_equivalence,
 )
-from cdut.ann import build_ladder
-from cdut.core import bbox_diameter, difference_candidates
-from cdut.decision import _FLOOR_SLACK, _total_floors
+from cdut.core import difference_candidates
+from cdut.decision import _FLOOR_SLACK, _min_pairwise, _total_floors
 from cdut.instances import separated_planted_instance, uniform_instance
 
 REL = 1e-9
@@ -40,6 +39,45 @@ def bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
+@dataclass(frozen=True)
+class DifferenceSet:
+    """Per-point difference vectors b_assigned - a at one translation."""
+
+    deltas: np.ndarray
+    translation: np.ndarray
+    assignment: np.ndarray
+
+
+def difference_set(a, b, t, metric=L2):
+    """Difference vectors induced by the exact nearest-neighbor assignment at t."""
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    _, idx = build_index(b, metric).query_many(a.points + t)
+    return DifferenceSet(deltas=b.points[idx] - a.points, translation=t, assignment=idx)
+
+
+class AssumptionError(ValueError):
+    """An extra structural assumption failed, so the answer would be undefined."""
+
+
+def verify_emd_equivalence(a, b, radius, epsilon, t_star):
+    """Whether the nearest-neighbor assignment at ``t_star`` is injective.
+
+    Requires all pairwise distances within A to exceed R(1 + eps); under
+    that assumption a Chamfer assignment of cost at most R(1 + eps) is also
+    a valid one-to-one transport plan, so the Chamfer and one-to-one
+    variants agree on the decision.
+    """
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    bound = radius * (1.0 + epsilon)
+    if len(a) > 1:
+        min_a = _min_pairwise(a.points, L2)
+        if not min_a > bound:
+            raise AssumptionError(f"pairwise distances in A must exceed {bound:.6g}; found {min_a:.6g}")
+    ds = difference_set(a, b, t_star)
+    return int(np.unique(ds.assignment).size) == len(a)
+
+
 def reference_decide(a, b, radius, epsilon, c, seed=0, anchors=6, metric=L2):
     """decide_cdut as one median per candidate row, repeated anchors included.
 
@@ -48,16 +86,8 @@ def reference_decide(a, b, radius, epsilon, c, seed=0, anchors=6, metric=L2):
     m = len(a)
     anchor_idx = np.random.default_rng(seed).integers(0, m, size=max(1, anchors))
     translations = difference_candidates(a, b, anchor_idx)
-    ladder = build_ladder(
-        b,
-        c,
-        U=bbox_diameter(a, metric) + bbox_diameter(b, metric),
-        seed=seed,
-        metric=metric,
-        miss_prob=min(0.1, 1.0 / (4.0 * m)),
-    )
     queries = (translations[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
-    nn_idx = ladder.query_batch(queries)[1].reshape(len(translations), m)
+    nn_idx = build_index(b, metric).query_many(queries)[1].reshape(len(translations), m)
     accuracy = epsilon * radius / m
     best_s, best = math.inf, None
     for row, t in enumerate(translations):
@@ -108,6 +138,26 @@ class TestSeparation:
 
     def test_single_point_is_vacuously_separated(self):
         assert check_separation(pts([[5.0]]), c=2.0, radius=1.0, m=3).holds
+
+    @pytest.mark.parametrize("block", [1 << 22, 7], ids=["one-block", "tiled"])
+    def test_min_pairwise_matches_the_loop(self, block, monkeypatch):
+        def loop(points, metric):
+            best = math.inf
+            for i in range(len(points) - 1):
+                best = min(best, float(metric.norms(points[i + 1 :] - points[i]).min()))
+            return best
+
+        monkeypatch.setattr(cdut.decision, "_PAIR_ENTRIES", block)
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            n, d = 1 + trial % 13, (1, 2, 3, 16)[trial % 4]
+            points = rng.integers(-3, 4, size=(n, d)).astype(np.float64)  # duplicates are common
+            if trial % 3 == 0:
+                points = points + rng.normal(scale=1e-3, size=points.shape)
+            for metric in (L1, L2, LINF):
+                assert bits(_min_pairwise(points, metric)) == bits(loop(points, metric))
+        assert _min_pairwise(np.ones((1, 3)), L2) == math.inf
+        assert _min_pairwise(np.zeros((4, 2)), L1) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="c must exceed"):
@@ -290,6 +340,29 @@ class TestDecide:
             # the estimate never underestimates, so OPT >= value / 1.15
             assert evidence / 1.15 > 1.0 * (1.0 + 0.25)
 
+    @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    @pytest.mark.parametrize("m,d", [(6, 1), (6, 2), (6, 16), (16, 1), (16, 2), (16, 16)])
+    def test_planted_answers_in_every_metric(self, m, d, metric):
+        # the YES noise has l2 norms summing to R/2, so in l1 the planted
+        # shift can cost more than R: decide at that cost, which separation
+        # still allows, while the NO optimum of 2R(1 + eps) holds in any lp
+        for seed in range(3):
+            yes = separated_planted_instance(m, 2 * m, d, 1.0, 2.0, 0.25, "yes", seed)
+            no = separated_planted_instance(m, 2 * m, d, 1.0, 2.0, 0.25, "no", seed)
+            radius = max(1.0, chamfer_translated(yes.a, yes.shift, yes.b, metric).value)
+            assert decide_cdut(yes.a, yes.b, radius, 0.25, 2.0, seed=seed, metric=metric).answer == "YES"
+            assert decide_cdut(no.a, no.b, 1.0, 0.25, 2.0, seed=seed, metric=metric).answer == "NO"
+
+    def test_never_builds_a_ladder(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decide_cdut built an LSH ladder")
+
+        monkeypatch.setattr(cdut.decision, "build_ladder", refuse)
+        monkeypatch.setattr(cdut.ann, "build_ladder", refuse)
+        for answer in ("yes", "no"):
+            inst = separated_planted_instance(16, 32, 16, 1.0, 2.0, 0.25, answer, 1)
+            assert decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=1).answer == answer.upper()
+
     def test_refuses_unseparated_input(self):
         a, b = uniform_instance(5, 12, 1, 3)  # generic uniform B is not separated
         with pytest.raises(SeparationError) as err:
@@ -390,13 +463,13 @@ class TestPrunedDecide:
         inst = separated_planted_instance(m, n, 2, 1.0, 2.0, 0.25, "no", 0)
         anchor_idx = np.random.default_rng(0).integers(0, m, size=6)
         rows = []
-        query = cdut.ann.ScaleLadder.query_batch
+        query = cdut.core.NearestIndex.query_many
 
-        def counting(self, queries):
+        def counting(self, queries, normalize_ties=True):
             rows.append(len(queries))
-            return query(self, queries)
+            return query(self, queries, normalize_ties)
 
-        monkeypatch.setattr(cdut.ann.ScaleLadder, "query_batch", counting)
+        monkeypatch.setattr(cdut.core.NearestIndex, "query_many", counting)
         result = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=0)
         assert result.answer == "NO" and result.translations_tested == 6 * n
         assert rows == [np.unique(anchor_idx).size * n * m]
