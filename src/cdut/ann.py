@@ -32,6 +32,8 @@ _MAX_HASHES = 40
 _MAX_TABLES = 160
 # bucket width as a multiple of the scale's radius
 _WIDTH_FACTOR = 4.0
+# coordinates (member rows x d) gathered at once by one table probe
+_PROBE_ENTRIES = 1 << 22
 
 
 def _phi(x: float) -> float:
@@ -89,15 +91,16 @@ class _Table:
         # uint64 arithmetic wraps mod 2^64, so the ids do not depend on the summation order
         return codes.view(np.uint64) @ self.combiner
 
-    def candidates(self, qids: np.ndarray):
-        """Ragged bucket lookup: (query row repeats, member indices into B)."""
+    def lookup(self, qids: np.ndarray):
+        """Positions of the query ids that some point of B shares, and their buckets."""
         pos = np.minimum(np.searchsorted(self.bucket_ids, qids), self.bucket_ids.size - 1)
-        nz = np.flatnonzero(self.bucket_ids[pos] == qids)
-        if nz.size == 0:
-            return None, None
-        bucket = pos[nz]
+        hit = np.flatnonzero(self.bucket_ids[pos] == qids)
+        return hit, pos[hit]
+
+    def members(self, hit: np.ndarray, bucket: np.ndarray):
+        """Ragged bucket expansion: (each hit position once per member, member indices into B)."""
         c = self.bucket_size[bucket]
-        rep = np.repeat(nz, c)
+        rep = np.repeat(hit, c)
         ends = np.cumsum(c)
         flat = np.arange(ends[-1]) - np.repeat(ends - c, c) + np.repeat(self.bucket_start[bucket], c)
         return rep, self.order[flat]
@@ -150,10 +153,32 @@ class ScaleLadder:
         return dist, idx.astype(np.int64)
 
     def _probe_table(self, table: _Table, q: np.ndarray, rows: np.ndarray, best_d, best_i) -> None:
-        rep, cand = table.candidates(table.hash_points(q[rows]))
-        if rep is None:
+        """Fold one table's bucket members into each query row's best (distance, index).
+
+        Every row is hashed at once, so the projection keeps one call shape
+        and its bucket ids their bits.  The members are then gathered over
+        tiles of query rows holding at most ``_PROBE_ENTRIES`` coordinates;
+        a row whose bucket alone is larger has its members split.  Each
+        tile keeps the smallest (distance, index) pair per row, so the
+        result is the one an untiled probe gives.
+        """
+        hit, bucket = table.lookup(table.hash_points(q[rows]))
+        if hit.size == 0:
             return
-        d = self.metric.norms(q[rows][rep] - self.source.points[cand])
+        limit = max(1, _PROBE_ENTRIES // q.shape[1])
+        ends = np.cumsum(table.bucket_size[bucket])
+        lo = 0
+        while lo < hit.size:
+            start = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, start + limit, side="right")))
+            rep, cand = table.members(hit[lo:hi], bucket[lo:hi])
+            for s in range(0, rep.size, limit):
+                self._keep_nearest(q, rows, rep[s : s + limit], cand[s : s + limit], best_d, best_i)
+            lo = hi
+
+    def _keep_nearest(self, q, rows, rep, cand, best_d, best_i) -> None:
+        """Lower each row's best (distance, index) to its nearest member in one block."""
+        d = self.metric.norms(q[rows[rep]] - self.source.points[cand])
         order = np.lexsort((cand, d, rep))
         first = np.ones(order.size, dtype=bool)
         first[1:] = rep[order][1:] != rep[order][:-1]

@@ -4,8 +4,17 @@ Sampled difference candidates give a coarse estimate u of the optimum.
 Some candidate provably lies within (1 + gamma) * u / m of an optimal
 translation, so covering a ball of that radius around every candidate with
 a net of spacing rho = eps * u / (3m) guarantees a net point whose Chamfer
-cost is within (1 + eps) of the optimum.  Every net point is evaluated
-exactly, so the reported value can never fall below the true optimum.
+cost is within (1 + eps) of the optimum.  The reported value is an exact
+evaluation at a real translation, so it can never fall below the true
+optimum.
+
+The search skips net points that provably cannot win.  Each term of
+CD(A + t, B) is 1-Lipschitz in t, so the whole sum is m-Lipschitz: one
+exact value at the centre of a block of lattice points bounds every point
+of the block from below.  A block whose bound exceeds a net value already
+found is never evaluated; the rest are scanned in their original order.
+Centres only bound and never win, so the winner is the first minimum of
+a full scan, bit for bit.
 
 Net points are drawn from a single global lattice (spacing chosen per
 metric so any ball point is within rho of a kept lattice point).  The
@@ -23,13 +32,14 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    _PRUNE_SLACK,
     L2,
     ChamferReport,
     Metric,
     PointSet,
     build_index,
     chamfer_argmin,
-    chamfer_many,  # noqa: F401  still importable here; perfbench's tracer patches it per module
+    chamfer_many,
     chamfer_translated,
     difference_candidates,
 )
@@ -38,6 +48,8 @@ __all__ = ["LocalNetConfig", "cdut_localnet"]
 
 _MAX_NET_DIM = 6
 _NET_BUDGET = 2_000_000
+# lattice points per side of a pruning cell
+_CELL = 4
 
 
 @dataclass(frozen=True)
@@ -93,6 +105,17 @@ def _sample_candidates(a: PointSet, b: PointSet, config: LocalNetConfig, seed: i
     return difference_candidates(a, b, anchors)
 
 
+def _unique_rows(idx: np.ndarray):
+    """Distinct rows of an integer array, sorted, and each row's rank among them."""
+    order = np.lexsort(idx.T[::-1])
+    rows = idx[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rows[new], rank
+
+
 def _net_phase(
     dim: int,
     metric: Metric,
@@ -101,7 +124,11 @@ def _net_phase(
     rho: float,
     union: bool,
 ):
-    """Lattice translations to evaluate: per ball, or deduplicated union."""
+    """Lattice translations to evaluate, per ball or as a deduplicated union.
+
+    Returns the net points and their lattice indices; each point is its
+    index times the lattice step.
+    """
     d = dim
     if d > _MAX_NET_DIM:
         raise ValueError(f"net search capped at dimension {_MAX_NET_DIM}, got {d}")
@@ -116,13 +143,69 @@ def _net_phase(
             raise ValueError("net search exceeds the evaluation budget")
         idx, pts = _lattice_points(lo, hi, step)
         keep = metric.norms(pts - center) <= radius * (1.0 + 1e-9) + 1e-12
-        blocks.append(idx[keep] if union else pts[keep])
+        blocks.append(idx[keep])
     if not blocks:
-        return np.empty((0, d))
+        return np.empty((0, d)), np.empty((0, d), dtype=np.int64)
+    idx = np.concatenate(blocks, axis=0)
     if union:
-        merged = np.unique(np.concatenate(blocks, axis=0), axis=0)
-        return merged.astype(np.float64) * step
-    return np.concatenate(blocks, axis=0)
+        idx = _unique_rows(idx)[0]
+    return idx.astype(np.float64) * step, idx
+
+
+def _cells(idx: np.ndarray, step: float, metric: Metric):
+    """Group lattice points into cells of ``_CELL``^d.
+
+    Returns each point's cell, the cell centres, and r, the metric distance
+    from a centre to the farthest lattice point its cell can hold.
+    """
+    cells, which = _unique_rows(idx // _CELL)
+    half = (_CELL - 1) / 2.0
+    centres = (cells * _CELL + half) * step
+    r = float(metric.norms(np.full(idx.shape[1], half * step)))
+    return which, centres, r
+
+
+def _cell_floor(values: np.ndarray, a: PointSet, centres: np.ndarray, r: float) -> np.ndarray:
+    """Lowest computed Chamfer value a member of each cell can have.
+
+    ``values`` are the centres' values.  A member lies within ``r`` of its
+    centre, so its exact value is at least ``value - m * r``.  The computed
+    values round each query's coordinates, which stay below ``magnitude``
+    (A's largest coordinate plus a member's), and each sum; ``_PRUNE_SLACK``
+    is millions of unit roundoffs, which covers the few roundings per term
+    with room to spare.
+    """
+    m = len(a)
+    magnitude = float(np.abs(a.points).max() + np.abs(centres).max() + r)
+    return values - m * r - _PRUNE_SLACK * (values + m * (r + magnitude))
+
+
+def _net_argmin(a, b, metric, index, net, idx, step, u):
+    """First minimum of the net's values that is at most u, skipping cells that cannot win.
+
+    Position and value equal ``chamfer_argmin(a, net, b, metric, upper=u)``.
+    The cell with the lowest floor is evaluated first; every cell whose
+    floor exceeds the best value then found is dropped, and the rest are
+    scanned in their original order.  Returns (position, value, query rows
+    at net points, query rows at cell centres).
+    """
+    if len(net) == 0:
+        return -1, math.inf, 0, 0
+    m = len(a)
+    which, centres, r = _cells(idx, step, metric)
+    floors = _cell_floor(chamfer_many(a, centres, b, metric, index), a, centres, r)
+    first = int(np.argmin(floors))
+    head = np.flatnonzero(which == first)
+    pos, value, rows = chamfer_argmin(a, net[head], b, metric, index=index, upper=u)
+    # len(net) stands for "no winner yet": it sorts after every real position
+    best = (value, int(head[pos])) if pos >= 0 else (math.inf, len(net))
+    bound = min(u, value)
+    rest = np.flatnonzero((floors[which] <= bound) & (which != first))
+    pos, value, more = chamfer_argmin(a, net[rest], b, metric, index=index, upper=bound)
+    if pos >= 0:
+        best = min(best, (value, int(rest[pos])))
+    value, pos = best
+    return (-1 if pos == len(net) else pos), value, rows + more, len(centres) * m
 
 
 def cdut_localnet(
@@ -140,10 +223,11 @@ def cdut_localnet(
     # a zero-cost candidate is globally optimal and the net radii degenerate,
     # so no net is built and the candidate wins
     if u == 0.0:
-        net = np.empty((0, a.dim))
+        net, idx = np.empty((0, a.dim)), np.empty((0, a.dim), dtype=np.int64)
     else:
-        net = _net_phase(a.dim, metric, candidates, radius, rho, config.union_mode)
-    best, value, net_rows = chamfer_argmin(a, net, b, metric, index=index, upper=u)
+        net, idx = _net_phase(a.dim, metric, candidates, radius, rho, config.union_mode)
+    step = _grid_step(metric, rho, a.dim)
+    best, value, net_rows, bound_rows = _net_argmin(a, b, metric, index, net, idx, step, u)
     best_t = net[best] if value < u else candidates[u_pos]
     return replace(
         chamfer_translated(a, best_t, b, metric),
@@ -158,5 +242,6 @@ def cdut_localnet(
             "candidates": int(len(candidates)),
             "engine_rows": rows + net_rows,
             "engine_rows_full": (len(candidates) + len(net)) * m,
+            "bound_rows": bound_rows,
         },
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cdut.ann
 from cdut import L1, L2, LINF, PointSet, build_index, build_ladder
 from cdut.ann import _family_for, _has_close_bucket_pair, _Scale, _Table
 from cdut.instances import uniform_instance
@@ -108,9 +109,10 @@ class TestTable:
             qids = table.hash_points(q)
             assert np.array_equal(qids, old_hash(table, q))
             sorted_ids = old_hash(table, b)[table.order]
-            want, got = old_candidates(sorted_ids, table.order, qids), table.candidates(qids)
-            assert (want[0] is None) == (got[0] is None)
-            if want[0] is not None:
+            want, (hit, bucket) = old_candidates(sorted_ids, table.order, qids), table.lookup(qids)
+            assert (want[0] is None) == (hit.size == 0)
+            if hit.size:
+                got = table.members(hit, bucket)
                 assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
 
     def test_close_pair_scan_matches_the_run_length_loop(self):
@@ -128,6 +130,41 @@ class TestTable:
         assert sorted(table.bucket_size) == [1, 1, 2]
         assert _has_close_bucket_pair(_Scale(2.5, [table]), pair, L2, 1.0)
         assert not _has_close_bucket_pair(_Scale(2.5, [table]), pair, L2, 0.05)
+
+
+class RecordingMetric:
+    """The ladder's metric, recording the shape of every array it measures."""
+
+    def __init__(self, metric):
+        self.metric, self.shapes = metric, []
+
+    def norms(self, vectors):
+        self.shapes.append(vectors.shape)
+        return self.metric.norms(vectors)
+
+
+class TestTiledProbe:
+    @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    def test_tiles_give_the_untiled_answer(self, monkeypatch, metric):
+        rng = np.random.default_rng(53)
+        b = PointSet(rng.uniform(0, 1, size=(80, 6)))
+        queries = rng.uniform(-0.2, 1.2, size=(120, 6))
+        ladder = build_ladder(b, c=2.0, seed=53, metric=metric)
+        untiled = RecordingMetric(metric)
+        ladder.metric = untiled
+        want = ladder.query_batch(queries)
+        assert max(rows * d for rows, d in untiled.shapes) > 48  # the default cap did not tile
+        monkeypatch.setattr(cdut.ann, "_PROBE_ENTRIES", 48)
+        tiled = RecordingMetric(metric)
+        ladder.metric = tiled
+        got = ladder.query_batch(queries)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert max(rows * d for rows, d in tiled.shapes) <= 48
+        assert len(tiled.shapes) > len(untiled.shapes)
+        # coarse scales put more than 8 members in one bucket, so one row's
+        # members are split between blocks
+        assert max(t.bucket_size.max() for s in ladder.scales for t in s.tables) > 8
+        assert sum(rows for rows, _ in tiled.shapes) == sum(rows for rows, _ in untiled.shapes)
 
 
 class TestQuery:

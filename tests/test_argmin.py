@@ -167,7 +167,9 @@ def test_huge_thread_count_keeps_serial_batches_whole(monkeypatch):
     ts = translations(9, a, b, 50)
     want = chamfer_many(a, ts, b, L2)
     seen, _ = _record_query_rows(monkeypatch)
-    monkeypatch.setattr(cdut.parallel, "ThreadPoolExecutor", None)  # no thread may start
+    # no thread may start, and no pool built by an earlier test may run a block
+    monkeypatch.setattr(cdut.parallel, "ThreadPoolExecutor", None)
+    monkeypatch.setattr(cdut.parallel, "_pool", None)
     monkeypatch.setenv("CDUT_THREADS", "100000")
     assert np.array_equal(chamfer_many(a, ts, b, L2), want)
     assert seen == [len(ts) * len(a)]

@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdut import (
     L1,
@@ -12,10 +15,20 @@ from cdut import (
     build_index,
     cdut_exact_1d,
     cdut_localnet,
+    chamfer_many,
     chamfer_translated,
 )
 from cdut.instances import noisy_copy_instance, translated_copy_instance, uniform_instance
-from cdut.localnet import _net_phase
+from cdut.core import chamfer_argmin
+from cdut.localnet import (
+    _cell_floor,
+    _cells,
+    _grid_step,
+    _net_argmin,
+    _net_phase,
+    _sample_candidates,
+    _unique_rows,
+)
 
 REL = 1e-9
 
@@ -48,7 +61,7 @@ class TestBuildNet:
 
     def test_1d_grid_matches_hand_enumeration(self):
         for union in (False, True):
-            net = _net_phase(1, L2, np.zeros((1, 1)), radius=1.0, rho=0.5, union=union)
+            net, _ = _net_phase(1, L2, np.zeros((1, 1)), radius=1.0, rho=0.5, union=union)
             assert sorted(net.ravel().tolist()) == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
     @pytest.mark.parametrize("metric", [L1, L2, LINF])
@@ -62,20 +75,43 @@ class TestBuildNet:
             centers = rng.uniform(-3.0, 3.0, size=(1, d)) * radius
             centers = np.concatenate([centers, centers + radius / 2.0, centers + 5.0 * radius])
             for union in (False, True):
-                net = _net_phase(d, metric, centers, radius, rho, union)
+                net, _ = _net_phase(d, metric, centers, radius, rho, union)
                 worst = covering_radius(net, centers, radius, metric, seed=d)
                 assert worst <= rho * (1.0 + 1e-9), (ratio, union, worst / rho)
 
     def test_tight_net_still_covers(self):
         centers = np.array([[0.5, 0.5]])
         for union in (False, True):
-            net = _net_phase(2, L2, centers, radius=0.3, rho=0.3, union=union)
+            net, _ = _net_phase(2, L2, centers, radius=0.3, rho=0.3, union=union)
             assert covering_radius(net, centers, 0.3, L2, count=1000, seed=2) <= 0.3 + 1e-12
 
     def test_size_bound(self):
-        net = _net_phase(2, L2, np.zeros((1, 2)), radius=1.0, rho=0.25, union=False)
+        net, _ = _net_phase(2, L2, np.zeros((1, 2)), radius=1.0, rho=0.25, union=False)
         bound = (2 * int(np.ceil(1.0 * np.sqrt(2) / 0.25)) + 1) ** 2
         assert len(net) <= bound
+
+    def test_union_is_the_sorted_distinct_plain_net(self):
+        rng = np.random.default_rng(4)
+        for d in (1, 2, 3):
+            centers = rng.uniform(-2.0, 2.0, size=(6, d))
+            plain, plain_idx = _net_phase(d, L2, centers, radius=1.0, rho=0.3, union=False)
+            union, union_idx = _net_phase(d, L2, centers, radius=1.0, rho=0.3, union=True)
+            assert np.array_equal(union_idx, np.unique(plain_idx, axis=0))
+            step = _grid_step(L2, 0.3, d)
+            assert plain.tobytes() == (plain_idx.astype(np.float64) * step).tobytes()
+            assert union.tobytes() == (union_idx.astype(np.float64) * step).tobytes()
+
+    def test_unique_rows_matches_numpy_unique(self):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3, 6):
+            # wide indices at d = 6 would overflow a packed int64 key
+            idx = rng.integers(-(2**40), 2**40, size=(300, d))
+            idx = np.concatenate([idx, idx[rng.integers(0, 300, 200)], rng.integers(-3, 3, (200, d))])
+            rows, rank = _unique_rows(idx)
+            want, inverse = np.unique(idx, axis=0, return_inverse=True)
+            assert np.array_equal(rows, want)
+            assert np.array_equal(rank, inverse.ravel())
+            assert np.array_equal(rows[rank], idx)
 
     def test_guards(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -211,3 +247,155 @@ class TestUnionMode:
             union = cdut_localnet(a, b, dataclasses.replace(config, union_mode=True), seed=seed)
             assert union.value == pytest.approx(plain.value, rel=REL, abs=1e-12)
             assert union.evaluations <= plain.evaluations
+
+
+# -- the cell-pruned net search against a full scan ---------------------------
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def full_scan_localnet(a, b, config, seed, metric):
+    """``cdut_localnet`` by scoring every candidate and every net point in full."""
+    candidates = _sample_candidates(a, b, config, seed)
+    values = chamfer_many(a, candidates, b, metric)
+    u_pos = int(np.argmin(values))
+    u = float(values[u_pos])
+    m = len(a)
+    radius = (1.0 + config.gamma) * u / m
+    rho = config.epsilon * u / (config.h * m)
+    if u == 0.0:
+        net = np.empty((0, a.dim))
+    else:
+        net, _ = _net_phase(a.dim, metric, candidates, radius, rho, config.union_mode)
+    t = candidates[u_pos]
+    if len(net):
+        net_values = chamfer_many(a, net, b, metric)
+        first = int(np.argmin(net_values))
+        if net_values[first] < u:
+            t = net[first]
+    return chamfer_translated(a, t, b, metric), len(net), (len(candidates) + len(net)) * m
+
+
+def assert_same_as_full_scan(a, b, config, seed, metric):
+    got = cdut_localnet(a, b, config, seed=seed, metric=metric)
+    want, size, full = full_scan_localnet(a, b, config, seed, metric)
+    assert bits(got.value) == bits(want.value)
+    assert got.translation.tobytes() == want.translation.tobytes()
+    assert got.assignment.tobytes() == want.assignment.tobytes()
+    assert got.evaluations == size
+    assert got.extras["engine_rows_full"] == full
+    assert got.extras["engine_rows"] <= full
+    return got
+
+
+class TestPrunedNet:
+    @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("union", [False, True], ids=["plain", "union"])
+    def test_matches_full_scan(self, metric, d, union):
+        # d = 3 nets grow fast in l1, where the lattice step is rho / 3
+        eps, size = (0.9, 4) if d == 3 else (0.5, 6)
+        config = LocalNetConfig(epsilon=eps, delta=0.4, union_mode=union)
+        pruned = 0
+        for seed in range(4):
+            if seed % 2:
+                inst = noisy_copy_instance(size, d, 140_000 + seed, noise=0.3)
+                a, b = inst.a, inst.b
+            else:
+                a, b = uniform_instance(size, size + 2, d, 140_000 + seed)
+            got = assert_same_as_full_scan(a, b, config, seed, metric)
+            pruned += got.extras["engine_rows"] < got.extras["engine_rows_full"]
+        assert pruned  # the search skipped work on some instance
+
+    def test_zero_cost_candidate_builds_no_net(self):
+        inst = translated_copy_instance(8, 2, seed=6)
+        got = assert_same_as_full_scan(inst.a, inst.b, LocalNetConfig(epsilon=0.5), 0, L2)
+        assert got.evaluations == 0 and got.extras["bound_rows"] == 0
+
+    def test_centre_rows_are_counted_apart(self):
+        a, b = uniform_instance(6, 6, 2, 7)
+        got = cdut_localnet(a, b, LocalNetConfig(epsilon=0.5), seed=1)
+        assert got.extras["bound_rows"] > 0
+        assert got.extras["bound_rows"] % len(a) == 0
+
+    @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    def test_net_argmin_matches_chamfer_argmin(self, metric):
+        # nets of one point up to several cells, at negative and positive
+        # lattice indices, with repeated rows and upper bounds on both sides
+        # of the minimum
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            d = 1 + seed % 3
+            a, b = uniform_instance(4, 5, d, 150_000 + seed)
+            size = int(rng.integers(1, 3 * 4**d))
+            idx = rng.integers(-6, 6, size=(size, d))
+            idx = idx[rng.integers(0, size, size=size + seed % 4)]
+            step = float(rng.uniform(0.05, 0.5))
+            net = idx.astype(np.float64) * step
+            values = chamfer_many(a, net, b, metric)
+            for u in (float(values.min()), float(np.median(values)), np.nextafter(values.min(), 0.0)):
+                want = chamfer_argmin(a, net, b, metric, upper=u)
+                pos, value, rows, bound_rows = _net_argmin(a, b, metric, None, net, idx, step, u)
+                assert (pos, bits(value)) == (want.pos, bits(want.value))
+                assert rows <= len(net) * len(a)
+                assert bound_rows == len(np.unique(idx // 4, axis=0)) * len(a)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_tie_across_cells_goes_to_first_position(self, reverse):
+        # CD(t) = min(|t + 1|, |t - 1|) is 0 at t = -1 and at t = 1, which lie
+        # in different cells with equal floors; the earlier one must win
+        a, b = PointSet([[0.0]]), PointSet([[-1.0], [1.0]])
+        idx = np.arange(-8, 8).reshape(-1, 1)
+        idx = idx[::-1] if reverse else idx
+        net = idx.astype(np.float64) * 0.25
+        want = chamfer_argmin(a, net, b, L2, upper=0.5)
+        assert want.value == 0.0
+        pos, value, _, _ = _net_argmin(a, b, L2, None, net, idx, 0.25, 0.5)
+        assert (pos, value) == (want.pos, want.value)
+
+
+def bound_case(seed, d, m, scale, tight):
+    """A net of 2^d cells, its sets A and B, and the lattice step.
+
+    Tight cases put B's single point far along the all-ones diagonal from
+    every A + t, so moving t to a cell's far corner lowers every term by
+    exactly r and the Lipschitz floor is met with equality.
+    """
+    rng = np.random.default_rng(seed)
+    step = scale * float(rng.uniform(0.5, 2.0))
+    base = rng.integers(-1000, 1000, size=d) * 4
+    axes = [np.arange(8) + base[k] for k in range(d)]
+    idx = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    t0 = base * step
+    if tight:
+        b = rng.uniform(-50, 50, size=(1, d)) * scale
+        offsets = rng.uniform(10, 40, size=(m, 1)) * step
+        a = b - t0 - offsets * np.ones(d)
+    else:
+        a = rng.uniform(-5, 5, size=(m, d)) * scale - t0
+        b = rng.uniform(-5, 5, size=(m + 2, d)) * scale
+    return PointSet(a), PointSet(b), idx, step
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    d=st.integers(1, 3),
+    m=st.integers(1, 8),
+    exponent=st.floats(-6.0, 6.0),
+    tight=st.booleans(),
+    metric_name=st.sampled_from(["l1", "l2", "linf"]),
+)
+def test_cell_floor_bounds_every_member(seed, d, m, exponent, tight, metric_name):
+    metric = {"l1": L1, "l2": L2, "linf": LINF}[metric_name]
+    a, b, idx, step = bound_case(seed, d, m, 10.0**exponent, tight)
+    which, centres, r = _cells(idx, step, metric)
+    assert r == pytest.approx(1.5 * step * {1.0: d, 2.0: math.sqrt(d), math.inf: 1.0}[metric.p])
+    net = idx.astype(np.float64) * step
+    # every member lies within r of its centre
+    assert np.all(metric.norms(net - centres[which]) <= r * (1.0 + 1e-12))
+    floors = _cell_floor(chamfer_many(a, centres, b, metric), a, centres, r)
+    values = chamfer_many(a, net, b, metric)
+    assert np.all(values >= floors[which])
