@@ -9,7 +9,7 @@ hardness-gadget generators (``gadgets``), and brute-force oracles
 """
 
 from .ann import ScaleLadder, build_ladder
-from .approx import cdut_approx_v1, cdut_approx_v2, sample_anchors
+from .approx import cdut_approx_v1, cdut_approx_v2
 from .core import (
     L1,
     L2,
@@ -23,6 +23,7 @@ from .core import (
     chamfer,
     chamfer_many,
     chamfer_translated,
+    sample_anchors,
 )
 from .decision import (
     DecisionResult,

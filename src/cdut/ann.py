@@ -1,13 +1,15 @@
 """Multi-scale locality-sensitive hashing for approximate nearest neighbors.
 
 The ladder keeps one LSH structure per radius R_i = U / c^i, grown down
-from U until no two distinct points share a bucket within c * R_i, plus an
-exact hash table for distance-0 lookups.  Each query of a batch walks the
-scales for the smallest radius at which some point of B lands in its bucket
-within c * R_i, recomputing every candidate distance exactly, so the
-reported distance is the true distance to a real point of B and can never
-underestimate the nearest-neighbor distance.  If every scale misses, the
-query falls back to an exact linear scan.
+from U until no two distinct points share a bucket within c * R_i.  Each
+query of a batch walks the scales for the smallest radius at which some
+point of B lands in its bucket within c * R_i, recomputing every candidate
+distance exactly, so the reported distance is the true distance to a real
+point of B and can never underestimate the nearest-neighbor distance.  If
+every scale misses, the query falls back to an exact linear scan.  There is
+no separate exact table: a query equal to points of B shares every bucket
+with them, so the smallest scale answers it with distance 0 and the lowest
+such index, as the exact scan does when there are no scales.
 
 Hash families: quantized Gaussian projections for l2, Cauchy projections
 for l1, and quantized coordinate sampling for linf.  Widths, concatenation
@@ -56,11 +58,6 @@ def _collision_prob(family: str, s: float) -> float:
 
 def _family_for(metric: Metric) -> str:
     return {1.0: "cauchy", 2.0: "gaussian", math.inf: "coord"}[metric.p]
-
-
-def _row_hash(points: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    bits = np.ascontiguousarray(points).view(np.uint64)
-    return (bits * mults).sum(axis=1, dtype=np.uint64)
 
 
 class _Table:
@@ -115,42 +112,14 @@ class _Scale:
 class ScaleLadder:
     """Immutable multi-scale near-neighbor structure over one point set."""
 
-    def __init__(self, source: PointSet, metric: Metric, c: float, scales: list[_Scale], seed: int):
+    def __init__(self, source: PointSet, metric: Metric, c: float, scales: list[_Scale]):
         self.source = source
         self.metric = metric
         self.c = c
         self.scales = scales
-        self.seed = seed
-        pts = source.points
-        mults = np.random.default_rng(seed ^ 0x5EED).integers(
-            1, 2**63, size=pts.shape[1], dtype=np.uint64
-        )
-        self._row_mults = mults
-        hashes = _row_hash(pts, mults)
-        order = np.argsort(hashes, kind="stable")
-        keep = np.ones(order.size, dtype=bool)
-        keep[1:] = hashes[order][1:] != hashes[order][:-1]
-        self._exact_ids = hashes[order][keep]
-        self._exact_idx = order[keep]  # lowest index per hash (stable sort)
         self._fallback = build_index(source, metric)
 
     # -- queries -------------------------------------------------------------
-
-    def _exact_lookup(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distance-0 seeds from the exact table (inf / -1 where absent)."""
-        ids = _row_hash(q, self._row_mults)
-        pos = np.searchsorted(self._exact_ids, ids)
-        pos = np.minimum(pos, self._exact_ids.size - 1)
-        hit = self._exact_ids[pos] == ids
-        idx = np.where(hit, self._exact_idx[pos], -1)
-        dist = np.full(len(q), np.inf)
-        if np.any(hit):
-            rows = np.flatnonzero(hit)
-            d = self.metric.norms(q[rows] - self.source.points[idx[rows]])
-            zero = d == 0.0
-            dist[rows[zero]] = 0.0
-            idx[rows[~zero]] = -1
-        return dist, idx.astype(np.int64)
 
     def _probe_table(self, table: _Table, q: np.ndarray, rows: np.ndarray, best_d, best_i) -> None:
         """Fold one table's bucket members into each query row's best (distance, index).
@@ -200,8 +169,9 @@ class ScaleLadder:
         q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
         if q.ndim != 2 or q.shape[1] != self.source.dim:
             raise ValueError(f"queries must have shape (*, {self.source.dim})")
-        best_d, best_i = self._exact_lookup(q)
-        active = np.flatnonzero(best_d > 0.0)
+        best_d = np.full(len(q), np.inf)
+        best_i = np.full(len(q), -1, dtype=np.int64)
+        active = np.arange(len(q))
         for scale in self.scales:
             if active.size == 0:
                 break
@@ -273,7 +243,7 @@ def build_ladder(
     if U is None:
         U = bbox_diameter(b, metric)
     if distinct.shape[0] < 2 or U <= 0.0:
-        return ScaleLadder(b, metric, c, [], seed)
+        return ScaleLadder(b, metric, c, [])
     rng = np.random.default_rng(seed)
     scales: list[_Scale] = []
     radius = float(U)
@@ -284,4 +254,4 @@ def build_ladder(
             break
         radius /= c
     scales.reverse()
-    return ScaleLadder(b, metric, c, scales, seed)
+    return ScaleLadder(b, metric, c, scales)

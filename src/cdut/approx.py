@@ -21,29 +21,22 @@ from .core import (
     ChamferReport,
     Metric,
     PointSet,
+    anchor_count,
     bbox_diameter,
     chamfer_argmin,
     chamfer_many,  # noqa: F401  still importable here; perfbench's tracer patches it per module
     chamfer_translated,
     difference_candidates,
+    sample_anchors,
 )
 
-__all__ = ["sample_anchors", "cdut_approx_v1", "cdut_approx_v2"]
+__all__ = ["cdut_approx_v1", "cdut_approx_v2"]
 
 # with delta = e^-3 the anchor count reproduces ceil(24/eps) at eps = 1/4
 # and ceil(6/eps) in the constant-probability regime
 DEFAULT_DELTA = math.exp(-3.0)
-
-
-def sample_anchors(a: PointSet, epsilon: float, delta: float, seed: int = 0) -> np.ndarray:
-    """ceil((2/eps) ln(1/delta)) anchor indices, uniform with replacement."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    k = math.ceil((2.0 / epsilon) * math.log(1.0 / delta))
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, len(a), size=k)
+# coordinates in the query rows of one group of approx-v2's anchors
+_QUERY_ENTRIES = 1 << 22
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -65,7 +58,7 @@ def cdut_approx_v1(
     below the optimum.
     """
     _check_epsilon(epsilon)
-    anchors = sample_anchors(a, epsilon, delta, seed)
+    anchors = sample_anchors(len(a), anchor_count(epsilon, delta), seed)
     candidates = difference_candidates(a, b, anchors)
     best, _, rows = chamfer_argmin(a, candidates, b, metric)
     n = len(b)
@@ -106,7 +99,7 @@ def cdut_approx_v2(
         raise ValueError("approximation factor c must exceed 1")
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    anchors = sample_anchors(a, epsilon, delta, seed)
+    anchors = sample_anchors(len(a), anchor_count(epsilon, delta), seed)
     ladder = build_ladder(
         b,
         c,
@@ -115,24 +108,28 @@ def cdut_approx_v2(
         metric=metric,
     )
     m, n = len(a), len(b)
-    # the ladder answers each row on its own, so a repeated anchor's rows are
-    # queried once and gathered back to every position that drew it
-    distinct, inverse = np.unique(anchors, return_inverse=True)
-    candidates = difference_candidates(a, b, distinct)
-    queries = (candidates[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
-    dists, idx = ladder.query_batch(queries)
-    rows = (inverse[:, None] * n + np.arange(n)).ravel()
-    sums = dists.reshape(len(candidates), m)[rows].sum(axis=1)
-    best = int(np.argmin(sums))
+    # anchors are scored in groups whose query rows hold at most _QUERY_ENTRIES
+    # coordinates (or one anchor's rows); a strict < keeps the first minimum
+    # across groups, and the winner is copied out of its group's arrays
+    group = max(1, _QUERY_ENTRIES // (n * m * a.dim))
+    best = None  # (sum, candidate row, translation, assignment)
+    for lo in range(0, anchors.size, group):
+        candidates = difference_candidates(a, b, anchors[lo : lo + group])
+        queries = (candidates[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
+        dists, idx = ladder.query_batch(queries)
+        sums = dists.reshape(len(candidates), m).sum(axis=1)
+        row = int(np.argmin(sums))
+        if best is None or sums[row] < best[0]:
+            best = (float(sums[row]), lo * n + row, candidates[row].copy(), idx[row * m : (row + 1) * m].copy())
+    value, row, translation, assignment = best
     return ChamferReport(
-        value=float(sums[best]),
-        translation=candidates[rows[best]],
-        assignment=idx.reshape(len(candidates), m)[rows[best]],
+        value=value,
+        translation=translation,
+        assignment=assignment,
         algorithm="approx-v2",
         epsilon=epsilon,
         c=c,
         seed=seed,
-        evaluations=int(len(rows)),
-        extras={"anchors": int(anchors.size), "source_a": int(anchors[best // n]), "source_b": int(best % n)},
+        evaluations=int(anchors.size * n),
+        extras={"anchors": int(anchors.size), "source_a": int(anchors[row // n]), "source_b": int(row % n)},
     )
-

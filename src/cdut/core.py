@@ -34,6 +34,8 @@ __all__ = [
     "chamfer_argmin",
     "ArgminResult",
     "difference_candidates",
+    "anchor_count",
+    "sample_anchors",
     "bbox_diameter",
 ]
 
@@ -271,6 +273,31 @@ def difference_candidates(a: PointSet, b: PointSet, anchors: np.ndarray) -> np.n
     over them goes to the lexicographically first pair.
     """
     return (b.points[None, :, :] - a.points[anchors][:, None, :]).reshape(-1, a.dim)
+
+
+def anchor_count(epsilon: float, delta: float) -> int:
+    """ceil((2/eps) ln(1/delta)) anchor draws.
+
+    At least eps*m/2 points of A match within (1 + eps) OPT/m at an optimal
+    translation, so with probability 1 - delta some draw lands on one.
+    """
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    return math.ceil((2.0 / epsilon) * math.log(1.0 / delta))
+
+
+def sample_anchors(m: int, k: int, seed: int = 0) -> np.ndarray:
+    """The distinct indices among k uniform draws from range(m), in first-draw order.
+
+    A repeated anchor repeats its candidates, so dropping it loses nothing:
+    the first minimum over the distinct anchors' candidates is the first
+    minimum over the draws'.
+    """
+    draws = np.random.default_rng(seed).integers(0, m, size=k)
+    _, first = np.unique(draws, return_index=True)
+    return draws[np.sort(first)]
 
 
 # query rows built at once by one evaluation, summed over its workers

@@ -33,6 +33,7 @@ from .core import (
     PointSet,
     build_index,
     difference_candidates,
+    sample_anchors,
 )
 
 __all__ = [
@@ -217,7 +218,9 @@ def decide_cdut(
     Requires the separation assumption on B and refuses to run without it.
     A candidate whose difference vectors are too spread out to beat the best
     total so far skips its median, so answer, evidence and
-    translations_tested are those of scoring every candidate in turn.
+    translations_tested are those of scoring every candidate in turn.  The
+    candidates are those of ``anchors`` draws from A, a repeated draw kept
+    once, so translations_tested counts distinct candidates.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -228,11 +231,7 @@ def decide_cdut(
     if not certificate.holds:
         raise SeparationError(certificate)
 
-    rng = np.random.default_rng(seed)
-    anchor_idx = rng.integers(0, m, size=max(1, anchors))
-    # a repeated anchor repeats its candidates and their answers: score it once
-    distinct, first = np.unique(anchor_idx, return_index=True)
-    translations = difference_candidates(a, b, distinct)
+    translations = difference_candidates(a, b, sample_anchors(m, max(1, anchors), seed))
     queries = (translations[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
     _, nn_idx = build_index(b, metric).query_many(queries)
     nn_idx = nn_idx.reshape(len(translations), m)
@@ -243,8 +242,7 @@ def decide_cdut(
     best_s = math.inf
     best_evidence = None
     iterations = nonconverged = 0
-    # candidate rows in their original order, skipping repeated anchors
-    for u in np.argsort(first):
+    for u in range(len(translations) // n):
         deltas = b.points[nn_idx[u * n : (u + 1) * n]] - a.points
         floors = _total_floors(deltas, metric) * (1.0 - _FLOOR_SLACK)
         for i in range(n):
@@ -270,8 +268,7 @@ def decide_cdut(
                     extras={"candidate": translations[row].tolist(), "median_converged": median.converged},
                 )
             if s <= bound:
-                tested = int(first[u]) * n + i + 1
-                return DecisionResult("YES", certificate, best_evidence, tested, iterations, nonconverged)
+                return DecisionResult("YES", certificate, best_evidence, row + 1, iterations, nonconverged)
     return DecisionResult(
-        "NO", certificate, best_evidence, len(anchor_idx) * n, iterations, nonconverged
+        "NO", certificate, best_evidence, len(translations), iterations, nonconverged
     )

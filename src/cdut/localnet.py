@@ -37,11 +37,13 @@ from .core import (
     ChamferReport,
     Metric,
     PointSet,
+    anchor_count,
     build_index,
     chamfer_argmin,
     chamfer_many,
     chamfer_translated,
     difference_candidates,
+    sample_anchors,
 )
 
 __all__ = ["LocalNetConfig", "cdut_localnet"]
@@ -93,16 +95,6 @@ def _lattice_points(lo: np.ndarray, hi: np.ndarray, step: float) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij")
     idx = np.stack([m.ravel() for m in mesh], axis=1)
     return idx, idx.astype(np.float64) * step
-
-
-def _sample_candidates(a: PointSet, b: PointSet, config: LocalNetConfig, seed: int) -> np.ndarray:
-    k = math.ceil((2.0 / config.gamma) * math.log(1.0 / config.delta))
-    rng = np.random.default_rng(seed)
-    if k >= len(a):
-        anchors = np.arange(len(a))
-    else:
-        anchors = rng.choice(len(a), size=k, replace=False)
-    return difference_candidates(a, b, anchors)
 
 
 def _unique_rows(idx: np.ndarray):
@@ -215,9 +207,9 @@ def cdut_localnet(
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     index = build_index(b, metric)
-    candidates = _sample_candidates(a, b, config, seed)
-    u_pos, u, rows = chamfer_argmin(a, candidates, b, metric, index=index)
     m = len(a)
+    candidates = difference_candidates(a, b, sample_anchors(m, anchor_count(config.gamma, config.delta), seed))
+    u_pos, u, rows = chamfer_argmin(a, candidates, b, metric, index=index)
     radius = (1.0 + config.gamma) * u / m
     rho = config.epsilon * u / (config.h * m)
     # a zero-cost candidate is globally optimal and the net radii degenerate,

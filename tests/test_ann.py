@@ -14,7 +14,7 @@ def pts1(values):
 def scale_hits(ladder, q):
     """Per-scale success flags for one query, every table of every scale probed."""
     q = np.asarray(q, dtype=np.float64).reshape(1, -1)
-    best_d, best_i = ladder._exact_lookup(q)
+    best_d, best_i = np.full(1, np.inf), np.full(1, -1, dtype=np.int64)
     rows = np.array([0])
     hits = []
     for scale in ladder.scales:
@@ -42,7 +42,7 @@ class TestBuild:
         second = build_ladder(b, c=2.0, seed=6)
         assert not np.array_equal(first.scales[0].tables[0].proj, second.scales[0].tables[0].proj)
 
-    def test_single_point_degenerates_to_exact_table(self):
+    def test_single_point_degenerates_to_exact_scan(self):
         ladder = build_ladder(pts1([3.0]), c=2.0, seed=0)
         assert ladder.scales == []
         dist, idx = ladder.query_batch([[3.0], [5.0]])
@@ -168,7 +168,7 @@ class TestTiledProbe:
 
 
 class TestQuery:
-    def test_member_point_hits_exact_table(self):
+    def test_member_point_is_found_at_distance_zero(self):
         b, _ = uniform_instance(40, 5, 3, 2)
         ladder = build_ladder(b, c=2.0, seed=2)
         dist, _ = ladder.query_batch(b.points[[0, 7, 39]])

@@ -2,22 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cdut.ann
+import cdut.approx
 from cdut import (
     L1,
     L2,
     LINF,
+    PointSet,
     cdut_approx_v1,
     cdut_approx_v2,
     cdut_exact_1d,
+    chamfer_many,
     chamfer_translated,
     oracle_cdut_1d,
     sample_anchors,
 )
 from cdut.ann import build_ladder
 from cdut.approx import DEFAULT_DELTA
-from cdut.core import bbox_diameter, difference_candidates
+from cdut.core import anchor_count, bbox_diameter, difference_candidates
 from cdut.oracle import default_grid_spec, oracle_cdut_grid
 from cdut.instances import translated_copy_instance, uniform_instance
 
@@ -30,25 +35,35 @@ def random_sizes(seed, lo=5, hi=21):
     return int(rng.integers(lo, hi)), int(rng.integers(lo, hi))
 
 
+def raw_draws(m, epsilon, seed):
+    """The with-replacement draw the sampler keeps the distinct values of."""
+    return np.random.default_rng(seed).integers(0, m, size=anchor_count(epsilon, DEFAULT_DELTA))
+
+
 class TestAnchors:
     def test_counts_match_the_failure_budget(self):
-        a, _ = uniform_instance(10, 5, 1, 0)
-        assert sample_anchors(a, 1.0, E3, seed=0).size == 6
-        assert sample_anchors(a, 0.25, E3, seed=0).size == 24
+        assert anchor_count(1.0, E3) == 6
+        assert anchor_count(0.25, E3) == 24
 
     def test_deterministic_and_in_range(self):
-        a, _ = uniform_instance(10, 5, 1, 0)
-        first = sample_anchors(a, 0.5, 0.1, seed=9)
-        second = sample_anchors(a, 0.5, 0.1, seed=9)
+        first = sample_anchors(10, anchor_count(0.5, 0.1), seed=9)
+        second = sample_anchors(10, anchor_count(0.5, 0.1), seed=9)
         assert np.array_equal(first, second)
         assert first.min() >= 0 and first.max() < 10
 
     def test_validation(self):
-        a, _ = uniform_instance(4, 4, 1, 0)
         with pytest.raises(ValueError):
-            sample_anchors(a, 0.0, 0.1)
+            anchor_count(0.0, 0.1)
         with pytest.raises(ValueError):
-            sample_anchors(a, 0.5, 1.0)
+            anchor_count(0.5, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 40), k=st.integers(0, 60), seed=st.integers(0, 2**31 - 1))
+    def test_distinct_draws_in_first_draw_order(self, m, k, seed):
+        draws = np.random.default_rng(seed).integers(0, m, size=k)
+        got = sample_anchors(m, k, seed)
+        assert got.tolist() == list(dict.fromkeys(draws.tolist()))
+        assert got.size <= min(k, m)
 
 
 class TestVariantOne:
@@ -87,9 +102,35 @@ class TestVariantOne:
             loose.append(cdut_approx_v1(a, b, 0.9, seed=seed).value)
         assert np.mean(tight) <= np.mean(loose) + REL
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        n=st.integers(1, 20),
+        d=st.integers(1, 3),
+        epsilon=st.sampled_from([0.25, 0.5, 0.9]),
+        metric=st.sampled_from([L1, L2, LINF]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_a_full_scan_over_every_draw(self, m, n, d, epsilon, metric, seed):
+        # small integer coordinates: many candidates tie for the minimum
+        rng = np.random.default_rng(seed)
+        a, b = PointSet(rng.integers(0, 4, (m, d))), PointSet(rng.integers(0, 4, (n, d)))
+        report = cdut_approx_v1(a, b, epsilon, seed=seed, metric=metric)
+        draws = raw_draws(m, epsilon, seed)
+        candidates = difference_candidates(a, b, draws)
+        best = int(np.argmin(chamfer_many(a, candidates, b, metric)))
+        want = chamfer_translated(a, candidates[best], b, metric)
+        assert np.float64(report.value).tobytes() == np.float64(want.value).tobytes()
+        assert report.translation.tobytes() == want.translation.tobytes()
+        assert report.assignment.tobytes() == want.assignment.tobytes()
+        assert report.extras["source_a"] == int(draws[best // n])
+        assert report.extras["source_b"] == best % n
+        assert report.extras["anchors"] == np.unique(draws).size
+        assert report.evaluations == np.unique(draws).size * n
+
 
 class TestVariantTwo:
-    def test_identity_is_zero_via_exact_table(self):
+    def test_identity_is_zero(self):
         a, _ = uniform_instance(10, 5, 1, 3)
         report = cdut_approx_v2(a, a, 0.5, c=2.0, seed=3)
         assert report.value == 0.0
@@ -137,7 +178,7 @@ class TestVariantTwo:
             a, b = uniform_instance(m, n, 3, 40_000 + seed)
             report = cdut_approx_v2(a, b, 0.5, c=2.0, seed=seed, metric=metric)
             # reference: every candidate row queried, repeats included
-            anchors = sample_anchors(a, 0.5, DEFAULT_DELTA, seed)
+            anchors = raw_draws(m, 0.5, seed)
             candidates = difference_candidates(a, b, anchors)
             ladder = build_ladder(
                 b, 2.0, U=bbox_diameter(a, metric) + bbox_diameter(b, metric), seed=seed,
@@ -154,6 +195,37 @@ class TestVariantTwo:
             assert rows[-1] == np.unique(anchors).size * n * m
             repeats += anchors.size - np.unique(anchors).size
         assert repeats > 0
+
+    @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    def test_anchor_groups_give_the_ungrouped_report(self, metric, monkeypatch):
+        rows = []
+        query = cdut.ann.ScaleLadder.query_batch
+
+        def counting(self, queries):
+            rows.append(len(queries))
+            return query(self, queries)
+
+        monkeypatch.setattr(cdut.ann.ScaleLadder, "query_batch", counting)
+        default = cdut.approx._QUERY_ENTRIES
+        for seed in range(4):
+            m, n = random_sizes(45_000 + seed, 4, 12)
+            a, b = uniform_instance(m, n, 3, 45_000 + seed)
+            # every point of A twice: two anchors share their candidates, so
+            # sums tie across groups and the first group must keep the win
+            a, m = PointSet(np.vstack([a.points, a.points])), 2 * m
+            want = cdut_approx_v2(a, b, 0.5, c=2.0, seed=seed, metric=metric)
+            assert rows[-1] == want.extras["anchors"] * n * m  # one group by default
+            for per_group in (1, 2, 5):
+                monkeypatch.setattr(cdut.approx, "_QUERY_ENTRIES", per_group * n * m * 3)
+                del rows[:]
+                got = cdut_approx_v2(a, b, 0.5, c=2.0, seed=seed, metric=metric)
+                assert max(rows) <= per_group * n * m
+                assert len(rows) == -(-want.extras["anchors"] // per_group)
+                assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+                assert got.translation.tobytes() == want.translation.tobytes()
+                assert got.assignment.tobytes() == want.assignment.tobytes()
+                assert (got.evaluations, got.extras) == (want.evaluations, want.extras)
+            monkeypatch.setattr(cdut.approx, "_QUERY_ENTRIES", default)
 
 
 class TestCandidateLemmas:

@@ -81,7 +81,8 @@ def verify_emd_equivalence(a, b, radius, epsilon, t_star):
 def reference_decide(a, b, radius, epsilon, c, seed=0, anchors=6, metric=L2):
     """decide_cdut as one median per candidate row, repeated anchors included.
 
-    Returns (answer, evidence, translations_tested).
+    Returns (answer, evidence, translations_tested), where translations_tested
+    counts the rows of distinct anchors up to the answer.
     """
     m = len(a)
     anchor_idx = np.random.default_rng(seed).integers(0, m, size=max(1, anchors))
@@ -107,8 +108,10 @@ def reference_decide(a, b, radius, epsilon, c, seed=0, anchors=6, metric=L2):
                 extras={"candidate": t.tolist(), "median_converged": median.converged},
             )
         if s <= radius * (1.0 + epsilon):
-            return "YES", best, row + 1
-    return "NO", best, len(translations)
+            # a repeated anchor's rows repeat earlier answers, so a YES row is a first draw
+            earlier = np.unique(anchor_idx[: row // len(b)]).size
+            return "YES", best, earlier * len(b) + row % len(b) + 1
+    return "NO", best, np.unique(anchor_idx).size * len(b)
 
 
 def two_nearest(b, queries):
@@ -471,7 +474,7 @@ class TestPrunedDecide:
 
         monkeypatch.setattr(cdut.core.NearestIndex, "query_many", counting)
         result = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=0)
-        assert result.answer == "NO" and result.translations_tested == 6 * n
+        assert result.answer == "NO" and result.translations_tested == np.unique(anchor_idx).size * n
         assert rows == [np.unique(anchor_idx).size * n * m]
 
 

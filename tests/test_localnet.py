@@ -19,14 +19,13 @@ from cdut import (
     chamfer_translated,
 )
 from cdut.instances import noisy_copy_instance, translated_copy_instance, uniform_instance
-from cdut.core import chamfer_argmin
+from cdut.core import anchor_count, chamfer_argmin, difference_candidates, sample_anchors
 from cdut.localnet import (
     _cell_floor,
     _cells,
     _grid_step,
     _net_argmin,
     _net_phase,
-    _sample_candidates,
     _unique_rows,
 )
 
@@ -258,7 +257,8 @@ def bits(x) -> bytes:
 
 def full_scan_localnet(a, b, config, seed, metric):
     """``cdut_localnet`` by scoring every candidate and every net point in full."""
-    candidates = _sample_candidates(a, b, config, seed)
+    anchors = sample_anchors(len(a), anchor_count(config.gamma, config.delta), seed)
+    candidates = difference_candidates(a, b, anchors)
     values = chamfer_many(a, candidates, b, metric)
     u_pos = int(np.argmin(values))
     u = float(values[u_pos])

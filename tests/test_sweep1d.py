@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdut import (
     L1,
@@ -192,3 +194,36 @@ class TestAlignmentExtension:
             if exact < axis_best - 1e-6:
                 found_strict = True
         assert found_strict
+
+
+def dyadic_sets(d):
+    """A, B of multiples of 1/8 and a shift s of multiples of 1/4: every sum
+    and difference the solvers form on A + s is then exact."""
+    coords = st.integers(-80, 80).map(lambda k: k / 8.0)
+    sizes = st.integers(1, 7)
+    return st.tuples(
+        sizes.flatmap(lambda m: st.lists(st.lists(coords, min_size=d, max_size=d), min_size=m, max_size=m)),
+        sizes.flatmap(lambda n: st.lists(st.lists(coords, min_size=d, max_size=d), min_size=n, max_size=n)),
+        st.lists(st.integers(-400, 400).map(lambda k: k / 4.0), min_size=d, max_size=d),
+    )
+
+
+def assert_covariant(solve, a, b, s):
+    """solve(A + s, B) has solve(A, B)'s value at its translation minus s."""
+    base = solve(PointSet(a), PointSet(b))
+    moved = solve(PointSet(np.asarray(a) + s), PointSet(b))
+    assert np.float64(moved.value).tobytes() == np.float64(base.value).tobytes()
+    assert np.array_equal(moved.translation, base.translation - np.asarray(s))
+    assert np.array_equal(moved.assignment, base.assignment)
+
+
+class TestTranslationCovariance:
+    @settings(max_examples=100, deadline=None)
+    @given(dyadic_sets(1))
+    def test_exact1d(self, sets):
+        assert_covariant(cdut_exact_1d, *sets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dyadic_sets(2))
+    def test_exact_l1linf_l1_2d(self, sets):
+        assert_covariant(lambda a, b: cdut_exact_l1_linf(a, b, L1), *sets)
