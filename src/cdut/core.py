@@ -302,6 +302,8 @@ def sample_anchors(m: int, k: int, seed: int = 0) -> np.ndarray:
 
 # query rows built at once by one evaluation, summed over its workers
 _QUERY_ROWS = 1 << 20
+# and their coordinates (rows x d); below d = 5 the row cap is the tighter
+_QUERY_ENTRIES = 1 << 22
 # column stages of A in chamfer_argmin
 _ARGMIN_STAGES = 8
 # a partial sum and the full sum it bounds are rounded in different orders;
@@ -331,12 +333,13 @@ def _distances(cols: np.ndarray, ts: np.ndarray, index: NearestIndex) -> np.ndar
 
     Translations are split between workers by ``run_chunked``.  Each block
     builds its queries in tiles, so the blocks that run at once together hold
-    at most ``_QUERY_ROWS`` query rows.  A distance does not depend on which
-    block or tile computed it.
+    at most ``_QUERY_ROWS`` query rows and ``_QUERY_ENTRIES`` coordinates.
+    A distance does not depend on which block or tile computed it.
     """
     c, d = cols.shape
     workers = worker_count()
-    tile = max(1, _QUERY_ROWS // concurrency(len(ts), workers))
+    rows = min(_QUERY_ROWS, _QUERY_ENTRIES // d)
+    tile = max(1, rows // concurrency(len(ts), workers))
     t_step, c_step = max(1, tile // c), min(c, tile)
 
     def eval_block(block: np.ndarray):

@@ -8,6 +8,7 @@ same float.
 import math
 import os
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -158,6 +159,21 @@ def test_query_rows_stay_under_the_cap(monkeypatch):
         got = chamfer_argmin(a, ts, b, L2)
         assert (got.pos, bits(got.value)) == (pos, bits(value))
         assert seen and peak[0] <= 64
+
+
+def test_query_tiles_are_capped_by_coordinates_at_high_dimension():
+    # 2^17 query rows at d = 64: one 2^20-row tile would hold 64 MiB of
+    # queries, and the kd-tree lookup copies a tile about twice more
+    rng = np.random.default_rng(5)
+    a, b = PointSet(rng.normal(size=(64, 64))), PointSet(rng.normal(size=(16, 64)))
+    ts = rng.normal(size=(2048, 64))
+    tracemalloc.start()
+    try:
+        chamfer_many(a, ts, b, L2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * cdut.core._QUERY_ENTRIES
 
 
 def test_huge_thread_count_keeps_serial_batches_whole(monkeypatch):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cdut.sweep1d
 from cdut import (
     L1,
     L2,
@@ -10,9 +11,14 @@ from cdut import (
     PointSet,
     cdut_exact_1d,
     cdut_exact_l1_linf,
+    chamfer_many,
     chamfer_translated,
+    gadget_a,
+    gadget_b,
     sweep_curve,
 )
+from cdut.cli import main as cli_main
+from cdut.io import write_instance
 from cdut.oracle import default_grid_spec, oracle_cdut_grid
 from cdut.instances import translated_copy_instance, uniform_instance
 
@@ -94,7 +100,7 @@ class TestSweep:
             a, b = uniform_instance(m, n, 1, 7000 + seed)
             report = cdut_exact_1d(a, b)
             cands = np.unique(b.points[:, 0][None, :] - a.points[:, 0][:, None]).reshape(-1, 1)
-            direct = min(chamfer_translated(a, t, b).value for t in cands)
+            direct = chamfer_many(a, cands, b).min()
             assert report.value == pytest.approx(direct, rel=REL, abs=1e-12)
 
     def test_swept_values_match_fresh_evaluations(self):
@@ -133,6 +139,93 @@ class TestSweep:
         a, b = uniform_instance(10, 12, 1, 77)
         report = cdut_exact_1d(a, b)
         assert report.value == chamfer_translated(a, report.translation, b).value
+
+
+def reference_sweep(a, b):
+    """The sweep as built with ``np.unique(return_inverse=True)``, kept as
+    the reference the sorted-run build must reproduce bit for bit."""
+    av = a.points[:, 0]
+    bv = np.sort(b.points[:, 0])
+    t_match = (bv[None, :] - av[:, None]).ravel()
+    mids = (bv[:-1] + bv[1:]) / 2.0
+    t_mid = (mids[None, :] - av[:, None]).ravel()
+    uniq, inverse = np.unique(np.concatenate([t_match, t_mid]), return_inverse=True)
+    n_match = np.bincount(inverse[: t_match.size], minlength=uniq.size).astype(np.int64)
+    n_mid = np.bincount(inverse[t_match.size :], minlength=uniq.size).astype(np.int64)
+    m = len(a)
+    cd0 = float(chamfer_many(a, uniq[:1].reshape(-1, 1), b)[0])
+    slope_after = -m + 2 * np.cumsum(n_match - n_mid)
+    values = np.empty_like(uniq)
+    values[0] = cd0
+    if uniq.size > 1:
+        values[1:] = cd0 + np.cumsum(slope_after[:-1] * np.diff(uniq))
+    return uniq, values, n_match, n_mid
+
+
+@st.composite
+def sweep_sets(draw):
+    """1D sets of uniform floats, of small integers (where match and midpoint
+    events coincide), or OV gadgets; optionally all-duplicate and offset by 1e12."""
+    kind = draw(st.sampled_from(["floats", "integers", "gadgets"]))
+    if kind == "gadgets":
+        d = draw(st.integers(1, 5))
+        bits = st.lists(st.integers(0, 1), min_size=d, max_size=d)
+        a, b = gadget_a(draw(bits)).points[:, 0], gadget_b(draw(bits)).points[:, 0]
+    else:
+        coord = st.floats(-100, 100) if kind == "floats" else st.integers(-6, 6).map(float)
+        a = np.array(draw(st.lists(coord, min_size=1, max_size=12)))
+        b = np.array(draw(st.lists(coord, min_size=1, max_size=12)))
+    same = draw(st.sampled_from(["none", "a", "b"]))
+    if same == "a":
+        a = np.full_like(a, a[0])
+    elif same == "b":
+        b = np.full_like(b, b[0])
+    offset = draw(st.sampled_from([0.0, 1e12]))
+    return PointSet(a + offset), PointSet(b + offset)
+
+
+class TestSortedRunBuild:
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_sets())
+    @example((pts1([0.5]), pts1([2.0, -1.0, 7.25])))
+    @example((pts1([3.0, -2.0, 3.0]), pts1([1.5])))
+    @example((pts1([1e12 + 0.1]), pts1([1e12 + 3.7])))
+    def test_bit_identical_to_the_unique_build(self, sets):
+        a, b = sets
+        got, want = sweep_curve(a, b), reference_sweep(a, b)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        ts, values, n_match, _ = want
+        match_pos = np.flatnonzero(n_match > 0)
+        ref = chamfer_translated(a, ts[match_pos[np.argmin(values[match_pos])]], b)
+        report = cdut_exact_1d(a, b)
+        assert np.float64(report.value).tobytes() == np.float64(ref.value).tobytes()
+        assert np.array_equal(report.translation, ref.translation)
+        assert report.evaluations == ts.size
+
+
+class TestEventBudget:
+    def test_default_budget_admits_m_n_3000(self):
+        assert 2 * 3000 * 3000 - 3000 <= cdut.sweep1d._EVENT_BUDGET
+
+    def test_one_event_over_budget_raises(self, monkeypatch):
+        a, b = uniform_instance(5, 6, 1, 3)
+        monkeypatch.setattr(cdut.sweep1d, "_EVENT_BUDGET", 2 * 5 * 6 - 5)
+        sweep_curve(a, b)
+        monkeypatch.setattr(cdut.sweep1d, "_EVENT_BUDGET", 2 * 5 * 6 - 6)
+        with pytest.raises(ValueError, match=r"1D sweep has 55 events, over budget 54"):
+            cdut_exact_1d(a, b)
+
+    def test_cli_exits_2(self, monkeypatch, capsys, tmp_path):
+        a, b = uniform_instance(5, 6, 1, 3)
+        write_instance(tmp_path / "a.txt", a)
+        write_instance(tmp_path / "b.txt", b)
+        monkeypatch.setattr(cdut.sweep1d, "_EVENT_BUDGET", 10)
+        code = cli_main(["compute", "exact1d", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "1D sweep has 55 events, over budget 10" in err
 
 
 class TestAlignmentExtension:
