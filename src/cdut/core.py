@@ -33,6 +33,8 @@ __all__ = [
     "chamfer_many",
     "chamfer_argmin",
     "ArgminResult",
+    "lattice_argmin",
+    "LatticeArgmin",
     "difference_candidates",
     "anchor_count",
     "sample_anchors",
@@ -244,10 +246,21 @@ def build_index(source: PointSet, metric: Metric = L2, backend: str = "auto") ->
     return NearestIndex(source, metric, backend)
 
 
-def chamfer(a: PointSet, b: PointSet, metric: Metric = L2, backend: str = "auto") -> ChamferReport:
-    """Exact Chamfer distance from ``a`` to ``b`` with the minimizing assignment."""
+def chamfer(
+    a: PointSet,
+    b: PointSet,
+    metric: Metric = L2,
+    backend: str = "auto",
+    index: Optional[NearestIndex] = None,
+) -> ChamferReport:
+    """Exact Chamfer distance from ``a`` to ``b`` with the minimizing assignment.
+
+    ``index``, when given, is an index over ``b`` in ``metric`` and is used
+    instead of building one.
+    """
     _check_same_dim(a, b)
-    index = build_index(b, metric, backend)
+    if index is None:
+        index = build_index(b, metric, backend)
     dists, idx = index.query_many(a.points)
     return ChamferReport(
         value=float(np.sum(dists)),
@@ -258,12 +271,17 @@ def chamfer(a: PointSet, b: PointSet, metric: Metric = L2, backend: str = "auto"
 
 
 def chamfer_translated(
-    a: PointSet, t, b: PointSet, metric: Metric = L2, backend: str = "auto"
+    a: PointSet,
+    t,
+    b: PointSet,
+    metric: Metric = L2,
+    backend: str = "auto",
+    index: Optional[NearestIndex] = None,
 ) -> ChamferReport:
     """Exact Chamfer distance of ``a`` shifted by ``t`` against ``b``."""
     _check_same_dim(a, b)
     t = as_translation(t, a.dim)
-    return replace(chamfer(a.translated(t), b, metric, backend), translation=t)
+    return replace(chamfer(a.translated(t), b, metric, backend, index), translation=t)
 
 
 def difference_candidates(a: PointSet, b: PointSet, anchors: np.ndarray) -> np.ndarray:
@@ -309,6 +327,15 @@ _ARGMIN_STAGES = 8
 # a partial sum and the full sum it bounds are rounded in different orders;
 # a candidate is dropped only when its partial sum clears the bound by more
 _PRUNE_SLACK = 1e-9
+# query rows one evaluation must hold before its blocks go to the thread
+# pool; below this the handoff costs more than the second thread saves
+_POOL_ROWS = 1 << 12
+# lattice keys per side of lattice_argmin's pruning cells, coarse to fine;
+# each side divides the one before, so every fine cell nests in a coarse one
+_CELL_SIDES = (16, 4)
+# a coarse level runs only when the keys' bounding box spans this many of
+# its cells; below that its call costs more than the fine centres it saves
+_MIN_COARSE_CELLS = 64
 
 
 class ArgminResult(NamedTuple):
@@ -334,10 +361,11 @@ def _distances(cols: np.ndarray, ts: np.ndarray, index: NearestIndex) -> np.ndar
     Translations are split between workers by ``run_chunked``.  Each block
     builds its queries in tiles, so the blocks that run at once together hold
     at most ``_QUERY_ROWS`` query rows and ``_QUERY_ENTRIES`` coordinates.
-    A distance does not depend on which block or tile computed it.
+    A distance does not depend on which block or tile computed it.  A call
+    of fewer than ``_POOL_ROWS`` query rows runs serially.
     """
     c, d = cols.shape
-    workers = worker_count()
+    workers = worker_count() if len(ts) * c >= _POOL_ROWS else 1
     rows = min(_QUERY_ROWS, _QUERY_ENTRIES // d)
     tile = max(1, rows // concurrency(len(ts), workers))
     t_step, c_step = max(1, tile // c), min(c, tile)
@@ -391,6 +419,7 @@ def chamfer_argmin(
     metric: Metric = L2,
     index: Optional[NearestIndex] = None,
     upper: float = math.inf,
+    floors: Optional[np.ndarray] = None,
 ) -> ArgminResult:
     """First minimum of ``chamfer_many(a, translations, b, metric)``, found early.
 
@@ -405,8 +434,10 @@ def chamfer_argmin(
     ``chamfer_many`` takes, so ties still go to the first position.
 
     ``upper`` pre-seeds the bound: only a value <= ``upper`` can win, and if
-    none does the result is ``(-1, inf)``.  ``rows`` counts the query rows
-    evaluated, at most ``len(translations) * len(a)``.
+    none does the result is ``(-1, inf)``.  ``floors``, when given, holds a
+    lower bound on each candidate's computed value, and a candidate is also
+    dropped once its floor exceeds the bound.  ``rows`` counts the query
+    rows evaluated, at most ``len(translations) * len(a)``.
     """
     _check_same_dim(a, b)
     ts = _as_translations(a, translations)
@@ -417,12 +448,16 @@ def chamfer_argmin(
     # ``total`` stands for "no winner yet": it sorts after every real position
     best_val, best_pos = float(upper), total
     alive, partial = np.arange(total), np.zeros(total)
+    floor = None if floors is None else np.asarray(floors, dtype=np.float64)
     stored = []  # distances of the alive candidates, one array per stage
     rows = 0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         keep = partial <= best_val * (1.0 + _PRUNE_SLACK)
+        if floor is not None:
+            keep &= floor <= best_val
         if not keep.all():
             alive, partial = alive[keep], partial[keep]
+            floor = None if floor is None else floor[keep]
             stored = [dist[keep] for dist in stored]
         if alive.size == 0:
             break
@@ -447,6 +482,192 @@ def chamfer_argmin(
     if best_pos == total:
         return ArgminResult(-1, math.inf, rows)
     return ArgminResult(best_pos, best_val, rows)
+
+
+def _packed_rows(idx: np.ndarray) -> Optional[np.ndarray]:
+    """One int64 per row of an integer array that sorts like the rows.
+
+    Each column is shifted to start at 0 and the columns are combined in
+    mixed radix, first column most significant.  Returns None when the
+    product of the column spans does not fit.
+    """
+    if len(idx) == 0:
+        return np.zeros(0, dtype=np.int64)
+    lo = idx.min(axis=0)
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, idx.max(axis=0))]
+    if math.prod(spans) >= 2**62:
+        return None
+    key = np.zeros(len(idx), dtype=np.int64)
+    for col, (low, span) in enumerate(zip(lo, spans)):
+        key *= span
+        key += idx[:, col] - low
+    return key
+
+
+def _row_order(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable order that sorts the rows of an integer array, and a mask
+    of the sorted positions where a new distinct row starts."""
+    key = _packed_rows(idx)
+    new = np.ones(len(idx), dtype=bool)
+    if key is not None:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+    else:
+        order = np.lexsort(idx.T[::-1])
+        rows = idx[order]
+        new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return order, new
+
+
+def _unique_rows(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an integer array, sorted, and each row's rank among them."""
+    order, new = _row_order(idx)
+    rank = np.empty(len(idx), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return idx[order[new]], rank
+
+
+def _lattice_cells(ts: np.ndarray, keys: np.ndarray, side: int, metric: Metric):
+    """Group translations into cells of ``side``^d lattice keys.
+
+    Returns each translation's cell, and each cell's centre and radius: the
+    centre of the bounding box of the cell's translations, and the metric
+    length of half the box's diagonal.  Every member lies within its
+    cell's radius of the centre, however unevenly the lattice is spaced.
+    """
+    order, new = _row_order(keys // side)
+    which = np.empty(len(ts), dtype=np.int64)
+    which[order] = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    members = ts[order]
+    lo = np.minimum.reduceat(members, starts, axis=0)
+    hi = np.maximum.reduceat(members, starts, axis=0)
+    return which, (lo + hi) / 2.0, metric.norms((hi - lo) / 2.0)
+
+
+def _rounding(a: PointSet, ts: np.ndarray) -> float:
+    """How far rounding can move a Chamfer value computed at ``ts``, beyond
+    ``_PRUNE_SLACK`` times the value itself.
+
+    The computed values round each query's coordinates, which stay below
+    A's largest coordinate plus the largest of ``ts``, and each sum.
+    ``_PRUNE_SLACK`` is millions of unit roundoffs, which covers the few
+    roundings per term with room to spare.
+    """
+    return _PRUNE_SLACK * len(a) * float(np.abs(a.points).max() + np.abs(ts).max())
+
+
+def _cell_floor(values: np.ndarray, r: np.ndarray, m: int, rounding: float) -> np.ndarray:
+    """Lowest computed Chamfer value a member of each cell can have.
+
+    ``values`` are the cells' centre values and ``r`` their radii, ``m`` is
+    |A|, and ``rounding`` is ``_rounding`` over the members.  Each of the m
+    terms of CD(A + t, B) is 1-Lipschitz in t, so a member's exact value is
+    at least ``value - m * r``.
+    """
+    return values - m * r - _PRUNE_SLACK * (values + m * r) - rounding
+
+
+class LatticeArgmin(NamedTuple):
+    """Winner of ``lattice_argmin``: position, exact value, query rows at the
+    translations, and query rows at the cell centres that bounded them."""
+
+    pos: int
+    value: float
+    rows: int
+    bound_rows: int
+
+
+def lattice_argmin(
+    a: PointSet,
+    translations: np.ndarray,
+    keys: np.ndarray,
+    b: PointSet,
+    metric: Metric = L2,
+    index: Optional[NearestIndex] = None,
+    upper: float = math.inf,
+    holds_optimum: bool = False,
+) -> LatticeArgmin:
+    """``chamfer_argmin`` over translations that carry integer lattice keys,
+    skipping the cells of the lattice that cannot win.
+
+    ``keys[i]`` is the lattice index of ``translations[i]`` (a local net's
+    index, or each axis's rank in an alignment grid), and equal keys must
+    mean equal translations.  A repeated key is scanned once, at its first
+    position: it would only repeat the same value later.
+
+    The keys are grouped into cells of 16^d keys, and each cell's centre is
+    scored once with ``chamfer_many``.  CD(A + t, B) is m-Lipschitz, so a
+    cell of radius r whose centre has value v holds no translation below
+    its floor v - m*r (less a rounding slack).  Cells whose floor exceeds
+    the bound are dropped, and the survivors are split into cells of 4^d
+    keys and bounded again.  The coarse level is skipped when the keys span
+    fewer than ``_MIN_COARSE_CELLS`` of its cells.  The surviving cell with
+    the lowest floor is then scored in full, and its best value tightens
+    the bound.  The rest go to ``chamfer_argmin`` with their floors as
+    per-candidate lower bounds, so a translation leaves the scan as soon as
+    its floor or its partial sum rules it out.  Centres only bound and never
+    win: position and value are bit-identical to ``chamfer_argmin(a,
+    translations, b, metric, upper=upper)``, ties included.
+
+    The bound starts at ``upper``.  With ``holds_optimum`` the translations
+    are known to hold a global minimiser of CD(A + t, B) over all t, so none
+    can beat the lowest centre value, which, plus twice the rounding that
+    the floors allow for, then tightens the bound by itself.  ``rows``
+    counts the query rows at the translations and ``bound_rows`` those at
+    the centres.
+    """
+    _check_same_dim(a, b)
+    ts = _as_translations(a, translations)
+    if len(ts) == 0:
+        return LatticeArgmin(-1, math.inf, 0, 0)
+    keys = np.asarray(keys, dtype=np.int64).reshape(len(ts), -1)
+    if index is None:
+        index = build_index(b, metric)
+    m = len(a)
+    order, new = _row_order(keys)
+    live = np.sort(order[new])  # each distinct key at its first position
+    rounding = _rounding(a, ts)
+    floors = np.full(len(ts), -math.inf)
+    cell = np.empty(len(ts), dtype=np.int64)  # finest cell scored so far
+    bound, bound_rows = float(upper), 0
+    lo, hi = keys.min(axis=0), keys.max(axis=0)
+    for side in _CELL_SIDES:
+        if side != _CELL_SIDES[-1] and math.prod((hi // side - lo // side + 1).tolist()) < _MIN_COARSE_CELLS:
+            continue  # too few coarse cells to repay scoring them
+        if live.size == 0:
+            break
+        which, centres, r = _lattice_cells(ts[live], keys[live], side, metric)
+        values = chamfer_many(a, centres, b, metric, index)
+        bound_rows += len(centres) * m
+        if holds_optimum:
+            # no translation beats the optimum, whose exact value is at most
+            # any centre's; each computed value is off by at most its rounding
+            low = float(values.min())
+            bound = min(bound, low * (1.0 + 2.0 * _PRUNE_SLACK) + 2.0 * rounding)
+        floor = np.maximum(floors[live], _cell_floor(values, r, m, rounding)[which])
+        floors[live], cell[live] = floor, which
+        live = live[floor <= bound]
+    # the live cell with the lowest floor is scored in full first, and its
+    # best member bounds the scan of the rest
+    best, rows = (math.inf, len(ts)), 0
+    if live.size:
+        in_head = cell[live] == cell[live[int(np.argmin(floors[live]))]]
+        head, live = live[in_head], live[~in_head]
+        values = chamfer_many(a, ts[head], b, metric, index)
+        rows += values.size * m
+        lead = int(np.argmin(values))
+        if values[lead] <= bound:
+            best = (float(values[lead]), int(head[lead]))
+            bound = best[0]
+            live = live[floors[live] <= bound]
+    pos, value, more = chamfer_argmin(a, ts[live], b, metric, index, upper=bound, floors=floors[live])
+    rows += more
+    if pos >= 0:
+        best = min(best, (value, int(live[pos])))
+    value, pos = best
+    return LatticeArgmin(-1 if pos == len(ts) else pos, value, rows, bound_rows)
 
 
 def bbox_diameter(ps: PointSet, metric: Metric = L2) -> float:

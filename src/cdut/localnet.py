@@ -8,13 +8,17 @@ cost is within (1 + eps) of the optimum.  The reported value is an exact
 evaluation at a real translation, so it can never fall below the true
 optimum.
 
-The search skips net points that provably cannot win.  Each term of
-CD(A + t, B) is 1-Lipschitz in t, so the whole sum is m-Lipschitz: one
-exact value at the centre of a block of lattice points bounds every point
-of the block from below.  A block whose bound exceeds a net value already
-found is never evaluated; the rest are scanned in their original order.
-Centres only bound and never win, so the winner is the first minimum of
-a full scan, bit for bit.
+The search skips net points that provably cannot win, through
+``core.lattice_argmin``, the pruned scan that ``exact-l1linf`` also runs
+over its alignment grid.  Each term of CD(A + t, B) is 1-Lipschitz in t,
+so the whole sum is m-Lipschitz: one exact value at the centre of a block
+of lattice points bounds every point of the block from below.  Blocks of
+16^d lattice indices are bounded first, then blocks of 4^d inside the
+survivors, and the floors that remain ride along into the early-abandoning
+scan of the net, in its original order, under the bound u.  A point that
+plain mode repeats is scanned once, at its first position.  Centres only
+bound and never win, so the winner is the first minimum of a full scan,
+bit for bit, and ``evaluations`` still counts the whole net.
 
 Net points are drawn from a single global lattice (spacing chosen per
 metric so any ball point is within rho of a kept lattice point).  The
@@ -32,17 +36,18 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    _PRUNE_SLACK,
     L2,
     ChamferReport,
     Metric,
     PointSet,
+    _unique_rows,
     anchor_count,
     build_index,
     chamfer_argmin,
-    chamfer_many,
+    chamfer_many,  # noqa: F401  still importable here; perfbench's tracer patches it per module
     chamfer_translated,
     difference_candidates,
+    lattice_argmin,
     sample_anchors,
 )
 
@@ -50,8 +55,8 @@ __all__ = ["LocalNetConfig", "cdut_localnet"]
 
 _MAX_NET_DIM = 6
 _NET_BUDGET = 2_000_000
-# lattice points per side of a pruning cell
-_CELL = 4
+# rows of the shared offset box that _net_phase masks at once, over its balls
+_NET_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -90,24 +95,6 @@ def _ball_lattice_ranges(center: np.ndarray, radius: float, step: float):
     return lo, hi
 
 
-def _lattice_points(lo: np.ndarray, hi: np.ndarray, step: float) -> np.ndarray:
-    axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    idx = np.stack([m.ravel() for m in mesh], axis=1)
-    return idx, idx.astype(np.float64) * step
-
-
-def _unique_rows(idx: np.ndarray):
-    """Distinct rows of an integer array, sorted, and each row's rank among them."""
-    order = np.lexsort(idx.T[::-1])
-    rows = idx[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    rank = np.empty(len(rows), dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
-    return rows[new], rank
-
-
 def _net_phase(
     dim: int,
     metric: Metric,
@@ -119,85 +106,37 @@ def _net_phase(
     """Lattice translations to evaluate, per ball or as a deduplicated union.
 
     Returns the net points and their lattice indices; each point is its
-    index times the lattice step.
+    index times the lattice step.  Plain mode lists each ball's lattice
+    points in ball order, each ball in the order of its own lattice box
+    (last axis fastest); union mode lists the distinct indices, sorted.
     """
     d = dim
     if d > _MAX_NET_DIM:
         raise ValueError(f"net search capped at dimension {_MAX_NET_DIM}, got {d}")
     step = _grid_step(metric, rho, d)
-    blocks = []
-    total = 0
-    for center in candidates:
-        lo, hi = _ball_lattice_ranges(center, radius, step)
-        count = int(np.prod(hi - lo + 1))
-        total += count
-        if total > _NET_BUDGET:
-            raise ValueError("net search exceeds the evaluation budget")
-        idx, pts = _lattice_points(lo, hi, step)
-        keep = metric.norms(pts - center) <= radius * (1.0 + 1e-9) + 1e-12
-        blocks.append(idx[keep])
-    if not blocks:
+    centres = np.asarray(candidates, dtype=np.float64).reshape(-1, d)
+    lo, hi = _ball_lattice_ranges(centres, radius, step)
+    widths = np.maximum(hi - lo + 1, 0)
+    if np.prod(widths.astype(np.float64), axis=1).sum() > _NET_BUDGET:
+        raise ValueError("net search exceeds the evaluation budget")
+    if len(centres) == 0:
         return np.empty((0, d)), np.empty((0, d), dtype=np.int64)
+    # one box of offsets wide enough for every ball, last axis fastest; the
+    # offsets inside a ball's own box keep that box's order
+    offsets = np.indices(widths.max(axis=0)).reshape(d, -1).T
+    per = max(1, _NET_ROWS // max(1, len(offsets)))
+    blocks = []
+    for start in range(0, len(centres), per):
+        stop = start + per
+        idx = lo[start:stop, None, :] + offsets[None, :, :]
+        keep = np.all(offsets[None, :, :] < widths[start:stop, None, :], axis=2)
+        pts = idx.astype(np.float64) * step
+        keep &= metric.norms(pts - centres[start:stop, None, :]) <= radius * (1.0 + 1e-9) + 1e-12
+        blocks.append(idx[keep])
     idx = np.concatenate(blocks, axis=0)
     if union:
         idx = _unique_rows(idx)[0]
     return idx.astype(np.float64) * step, idx
-
-
-def _cells(idx: np.ndarray, step: float, metric: Metric):
-    """Group lattice points into cells of ``_CELL``^d.
-
-    Returns each point's cell, the cell centres, and r, the metric distance
-    from a centre to the farthest lattice point its cell can hold.
-    """
-    cells, which = _unique_rows(idx // _CELL)
-    half = (_CELL - 1) / 2.0
-    centres = (cells * _CELL + half) * step
-    r = float(metric.norms(np.full(idx.shape[1], half * step)))
-    return which, centres, r
-
-
-def _cell_floor(values: np.ndarray, a: PointSet, centres: np.ndarray, r: float) -> np.ndarray:
-    """Lowest computed Chamfer value a member of each cell can have.
-
-    ``values`` are the centres' values.  A member lies within ``r`` of its
-    centre, so its exact value is at least ``value - m * r``.  The computed
-    values round each query's coordinates, which stay below ``magnitude``
-    (A's largest coordinate plus a member's), and each sum; ``_PRUNE_SLACK``
-    is millions of unit roundoffs, which covers the few roundings per term
-    with room to spare.
-    """
-    m = len(a)
-    magnitude = float(np.abs(a.points).max() + np.abs(centres).max() + r)
-    return values - m * r - _PRUNE_SLACK * (values + m * (r + magnitude))
-
-
-def _net_argmin(a, b, metric, index, net, idx, step, u):
-    """First minimum of the net's values that is at most u, skipping cells that cannot win.
-
-    Position and value equal ``chamfer_argmin(a, net, b, metric, upper=u)``.
-    The cell with the lowest floor is evaluated first; every cell whose
-    floor exceeds the best value then found is dropped, and the rest are
-    scanned in their original order.  Returns (position, value, query rows
-    at net points, query rows at cell centres).
-    """
-    if len(net) == 0:
-        return -1, math.inf, 0, 0
-    m = len(a)
-    which, centres, r = _cells(idx, step, metric)
-    floors = _cell_floor(chamfer_many(a, centres, b, metric, index), a, centres, r)
-    first = int(np.argmin(floors))
-    head = np.flatnonzero(which == first)
-    pos, value, rows = chamfer_argmin(a, net[head], b, metric, index=index, upper=u)
-    # len(net) stands for "no winner yet": it sorts after every real position
-    best = (value, int(head[pos])) if pos >= 0 else (math.inf, len(net))
-    bound = min(u, value)
-    rest = np.flatnonzero((floors[which] <= bound) & (which != first))
-    pos, value, more = chamfer_argmin(a, net[rest], b, metric, index=index, upper=bound)
-    if pos >= 0:
-        best = min(best, (value, int(rest[pos])))
-    value, pos = best
-    return (-1 if pos == len(net) else pos), value, rows + more, len(centres) * m
 
 
 def cdut_localnet(
@@ -218,11 +157,10 @@ def cdut_localnet(
         net, idx = np.empty((0, a.dim)), np.empty((0, a.dim), dtype=np.int64)
     else:
         net, idx = _net_phase(a.dim, metric, candidates, radius, rho, config.union_mode)
-    step = _grid_step(metric, rho, a.dim)
-    best, value, net_rows, bound_rows = _net_argmin(a, b, metric, index, net, idx, step, u)
+    best, value, net_rows, bound_rows = lattice_argmin(a, net, idx, b, metric, index=index, upper=u)
     best_t = net[best] if value < u else candidates[u_pos]
     return replace(
-        chamfer_translated(a, best_t, b, metric),
+        chamfer_translated(a, best_t, b, metric, index=index),
         algorithm="localnet-union" if config.union_mode else "localnet",
         epsilon=config.epsilon,
         seed=seed,

@@ -10,6 +10,9 @@ is built on the first parallel call, with that call's concurrency; a later
 call that asks for more blocks at once queues the extra ones.  A forked
 child drops the pool it inherits, since the parent's threads do not exist
 there.
+
+A caller passes ``workers=1`` when its work is too small to repay handing
+it to the pool; ``core`` does so below ``core._POOL_ROWS`` query rows.
 """
 
 from __future__ import annotations

@@ -20,6 +20,16 @@ at once, about 40 bytes each at peak, so memory is quadratic like the time;
 For the l1 metric the same kink structure holds per coordinate, so in d
 dimensions the optimum lies on the grid of per-dimension alignments
 b_i - a_i; ``cdut_exact_l1_linf`` enumerates that grid for small d.  The
+argument: the hyperplanes t_k = b_jk - a_ik cut R^d into boxes of the
+grid.  Inside one box every |a_ik + t_k - b_jk| is affine in t, so each
+point's nearest-neighbour distance, a minimum of affine functions, is
+concave, and so is their sum.  A concave function bounded below attains
+its minimum over a box at a vertex, a grid point.  The grid is scanned by
+``core.lattice_argmin``, the same Lipschitz-pruned scan as the local net,
+with each axis's rank as the lattice key.  Since the grid holds a global
+optimum, no grid point beats any real translation, so the lowest cell
+centre value (plus rounding slack) is a safe upper bound from the start;
+the scan stays exact and returns the same first minimum as a full scan.  The
 linf objective is different: its per-coordinate kinks sit at dominance
 corners |a_i + t_i - b_i| = max_j |a_j + t_j - b_j| rather than at
 alignments, and random 2D instances exist where every alignment candidate
@@ -33,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
@@ -40,10 +51,12 @@ from .core import (
     L1,
     ChamferReport,
     Metric,
+    NearestIndex,
     PointSet,
-    chamfer_argmin,
+    build_index,
     chamfer_many,
     chamfer_translated,
+    lattice_argmin,
 )
 
 __all__ = ["sweep_curve", "cdut_exact_1d", "cdut_exact_l1_linf"]
@@ -105,13 +118,14 @@ def _event_arrays(a: PointSet, b: PointSet):
     return ts, n_match, n_mid, slope
 
 
-def sweep_curve(a: PointSet, b: PointSet):
+def sweep_curve(a: PointSet, b: PointSet, index: Optional[NearestIndex] = None):
     """Event positions and the exact objective value at each of them.
 
     Returns (ts, values, n_match, n_mid).  values[i] is CD(A + ts[i], B),
     obtained by seeding an exact evaluation at ts[0] and integrating the
-    piecewise-constant slope across the event list.  Raises ``ValueError``
-    when the 2mn - m events exceed ``_EVENT_BUDGET``.
+    piecewise-constant slope across the event list.  ``index``, an l2
+    index over ``b``, seeds that evaluation when given.  Raises
+    ``ValueError`` when the 2mn - m events exceed ``_EVENT_BUDGET``.
     """
     _require_1d(a, b)
     m = len(a)
@@ -119,7 +133,7 @@ def sweep_curve(a: PointSet, b: PointSet):
     if events > _EVENT_BUDGET:
         raise ValueError(f"1D sweep has {events} events, over budget {_EVENT_BUDGET}")
     ts, n_match, n_mid, slope = _event_arrays(a, b)
-    cd0 = float(chamfer_many(a, ts[:1].reshape(-1, 1), b)[0])
+    cd0 = float(chamfer_many(a, ts[:1].reshape(-1, 1), b, index=index)[0])
     values = np.empty_like(ts)
     values[0] = cd0
     if ts.size > 1:
@@ -139,34 +153,45 @@ def cdut_exact_1d(a: PointSet, b: PointSet) -> ChamferReport:
     attaining the minimum; value and assignment are re-evaluated exactly
     there.
     """
-    ts, values, n_match, _ = sweep_curve(a, b)
+    index = build_index(b)
+    ts, values, n_match, _ = sweep_curve(a, b, index)
     match_pos = np.flatnonzero(n_match > 0)
     best = match_pos[np.argmin(values[match_pos])]
-    return replace(chamfer_translated(a, ts[best], b), algorithm="exact1d", evaluations=int(ts.size))
+    return replace(
+        chamfer_translated(a, ts[best], b, index=index), algorithm="exact1d", evaluations=int(ts.size)
+    )
 
 
 def _alignment_values(points_a: np.ndarray, points_b: np.ndarray, axis: int) -> np.ndarray:
     return np.unique(points_b[:, axis][None, :] - points_a[:, axis][:, None])
 
 
-def _alignment_grid(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    """Every combination of per-dimension alignments, last dimension fastest."""
+def _alignment_grid(points_a: np.ndarray, points_b: np.ndarray):
+    """Every combination of per-dimension alignments, last dimension fastest.
+
+    Returns the grid's translations and their lattice keys: each axis's
+    rank among that axis's sorted alignment values.
+    """
     per_dim = [_alignment_values(points_a, points_b, axis) for axis in range(points_a.shape[1])]
-    total = 1
-    for vals in per_dim:
-        total *= vals.size
+    shape = tuple(vals.size for vals in per_dim)
+    total = math.prod(shape)
     if total > _CANDIDATE_BUDGET:
         raise ValueError(f"candidate grid has {total} points, over budget {_CANDIDATE_BUDGET}")
     mesh = np.meshgrid(*per_dim, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    keys = np.indices(shape).reshape(len(shape), -1).T
+    return np.stack([m.ravel() for m in mesh], axis=1), keys
 
 
 def cdut_exact_l1_linf(a: PointSet, b: PointSet, metric: Metric) -> ChamferReport:
     """Exact CDuT for the l1 metric in low dimension, and for linf up to 2D.
 
     l1: enumerates every translation aligning some pair of coordinates in
-    each dimension (the per-dimension difference grids) and evaluates each
-    exactly.  The grid has up to (mn)^d points, so the dimension is capped.
+    each dimension (the per-dimension difference grids) and finds their
+    first minimum exactly, skipping grid cells whose Lipschitz floor cannot
+    win.  ``evaluations`` counts the whole grid; the extras count the query
+    rows scored at grid points (``engine_rows``) and at cell centres
+    (``bound_rows``).  The grid has up to (mn)^d points, so the dimension
+    is capped.
 
     linf: in 2D, rotating coordinates by 45 degrees turns the problem into
     an l1 instance, which is then solved the same way; in 1D the metrics
@@ -185,21 +210,29 @@ def cdut_exact_l1_linf(a: PointSet, b: PointSet, metric: Metric) -> ChamferRepor
             "exact linf search is limited to d <= 2; alignment candidates are "
             "not optimal for linf in higher dimension"
         )
+    index = None
     if metric.p == math.inf and a.dim == 2:
         # max(|x|, |y|) = (|x+y| + |x-y|) / 2: solve as l1 in rotated coords
         rot = np.array([[1.0, 1.0], [1.0, -1.0]])
         ra, rb = a.points @ rot.T, b.points @ rot.T
-        candidates = _alignment_grid(ra, rb)
-        best, _, rows = chamfer_argmin(PointSet(ra), candidates, PointSet(rb), L1)
+        candidates, keys = _alignment_grid(ra, rb)
+        best, _, rows, bound_rows = lattice_argmin(
+            PointSet(ra), candidates, keys, PointSet(rb), L1, holds_optimum=True
+        )
         t = candidates[best] @ np.array([[0.5, 0.5], [0.5, -0.5]]).T
     else:
-        candidates = _alignment_grid(a.points, b.points)
+        candidates, keys = _alignment_grid(a.points, b.points)
+        index = build_index(b, metric)
         # first minimum = lexicographically smallest t
-        best, _, rows = chamfer_argmin(a, candidates, b, metric)
+        best, _, rows, bound_rows = lattice_argmin(a, candidates, keys, b, metric, index, holds_optimum=True)
         t = candidates[best]
     return replace(
-        chamfer_translated(a, t, b, metric),
+        chamfer_translated(a, t, b, metric, index=index),
         algorithm="exact-l1linf",
         evaluations=int(len(candidates)),
-        extras={"engine_rows": rows, "engine_rows_full": len(candidates) * len(a)},
+        extras={
+            "engine_rows": rows,
+            "engine_rows_full": len(candidates) * len(a),
+            "bound_rows": bound_rows,
+        },
     )

@@ -23,10 +23,10 @@ import cdut.parallel
 import cdut.sweep1d
 from cdut import L1, L2, LINF, LocalNetConfig, PointSet, build_index, chamfer_many
 from cdut.approx import cdut_approx_v1
-from cdut.core import ArgminResult, chamfer_argmin
+from cdut.core import ArgminResult, LatticeArgmin, chamfer_argmin, lattice_argmin
 from cdut.instances import noisy_copy_instance, uniform_instance
 from cdut.localnet import cdut_localnet
-from cdut.sweep1d import cdut_exact_l1_linf
+from cdut.sweep1d import _alignment_grid, cdut_exact_l1_linf
 
 METRICS = {"l1": L1, "l2": L2, "linf": LINF}
 
@@ -83,7 +83,10 @@ def test_matches_full_scan(seed, m, n, d, count, metric, backend, grid, stages):
     index = build_index(b, METRICS[metric], backend)
     pos, value = full_scan(a, ts, b, METRICS[metric], index)
     for workers in (None, "2"):
-        with threads(workers), mock.patch.object(cdut.core, "_ARGMIN_STAGES", stages):
+        # no row floor, so that even these small stages go to the pool
+        with threads(workers), mock.patch.object(cdut.core, "_ARGMIN_STAGES", stages), mock.patch.object(
+            cdut.core, "_POOL_ROWS", 0
+        ):
             got = chamfer_argmin(a, ts, b, METRICS[metric], index=index)
         assert got.pos == pos
         assert bits(got.value) == bits(value)
@@ -204,6 +207,48 @@ def test_chamfer_many_returns_values_then_distances():
     assert np.array_equal(dist.ravel(), nearest)
 
 
+# -- lattice_argmin on alignment grids -----------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    case=st.sampled_from(["l1 d=2", "l1 d=3", "linf d=2"]),
+    grid=st.booleans(),
+    repeats=st.integers(0, 30),
+)
+def test_lattice_argmin_on_alignment_grids(seed, case, grid, repeats):
+    # alignment grids are unevenly spaced, so cells have non-uniform boxes;
+    # integer coordinates make ties across cells common
+    d = int(case[-1])
+    size = 8 if d == 2 else 4
+    a, b = instance(seed, size, size, d, grid)
+    pa, pb = a.points, b.points
+    if case.startswith("linf"):
+        rot = np.array([[1.0, 1.0], [1.0, -1.0]])
+        pa, pb = pa @ rot.T, pb @ rot.T
+    a, b = PointSet(pa), PointSet(pb)
+    ts, keys = _alignment_grid(pa, pb)
+    # repeated keys, later in the order, carry the same translation
+    rng = np.random.default_rng(seed)
+    extra = rng.integers(0, len(ts), repeats)
+    ts, keys = np.concatenate([ts, ts[extra]]), np.concatenate([keys, keys[extra]])
+    values = chamfer_many(a, ts, b, L1)
+    low = float(values.min())
+    for upper in (math.inf, low, np.nextafter(low, -math.inf)):
+        want = chamfer_argmin(a, ts, b, L1, upper=upper)
+        for holds_optimum in (False, True):
+            got = lattice_argmin(a, ts, keys, b, L1, upper=upper, holds_optimum=holds_optimum)
+            assert (got.pos, bits(got.value)) == (want.pos, bits(want.value))
+            assert got.rows <= len(ts) * len(a)
+    rounding = cdut.core._rounding(a, ts)
+    for side in (2, 4, 16):
+        which, centres, r = cdut.core._lattice_cells(ts, keys, side, L1)
+        assert np.all(L1.norms(ts - centres[which]) <= r[which] * (1.0 + 1e-12))
+        floors = cdut.core._cell_floor(chamfer_many(a, centres, b, L1), r, len(a), rounding)
+        assert np.all(values >= floors[which])
+
+
 # -- callers: same report as a full-scan argmin --------------------------------
 
 
@@ -216,6 +261,11 @@ def reference_argmin(a, ts, b, metric=L2, index=None, upper=math.inf) -> ArgminR
     if values[pos] > upper:
         return ArgminResult(-1, math.inf, full)
     return ArgminResult(pos, float(values[pos]), full)
+
+
+def reference_lattice_argmin(a, ts, keys, b, metric=L2, index=None, upper=math.inf, holds_optimum=False):
+    pos, value, rows = reference_argmin(a, ts, b, metric, index, upper)
+    return LatticeArgmin(pos, value, rows, 0)
 
 
 def v1(a, b, metric):
@@ -253,15 +303,21 @@ CASES = list(_cases())
 @pytest.mark.parametrize("module,solve", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_callers_match_full_scan_reference(monkeypatch, module, solve):
     got = solve()
-    monkeypatch.setattr(module, "chamfer_argmin", reference_argmin)
+    # the pruned lattice scan calls core's own chamfer_argmin, so it is
+    # replaced whole, or ``want`` would still come from a pruned scan
+    for name, reference in (("chamfer_argmin", reference_argmin), ("lattice_argmin", reference_lattice_argmin)):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, reference)
     want = solve()
+    assert want.extras["engine_rows"] == want.extras["engine_rows_full"]  # a true full scan
     assert bits(got.value) == bits(want.value)
     assert np.array_equal(got.translation, want.translation)
     assert np.array_equal(got.assignment, want.assignment)
     assert got.evaluations == want.evaluations
     assert got.extras["engine_rows_full"] == want.extras["engine_rows_full"]
     assert 0 < got.extras["engine_rows"] <= got.extras["engine_rows_full"]
-    drop = ("engine_rows",)
+    # rows scored at cell centres exist only in the pruned scan
+    drop = ("engine_rows", "bound_rows")
     assert {k: v for k, v in got.extras.items() if k not in drop} == {
         k: v for k, v in want.extras.items() if k not in drop
     }

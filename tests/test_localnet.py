@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdut import (
@@ -19,15 +19,18 @@ from cdut import (
     chamfer_translated,
 )
 from cdut.instances import noisy_copy_instance, translated_copy_instance, uniform_instance
-from cdut.core import anchor_count, chamfer_argmin, difference_candidates, sample_anchors
-from cdut.localnet import (
+from cdut.core import (
     _cell_floor,
-    _cells,
-    _grid_step,
-    _net_argmin,
-    _net_phase,
+    _lattice_cells,
+    _rounding,
     _unique_rows,
+    anchor_count,
+    chamfer_argmin,
+    difference_candidates,
+    lattice_argmin,
+    sample_anchors,
 )
+from cdut.localnet import _grid_step, _net_phase
 
 REL = 1e-9
 
@@ -117,6 +120,52 @@ class TestBuildNet:
             _net_phase(7, L2, np.zeros((1, 7)), radius=1.0, rho=0.5, union=False)
         with pytest.raises(ValueError, match="budget"):
             _net_phase(2, L2, np.zeros((1, 2)), radius=1.0, rho=1e-3, union=False)
+
+
+def per_ball_net(dim, metric, candidates, radius, rho, union):
+    """The net built one ball at a time, as ``_net_phase`` did with a loop."""
+    step = _grid_step(metric, rho, dim)
+    blocks = [np.empty((0, dim), dtype=np.int64)]
+    for center in candidates:
+        lo = np.ceil((center - radius) / step - 1e-12).astype(np.int64)
+        hi = np.floor((center + radius) / step + 1e-12).astype(np.int64)
+        axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
+        idx = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        keep = metric.norms(idx.astype(np.float64) * step - center) <= radius * (1.0 + 1e-9) + 1e-12
+        blocks.append(idx[keep])
+    idx = np.concatenate(blocks)
+    if union:
+        idx = np.unique(idx, axis=0)
+    return idx.astype(np.float64) * step, idx
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    d=st.integers(1, 3),
+    balls=st.integers(1, 30),
+    exponent=st.floats(-3.0, 3.0),
+    ratio=st.floats(0.3, 8.0),
+    repeat=st.booleans(),
+    metric_name=st.sampled_from(["l1", "l2", "linf"]),
+    union=st.booleans(),
+)
+def test_net_phase_matches_per_ball_loop(seed, d, balls, exponent, ratio, repeat, metric_name, union):
+    # balls of differing lattice widths share one offset box; every row,
+    # its order and its float bits must match the per-ball build
+    metric = {"l1": L1, "l2": L2, "linf": LINF}[metric_name]
+    per_side = 2.0 * ratio * {"l1": d, "l2": math.sqrt(d), "linf": 1.0}[metric_name] + 2.0
+    assume(balls * per_side**d <= 100_000)  # lattice points the per-ball loop builds
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    centers = rng.uniform(-5, 5, (balls, d)) * scale
+    if repeat:
+        centers = centers[rng.integers(0, balls, balls)]
+    rho = float(rng.uniform(0.05, 1.0)) * scale
+    net, idx = _net_phase(d, metric, centers, ratio * rho, rho, union)
+    want_net, want_idx = per_ball_net(d, metric, centers, ratio * rho, rho, union)
+    assert idx.tobytes() == want_idx.tobytes() and idx.shape == want_idx.shape
+    assert net.tobytes() == want_net.tobytes()
 
 
 class TestConfig:
@@ -324,23 +373,31 @@ class TestPrunedNet:
     def test_net_argmin_matches_chamfer_argmin(self, metric):
         # nets of one point up to several cells, at negative and positive
         # lattice indices, with repeated rows and upper bounds on both sides
-        # of the minimum
+        # of the minimum; odd seeds spread the indices over enough coarse
+        # cells that the coarse level runs too
         for seed in range(30):
             rng = np.random.default_rng(seed)
             d = 1 + seed % 3
             a, b = uniform_instance(4, 5, d, 150_000 + seed)
             size = int(rng.integers(1, 3 * 4**d))
-            idx = rng.integers(-6, 6, size=(size, d))
+            reach = 6 if seed % 2 == 0 else 160
+            idx = rng.integers(-reach, reach, size=(size, d))
             idx = idx[rng.integers(0, size, size=size + seed % 4)]
-            step = float(rng.uniform(0.05, 0.5))
+            step = float(rng.uniform(0.05, 0.5)) * (6 / reach)
             net = idx.astype(np.float64) * step
             values = chamfer_many(a, net, b, metric)
+            fine = len(np.unique(idx // 4, axis=0)) * len(a)
+            coarse = len(np.unique(idx // 16, axis=0)) * len(a)
             for u in (float(values.min()), float(np.median(values)), np.nextafter(values.min(), 0.0)):
                 want = chamfer_argmin(a, net, b, metric, upper=u)
-                pos, value, rows, bound_rows = _net_argmin(a, b, metric, None, net, idx, step, u)
+                pos, value, rows, bound_rows = lattice_argmin(a, net, idx, b, metric, upper=u)
                 assert (pos, bits(value)) == (want.pos, bits(want.value))
-                assert rows <= len(net) * len(a)
-                assert bound_rows == len(np.unique(idx // 4, axis=0)) * len(a)
+                assert rows <= len(np.unique(idx, axis=0)) * len(a)
+                if reach == 6:
+                    # one coarse cell per axis: only the fine level scores centres
+                    assert bound_rows == fine
+                else:
+                    assert 0 < bound_rows <= coarse + fine
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_tie_across_cells_goes_to_first_position(self, reverse):
@@ -352,7 +409,7 @@ class TestPrunedNet:
         net = idx.astype(np.float64) * 0.25
         want = chamfer_argmin(a, net, b, L2, upper=0.5)
         assert want.value == 0.0
-        pos, value, _, _ = _net_argmin(a, b, L2, None, net, idx, 0.25, 0.5)
+        pos, value, _, _ = lattice_argmin(a, net, idx, b, L2, upper=0.5)
         assert (pos, value) == (want.pos, want.value)
 
 
@@ -391,11 +448,11 @@ def bound_case(seed, d, m, scale, tight):
 def test_cell_floor_bounds_every_member(seed, d, m, exponent, tight, metric_name):
     metric = {"l1": L1, "l2": L2, "linf": LINF}[metric_name]
     a, b, idx, step = bound_case(seed, d, m, 10.0**exponent, tight)
-    which, centres, r = _cells(idx, step, metric)
-    assert r == pytest.approx(1.5 * step * {1.0: d, 2.0: math.sqrt(d), math.inf: 1.0}[metric.p])
     net = idx.astype(np.float64) * step
+    which, centres, r = _lattice_cells(net, idx, 4, metric)
+    assert r == pytest.approx(np.full(2**d, 1.5 * step * {1.0: d, 2.0: math.sqrt(d), math.inf: 1.0}[metric.p]))
     # every member lies within r of its centre
-    assert np.all(metric.norms(net - centres[which]) <= r * (1.0 + 1e-12))
-    floors = _cell_floor(chamfer_many(a, centres, b, metric), a, centres, r)
+    assert np.all(metric.norms(net - centres[which]) <= r[which] * (1.0 + 1e-12))
+    floors = _cell_floor(chamfer_many(a, centres, b, metric), r, len(a), _rounding(a, net))
     values = chamfer_many(a, net, b, metric)
     assert np.all(values >= floors[which])

@@ -6,10 +6,15 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+import cdut.core
 import cdut.parallel
 from cdut import chamfer_many
 from cdut.parallel import concurrency, run_chunked, worker_count
 from cdut.instances import uniform_instance
+
+# translations of a 9-point set that hold enough query rows to use the pool
+POOLED = 1024
+assert POOLED * 9 >= cdut.core._POOL_ROWS
 
 
 class TestWorkerCount:
@@ -31,14 +36,17 @@ class TestWorkerCount:
 
 
 class TestDeterministicReduction:
-    def test_parallel_evaluation_matches_serial(self, monkeypatch):
+    def test_parallel_evaluation_matches_serial(self, monkeypatch, fresh_pool):
         a, b = uniform_instance(9, 11, 2, 5)
         rng = np.random.default_rng(6)
-        ts = rng.uniform(-20, 20, size=(64, 2))
+        # enough query rows that the evaluation goes to the pool
+        ts = rng.uniform(-20, 20, size=(POOLED, 2))
         monkeypatch.delenv("CDUT_THREADS", raising=False)
         serial = chamfer_many(a, ts, b)
+        assert cdut.parallel._pool is None
         monkeypatch.setenv("CDUT_THREADS", "4")
         parallel = chamfer_many(a, ts, b)
+        assert cdut.parallel._pool is not None
         assert np.array_equal(serial, parallel)
 
 
@@ -99,6 +107,21 @@ class TestPoolSize:
         assert recording_pool == [] and cdut.parallel._pool is None
         assert threading.active_count() == before
 
+    def test_small_evaluation_never_touches_the_pool(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(cdut.parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("CDUT_THREADS", "2")
+        a, b = uniform_instance(9, 11, 2, 5)
+        ts = np.random.default_rng(6).uniform(-20, 20, size=(POOLED, 2))
+        below = cdut.core._POOL_ROWS // len(a) - 1  # translations in the largest serial call
+        assert 4 * 2 <= below  # run_chunked alone would split this call
+        want = chamfer_many(a, ts, b)
+        assert recording_pool == [2]
+        monkeypatch.setattr(cdut.parallel, "_pool", None)
+        recording_pool.clear()
+        got = chamfer_many(a, ts[:below], b)
+        assert recording_pool == [] and cdut.parallel._pool is None
+        assert np.array_equal(got, want[:below])
+
     def test_concurrency_follows_the_serial_path(self, monkeypatch):
         monkeypatch.setattr(cdut.parallel, "_usable_cpus", lambda: 8)
         assert concurrency(10**6, 1) == 1
@@ -109,7 +132,7 @@ class TestPoolSize:
 
 def _child_values(conn):
     a, b = uniform_instance(9, 11, 2, 5)
-    ts = np.random.default_rng(6).uniform(-20, 20, size=(64, 2))
+    ts = np.random.default_rng(6).uniform(-20, 20, size=(POOLED, 2))
     conn.send(chamfer_many(a, ts, b))
     conn.close()
 
@@ -133,7 +156,7 @@ class TestSharedPool:
         monkeypatch.setattr(cdut.parallel, "_usable_cpus", lambda: 2)
         monkeypatch.setenv("CDUT_THREADS", "2")
         a, b = uniform_instance(9, 11, 2, 5)
-        ts = np.random.default_rng(6).uniform(-20, 20, size=(64, 2))
+        ts = np.random.default_rng(6).uniform(-20, 20, size=(POOLED, 2))
         want = chamfer_many(a, ts, b)
         assert cdut.parallel._pool is not None  # the parent used the pool
         ctx = multiprocessing.get_context("fork")
