@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import L2, Metric, PointSet, bbox_diameter, build_index
+from .core import L2, Metric, PointSet, _tile_rows, bbox_diameter, build_index
 
 __all__ = ["ScaleLadder", "build_ladder"]
 
@@ -34,8 +34,6 @@ _MAX_HASHES = 40
 _MAX_TABLES = 160
 # bucket width as a multiple of the scale's radius
 _WIDTH_FACTOR = 4.0
-# coordinates (member rows x d) gathered at once by one table probe
-_PROBE_ENTRIES = 1 << 22
 
 
 def _phi(x: float) -> float:
@@ -126,7 +124,7 @@ class ScaleLadder:
 
         Every row is hashed at once, so the projection keeps one call shape
         and its bucket ids their bits.  The members are then gathered over
-        tiles of query rows holding at most ``_PROBE_ENTRIES`` coordinates;
+        tiles of query rows holding at most ``_TILE_ENTRIES`` coordinates;
         a row whose bucket alone is larger has its members split.  Each
         tile keeps the smallest (distance, index) pair per row, so the
         result is the one an untiled probe gives.
@@ -134,7 +132,7 @@ class ScaleLadder:
         hit, bucket = table.lookup(table.hash_points(q[rows]))
         if hit.size == 0:
             return
-        limit = max(1, _PROBE_ENTRIES // q.shape[1])
+        limit = _tile_rows(q.shape[1])
         ends = np.cumsum(table.bucket_size[bucket])
         lo = 0
         while lo < hit.size:

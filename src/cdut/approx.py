@@ -21,8 +21,11 @@ from .core import (
     ChamferReport,
     Metric,
     PointSet,
+    _check_same_dim,
+    _tile_rows,
     anchor_count,
     bbox_diameter,
+    build_index,
     chamfer_argmin,
     chamfer_many,  # noqa: F401  still importable here; perfbench's tracer patches it per module
     chamfer_translated,
@@ -35,8 +38,6 @@ __all__ = ["cdut_approx_v1", "cdut_approx_v2"]
 # with delta = e^-3 the anchor count reproduces ceil(24/eps) at eps = 1/4
 # and ceil(6/eps) in the constant-probability regime
 DEFAULT_DELTA = math.exp(-3.0)
-# coordinates in the query rows of one group of approx-v2's anchors
-_QUERY_ENTRIES = 1 << 22
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -58,12 +59,14 @@ def cdut_approx_v1(
     below the optimum.
     """
     _check_epsilon(epsilon)
+    _check_same_dim(a, b)
     anchors = sample_anchors(len(a), anchor_count(epsilon, delta), seed)
     candidates = difference_candidates(a, b, anchors)
-    best, _, rows = chamfer_argmin(a, candidates, b, metric)
+    index = build_index(b, metric)
+    best, _, rows = chamfer_argmin(a, candidates, b, metric, index)
     n = len(b)
     return replace(
-        chamfer_translated(a, candidates[best], b, metric),
+        chamfer_translated(a, candidates[best], b, metric, index),
         algorithm="approx-v1",
         epsilon=epsilon,
         seed=seed,
@@ -97,8 +100,7 @@ def cdut_approx_v2(
     _check_epsilon(epsilon)
     if not c > 1.0:
         raise ValueError("approximation factor c must exceed 1")
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _check_same_dim(a, b)
     anchors = sample_anchors(len(a), anchor_count(epsilon, delta), seed)
     ladder = build_ladder(
         b,
@@ -108,10 +110,10 @@ def cdut_approx_v2(
         metric=metric,
     )
     m, n = len(a), len(b)
-    # anchors are scored in groups whose query rows hold at most _QUERY_ENTRIES
-    # coordinates (or one anchor's rows); a strict < keeps the first minimum
-    # across groups, and the winner is copied out of its group's arrays
-    group = max(1, _QUERY_ENTRIES // (n * m * a.dim))
+    # anchors are scored in groups whose query rows make one tile (or one
+    # anchor's rows); a strict < keeps the first minimum across groups, and
+    # the winner is copied out of its group's arrays
+    group = _tile_rows(n * m * a.dim)
     best = None  # (sum, candidate row, translation, assignment)
     for lo in range(0, anchors.size, group):
         candidates = difference_candidates(a, b, anchors[lo : lo + group])

@@ -159,8 +159,13 @@ class ChamferReport:
     extras: Optional[dict] = None
 
 
-# entries in the brute backend's query-minus-point tensor, per chunk
-_BRUTE_ENTRIES = 1 << 22
+# float64 entries in the largest temporary of one tile of any phase
+_TILE_ENTRIES = 1 << 22
+
+
+def _tile_rows(width: int) -> int:
+    """Rows of ``width`` entries that one tile holds: at least one."""
+    return max(1, _TILE_ENTRIES // width)
 
 
 class NearestIndex:
@@ -202,7 +207,7 @@ class NearestIndex:
         out_d = np.empty(len(q), dtype=np.float64)
         out_i = np.empty(len(q), dtype=np.int64)
         # the (rows, n, d) difference tensor is the largest temporary
-        chunk = max(1, _BRUTE_ENTRIES // (n * self.source.dim))
+        chunk = _tile_rows(n * self.source.dim)
         for start in range(0, len(q), chunk):
             stop = min(len(q), start + chunk)
             dmat = self._distance_matrix(q[start:stop])
@@ -250,17 +255,16 @@ def chamfer(
     a: PointSet,
     b: PointSet,
     metric: Metric = L2,
-    backend: str = "auto",
     index: Optional[NearestIndex] = None,
 ) -> ChamferReport:
     """Exact Chamfer distance from ``a`` to ``b`` with the minimizing assignment.
 
     ``index``, when given, is an index over ``b`` in ``metric`` and is used
-    instead of building one.
+    instead of building one; ``build_index`` chooses its backend.
     """
     _check_same_dim(a, b)
     if index is None:
-        index = build_index(b, metric, backend)
+        index = build_index(b, metric)
     dists, idx = index.query_many(a.points)
     return ChamferReport(
         value=float(np.sum(dists)),
@@ -275,13 +279,12 @@ def chamfer_translated(
     t,
     b: PointSet,
     metric: Metric = L2,
-    backend: str = "auto",
     index: Optional[NearestIndex] = None,
 ) -> ChamferReport:
     """Exact Chamfer distance of ``a`` shifted by ``t`` against ``b``."""
     _check_same_dim(a, b)
     t = as_translation(t, a.dim)
-    return replace(chamfer(a.translated(t), b, metric, backend, index), translation=t)
+    return replace(chamfer(a.translated(t), b, metric, index), translation=t)
 
 
 def difference_candidates(a: PointSet, b: PointSet, anchors: np.ndarray) -> np.ndarray:
@@ -318,10 +321,9 @@ def sample_anchors(m: int, k: int, seed: int = 0) -> np.ndarray:
     return draws[np.sort(first)]
 
 
-# query rows built at once by one evaluation, summed over its workers
+# query rows built at once by one evaluation, summed over its workers; their
+# coordinates are held to _TILE_ENTRIES, so below d = 5 this cap is the tighter
 _QUERY_ROWS = 1 << 20
-# and their coordinates (rows x d); below d = 5 the row cap is the tighter
-_QUERY_ENTRIES = 1 << 22
 # column stages of A in chamfer_argmin
 _ARGMIN_STAGES = 8
 # a partial sum and the full sum it bounds are rounded in different orders;
@@ -360,13 +362,13 @@ def _distances(cols: np.ndarray, ts: np.ndarray, index: NearestIndex) -> np.ndar
 
     Translations are split between workers by ``run_chunked``.  Each block
     builds its queries in tiles, so the blocks that run at once together hold
-    at most ``_QUERY_ROWS`` query rows and ``_QUERY_ENTRIES`` coordinates.
+    at most ``_QUERY_ROWS`` query rows and ``_TILE_ENTRIES`` coordinates.
     A distance does not depend on which block or tile computed it.  A call
     of fewer than ``_POOL_ROWS`` query rows runs serially.
     """
     c, d = cols.shape
     workers = worker_count() if len(ts) * c >= _POOL_ROWS else 1
-    rows = min(_QUERY_ROWS, _QUERY_ENTRIES // d)
+    rows = min(_QUERY_ROWS, _tile_rows(d))
     tile = max(1, rows // concurrency(len(ts), workers))
     t_step, c_step = max(1, tile // c), min(c, tile)
 
@@ -603,11 +605,11 @@ def lattice_argmin(
     its floor v - m*r (less a rounding slack).  Cells whose floor exceeds
     the bound are dropped, and the survivors are split into cells of 4^d
     keys and bounded again.  The coarse level is skipped when the keys span
-    fewer than ``_MIN_COARSE_CELLS`` of its cells.  The surviving cell with
-    the lowest floor is then scored in full, and its best value tightens
-    the bound.  The rest go to ``chamfer_argmin`` with their floors as
-    per-candidate lower bounds, so a translation leaves the scan as soon as
-    its floor or its partial sum rules it out.  Centres only bound and never
+    fewer than ``_MIN_COARSE_CELLS`` of its cells.  The survivors go
+    straight into the early-abandoning scan, ``chamfer_argmin``, with their
+    floors as per-candidate lower bounds, so a translation leaves the scan
+    as soon as its floor or its partial sum rules it out; the scan's first
+    completed leader tightens the bound.  Centres only bound and never
     win: position and value are bit-identical to ``chamfer_argmin(a,
     translations, b, metric, upper=upper)``, ties included.
 
@@ -630,7 +632,6 @@ def lattice_argmin(
     live = np.sort(order[new])  # each distinct key at its first position
     rounding = _rounding(a, ts)
     floors = np.full(len(ts), -math.inf)
-    cell = np.empty(len(ts), dtype=np.int64)  # finest cell scored so far
     bound, bound_rows = float(upper), 0
     lo, hi = keys.min(axis=0), keys.max(axis=0)
     for side in _CELL_SIDES:
@@ -646,28 +647,10 @@ def lattice_argmin(
             # any centre's; each computed value is off by at most its rounding
             low = float(values.min())
             bound = min(bound, low * (1.0 + 2.0 * _PRUNE_SLACK) + 2.0 * rounding)
-        floor = np.maximum(floors[live], _cell_floor(values, r, m, rounding)[which])
-        floors[live], cell[live] = floor, which
-        live = live[floor <= bound]
-    # the live cell with the lowest floor is scored in full first, and its
-    # best member bounds the scan of the rest
-    best, rows = (math.inf, len(ts)), 0
-    if live.size:
-        in_head = cell[live] == cell[live[int(np.argmin(floors[live]))]]
-        head, live = live[in_head], live[~in_head]
-        values = chamfer_many(a, ts[head], b, metric, index)
-        rows += values.size * m
-        lead = int(np.argmin(values))
-        if values[lead] <= bound:
-            best = (float(values[lead]), int(head[lead]))
-            bound = best[0]
-            live = live[floors[live] <= bound]
-    pos, value, more = chamfer_argmin(a, ts[live], b, metric, index, upper=bound, floors=floors[live])
-    rows += more
-    if pos >= 0:
-        best = min(best, (value, int(live[pos])))
-    value, pos = best
-    return LatticeArgmin(-1 if pos == len(ts) else pos, value, rows, bound_rows)
+        floors[live] = np.maximum(floors[live], _cell_floor(values, r, m, rounding)[which])
+        live = live[floors[live] <= bound]
+    pos, value, rows = chamfer_argmin(a, ts[live], b, metric, index, upper=bound, floors=floors[live])
+    return LatticeArgmin(int(live[pos]) if pos >= 0 else -1, value, rows, bound_rows)
 
 
 def bbox_diameter(ps: PointSet, metric: Metric = L2) -> float:

@@ -31,6 +31,8 @@ from .core import (
     ChamferReport,
     Metric,
     PointSet,
+    _check_same_dim,
+    _tile_rows,
     build_index,
     difference_candidates,
     sample_anchors,
@@ -90,18 +92,14 @@ class DecisionResult:
         return self.answer == "YES"
 
 
-# pair-by-coordinate entries in one block of _min_pairwise's differences
-_PAIR_ENTRIES = 1 << 22
-
-
 def _min_pairwise(points: np.ndarray, metric: Metric) -> float:
     """Smallest distance between two rows of ``points``; inf below two rows.
 
     Each pair (i, j), i < j, is measured as ``points[j] - points[i]``, in
-    blocks of rows of i that hold at most ``_PAIR_ENTRIES`` entries.
+    blocks of ``_tile_rows(n * d)`` rows of i.
     """
     n, d = points.shape
-    step = max(1, _PAIR_ENTRIES // (n * d))
+    step = _tile_rows(n * d)
     best = math.inf
     for lo in range(0, n - 1, step):
         i, j = np.triu_indices(min(step, n - 1 - lo), k=1, m=n - lo)
@@ -222,8 +220,7 @@ def decide_cdut(
     candidates are those of ``anchors`` draws from A, a repeated draw kept
     once, so translations_tested counts distinct candidates.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _check_same_dim(a, b)
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     m = len(a)

@@ -29,7 +29,6 @@ the same set of translations and agree on the minimum value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -40,6 +39,7 @@ from .core import (
     ChamferReport,
     Metric,
     PointSet,
+    _check_same_dim,
     _unique_rows,
     anchor_count,
     build_index,
@@ -80,15 +80,6 @@ class LocalNetConfig:
         object.__setattr__(self, "gamma", gamma)
 
 
-def _grid_step(metric: Metric, rho: float, d: int) -> float:
-    # spacing such that half a grid cell is within rho/2 in the metric
-    if metric.p == 2.0:
-        return rho / math.sqrt(d)
-    if metric.p == 1.0:
-        return rho / d
-    return rho
-
-
 def _ball_lattice_ranges(center: np.ndarray, radius: float, step: float):
     lo = np.ceil((center - radius) / step - 1e-12).astype(np.int64)
     hi = np.floor((center + radius) / step + 1e-12).astype(np.int64)
@@ -113,7 +104,8 @@ def _net_phase(
     d = dim
     if d > _MAX_NET_DIM:
         raise ValueError(f"net search capped at dimension {_MAX_NET_DIM}, got {d}")
-    step = _grid_step(metric, rho, d)
+    # spacing such that half a grid cell is within rho/2 in the metric
+    step = rho / float(metric.norms(np.ones(d)))
     centres = np.asarray(candidates, dtype=np.float64).reshape(-1, d)
     lo, hi = _ball_lattice_ranges(centres, radius, step)
     widths = np.maximum(hi - lo + 1, 0)
@@ -143,8 +135,7 @@ def cdut_localnet(
     a: PointSet, b: PointSet, config: LocalNetConfig, seed: int = 0, metric: Metric = L2
 ) -> ChamferReport:
     """(1 + eps)-approximation by exact evaluation over sampled local nets."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _check_same_dim(a, b)
     index = build_index(b, metric)
     m = len(a)
     candidates = difference_candidates(a, b, sample_anchors(m, anchor_count(config.gamma, config.delta), seed))

@@ -10,7 +10,6 @@ approximation algorithms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -21,6 +20,7 @@ from .core import (
     ChamferReport,
     Metric,
     PointSet,
+    _check_same_dim,
     build_index,
     chamfer_many,
     chamfer_translated,
@@ -60,18 +60,12 @@ def oracle_cdut_1d(a: PointSet, b: PointSet) -> ChamferReport:
     if m * n > _PAIR_BUDGET:
         raise ValueError(f"instance has {m * n} candidate pairs, over the oracle budget {_PAIR_BUDGET}")
     cands = np.unique(b.points[:, 0][None, :] - a.points[:, 0][:, None])
-    values = chamfer_many(a, cands.reshape(-1, 1), b)
+    index = build_index(b)
+    values = chamfer_many(a, cands.reshape(-1, 1), b, index=index)
     best = int(np.argmin(values))  # first minimum = smallest t
-    return replace(chamfer_translated(a, cands[best], b), algorithm="oracle-1d", evaluations=int(cands.size))
-
-
-def _half_cell(metric: Metric, g: float, d: int) -> float:
-    # farthest a box point can be from the nearest grid node
-    if metric.p == 2.0:
-        return g * math.sqrt(d) / 2.0
-    if metric.p == 1.0:
-        return g * d / 2.0
-    return g / 2.0
+    return replace(
+        chamfer_translated(a, cands[best], b, index=index), algorithm="oracle-1d", evaluations=int(cands.size)
+    )
 
 
 def default_grid_spec(a: PointSet, b: PointSet, resolution: Optional[float] = None) -> GridSearchSpec:
@@ -98,8 +92,7 @@ def oracle_cdut_grid(
     never below OPT; ``extras["slack"]``, m * (half cell diagonal), bounds
     how far above OPT it can be.  ``evaluations`` counts the grid points.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _check_same_dim(a, b)
     if spec is None:
         spec = default_grid_spec(a, b)
     if spec.lo.shape[0] != a.dim:
@@ -117,8 +110,9 @@ def oracle_cdut_grid(
     values = chamfer_many(a, grid, b, metric, index=index)
     best = int(np.argmin(values))
     return replace(
-        chamfer_translated(a, grid[best], b, metric),
+        chamfer_translated(a, grid[best], b, metric, index=index),
         algorithm="oracle-grid",
         evaluations=int(total),
-        extras={"slack": len(a) * _half_cell(metric, g, a.dim)},
+        # m times the farthest a box point can be from the nearest grid node
+        extras={"slack": len(a) * (g * float(metric.norms(np.ones(a.dim))) / 2.0)},
     )

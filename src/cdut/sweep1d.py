@@ -53,6 +53,7 @@ from .core import (
     Metric,
     NearestIndex,
     PointSet,
+    _check_same_dim,
     build_index,
     chamfer_many,
     chamfer_translated,
@@ -199,8 +200,7 @@ def cdut_exact_l1_linf(a: PointSet, b: PointSet, metric: Metric) -> ChamferRepor
     (the objective's kinks sit at dominance corners, not alignments) and no
     rotation repairs it, so those requests are rejected.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _check_same_dim(a, b)
     if metric.p == 2.0:
         raise ValueError("alignment-candidate enumeration is only valid for l1/linf metrics")
     if a.dim > _MAX_DIM:

@@ -154,7 +154,7 @@ class TestTiledProbe:
         ladder.metric = untiled
         want = ladder.query_batch(queries)
         assert max(rows * d for rows, d in untiled.shapes) > 48  # the default cap did not tile
-        monkeypatch.setattr(cdut.ann, "_PROBE_ENTRIES", 48)
+        monkeypatch.setattr(cdut.core, "_TILE_ENTRIES", 48)
         tiled = RecordingMetric(metric)
         ladder.metric = tiled
         got = ladder.query_batch(queries)

@@ -206,7 +206,7 @@ class TestVariantTwo:
             return query(self, queries)
 
         monkeypatch.setattr(cdut.ann.ScaleLadder, "query_batch", counting)
-        default = cdut.approx._QUERY_ENTRIES
+        default = cdut.core._TILE_ENTRIES
         for seed in range(4):
             m, n = random_sizes(45_000 + seed, 4, 12)
             a, b = uniform_instance(m, n, 3, 45_000 + seed)
@@ -216,7 +216,7 @@ class TestVariantTwo:
             want = cdut_approx_v2(a, b, 0.5, c=2.0, seed=seed, metric=metric)
             assert rows[-1] == want.extras["anchors"] * n * m  # one group by default
             for per_group in (1, 2, 5):
-                monkeypatch.setattr(cdut.approx, "_QUERY_ENTRIES", per_group * n * m * 3)
+                monkeypatch.setattr(cdut.core, "_TILE_ENTRIES", per_group * n * m * 3)
                 del rows[:]
                 got = cdut_approx_v2(a, b, 0.5, c=2.0, seed=seed, metric=metric)
                 assert max(rows) <= per_group * n * m
@@ -225,7 +225,7 @@ class TestVariantTwo:
                 assert got.translation.tobytes() == want.translation.tobytes()
                 assert got.assignment.tobytes() == want.assignment.tobytes()
                 assert (got.evaluations, got.extras) == (want.evaluations, want.extras)
-            monkeypatch.setattr(cdut.approx, "_QUERY_ENTRIES", default)
+            monkeypatch.setattr(cdut.core, "_TILE_ENTRIES", default)
 
 
 class TestCandidateLemmas:

@@ -176,7 +176,7 @@ def test_query_tiles_are_capped_by_coordinates_at_high_dimension():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * cdut.core._QUERY_ENTRIES
+    assert peak < 4 * 8 * cdut.core._TILE_ENTRIES
 
 
 def test_huge_thread_count_keeps_serial_batches_whole(monkeypatch):

@@ -14,10 +14,11 @@ from cdut import (
     cdut_exact_l1_linf,
     cdut_localnet,
     check_separation,
+    decide_cdut,
     oracle_cdut_1d,
     oracle_cdut_grid,
 )
-from cdut.cli import ALGORITHMS, main
+from cdut.cli import ALGORITHMS, SOLVERS, SolveOptions, main
 from cdut.instances import uniform_instance
 from cdut.io import InstanceParseError, read_instance, write_instance
 
@@ -133,6 +134,39 @@ class TestCompute:
         )
         assert code == 2 and text == ""
         assert "epsilon" in err
+
+
+class TestDimensionMismatch:
+    # A and B of different dimension: every solver and decide refuse them
+    # before any other check, and the CLI exits 2
+    PAIRS = [(1, 2), (2, 1), (2, 3)]
+
+    @staticmethod
+    def _pair(dim_a, dim_b):
+        a, _ = uniform_instance(6, 6, dim_a, 11)
+        _, b = uniform_instance(6, 6, dim_b, 12)
+        return a, b
+
+    @pytest.mark.parametrize("dims", PAIRS, ids=lambda p: f"{p[0]}vs{p[1]}")
+    @pytest.mark.parametrize("algorithm", [*ALGORITHMS, "decide"])
+    def test_library_call_raises(self, algorithm, dims):
+        a, b = self._pair(*dims)
+        with pytest.raises(ValueError, match="dimension"):
+            if algorithm == "decide":
+                decide_cdut(a, b, 1.0, 0.25, 2.0)
+            else:
+                SOLVERS[algorithm](a, b, L1, SolveOptions(0.5, 2.0, None, 0))
+
+    @pytest.mark.parametrize("algorithm", [*ALGORITHMS, "decide"])
+    def test_cli_exits_2(self, capsys, tmp_path, algorithm):
+        a, b = self._pair(1, 2)
+        write_instance(tmp_path / "a.txt", a, L1)
+        write_instance(tmp_path / "b.txt", b, L1)
+        files = [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+        argv = ["decide", *files, "--radius", "1.0"] if algorithm == "decide" else ["compute", algorithm, *files]
+        code, text, err = run(capsys, argv)
+        assert code == 2 and text == ""
+        assert "dimension" in err
 
 
 class TestRegistry:

@@ -124,15 +124,15 @@ class TestNearestIndex:
             n = int(rng.integers(1, 201))
             d = int(rng.integers(1, 9))
             a, b = uniform_instance(m, n, d, seed)
-            kd = chamfer(a, b, backend="kdtree")
-            br = chamfer(a, b, backend="brute")
+            kd = chamfer(a, b, index=build_index(b, backend="kdtree"))
+            br = chamfer(a, b, index=build_index(b, backend="brute"))
             assert kd.value == br.value
             assert np.array_equal(kd.assignment, br.assignment)
 
     def test_brute_chunks_cap_the_difference_tensor(self, monkeypatch):
         # every chunk's (rows, n, d) tensor stays under the cap, d included
         cap = 1 << 10
-        monkeypatch.setattr(cdut.core, "_BRUTE_ENTRIES", cap)
+        monkeypatch.setattr(cdut.core, "_TILE_ENTRIES", cap)
         rng = np.random.default_rng(3)
         b = PointSet(rng.integers(-3, 4, size=(15, 3)).astype(np.float64))
         queries = rng.integers(-4, 5, size=(500, 3)).astype(np.float64)

@@ -150,7 +150,7 @@ class TestSeparation:
                 best = min(best, float(metric.norms(points[i + 1 :] - points[i]).min()))
             return best
 
-        monkeypatch.setattr(cdut.decision, "_PAIR_ENTRIES", block)
+        monkeypatch.setattr(cdut.core, "_TILE_ENTRIES", block)
         rng = np.random.default_rng(5)
         for trial in range(60):
             n, d = 1 + trial % 13, (1, 2, 3, 16)[trial % 4]

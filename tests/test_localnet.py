@@ -30,9 +30,19 @@ from cdut.core import (
     lattice_argmin,
     sample_anchors,
 )
-from cdut.localnet import _grid_step, _net_phase
+from cdut.localnet import _net_phase
 
 REL = 1e-9
+
+
+def _grid_step(metric, rho, d):
+    """The net's lattice spacing, from the per-metric table: rho over the
+    metric length of the all-ones vector, sqrt(d), d or 1."""
+    if metric.p == 2.0:
+        return rho / math.sqrt(d)
+    if metric.p == 1.0:
+        return rho / d
+    return rho
 
 
 def ball_samples(center, radius, metric, count, rng):

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from cdut import PointSet, cdut_exact_1d, gadget_a, gadget_b, oracle_cdut_1d, oracle_cdut_grid
+from cdut import L1, L2, LINF, PointSet, cdut_exact_1d, gadget_a, gadget_b, oracle_cdut_1d, oracle_cdut_grid
 from cdut.oracle import GridSearchSpec, default_grid_spec
 from cdut.instances import uniform_instance
 
@@ -57,6 +59,20 @@ class TestGridOracle:
             gap = result.value - opt
             assert -1e-9 <= gap <= len(a) * g / 2.0 + 1e-9
             assert result.extras["slack"] == pytest.approx(len(a) * g / 2.0, rel=REL)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize(
+        "metric, length", [(L1, lambda d: d), (L2, math.sqrt), (LINF, lambda d: 1)], ids=["l1", "l2", "linf"]
+    )
+    def test_slack_is_m_times_the_half_cell(self, metric, length, d):
+        # the farthest a box point lies from its nearest grid node is half
+        # the cell's diagonal: g/2 times the metric length of (1, ..., 1)
+        a, b = uniform_instance(4, 5, d, 320_000 + d)
+        g = 0.5
+        spec = GridSearchSpec(lo=np.full(d, -1.0), hi=np.full(d, 1.0), resolution=g)
+        result = oracle_cdut_grid(a, b, spec=spec, metric=metric)
+        assert result.extras["slack"] == len(a) * (g * length(d) / 2.0)
+        assert result.evaluations == 5**d
 
     def test_halving_the_step_shrinks_the_average_gap(self):
         coarse_gaps, fine_gaps = [], []
