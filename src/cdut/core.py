@@ -4,8 +4,8 @@ The Chamfer distance from A to B sums, over every point of A, the distance
 to its nearest neighbor in B.  Everything downstream (the 1D sweep, the
 candidate-translation approximations, the decision procedure) is built on
 the exact evaluators in this module, so determinism matters here: nearest
-neighbors break ties toward the lowest index in B, and both index backends
-are required to produce bit-identical assignments.
+neighbors break ties toward the lowest index in B, and every index backend
+is required to produce bit-identical assignments.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .parallel import concurrency, run_chunked, worker_count
 
@@ -171,30 +170,52 @@ def _tile_rows(width: int) -> int:
 class NearestIndex:
     """Exact nearest-neighbor index over a point set.
 
-    backend 'brute' scans all points, 'kdtree' wraps a k-d tree; both return
+    backend 'brute' scans all points, 'kdtree' wraps a k-d tree and 'sorted'
+    searches the sorted coordinates of a one-dimensional set.  All return
     identical (distance, index) answers: distances are recomputed with the
     metric's own arithmetic and ties resolve to the lowest index in B.
+    'auto' takes 'sorted' at d = 1, else 'kdtree' from 16 points up and
+    'brute' below.  scipy is loaded on the first kd-tree build.
     """
 
     def __init__(self, source: PointSet, metric: Metric = L2, backend: str = "auto"):
-        if backend not in ("auto", "brute", "kdtree"):
+        if backend not in ("auto", "brute", "kdtree", "sorted"):
             raise ValueError(f"unknown backend {backend!r}")
         if backend == "auto":
-            backend = "kdtree" if len(source) >= 16 else "brute"
+            backend = "sorted" if source.dim == 1 else "kdtree" if len(source) >= 16 else "brute"
+        if backend == "sorted" and source.dim != 1:
+            raise ValueError(f"backend 'sorted' needs d = 1, got d = {source.dim}")
         self.source = source
         self.metric = metric
         self.backend = backend
-        self._tree = cKDTree(source.points) if backend == "kdtree" else None
+        self._tree = self._runs = None
+        if backend == "kdtree":
+            from scipy.spatial import cKDTree
+
+            self._tree = cKDTree(source.points)
+        elif backend == "sorted":
+            # the distinct values in order, each with the lowest index holding
+            # it, padded by two infinite values on either side
+            _, lowest = np.unique(source.points[:, 0], return_index=True)
+            pad = np.full((2, 1), np.inf)
+            values = np.concatenate([-pad, source.points[lowest], pad])
+            self._runs = values, np.concatenate([[0, 0], lowest, [0, 0]])
 
     def query_many(
         self, queries: np.ndarray, normalize_ties: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact NN distance and index for each query row."""
+        """Exact NN distance and index for each query row.
+
+        Without ``normalize_ties`` the distances are the same, but a query
+        with several nearest points may get any of them.
+        """
         q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
         if q.ndim != 2 or q.shape[1] != self.source.dim:
             raise ValueError(f"queries must have shape (*, {self.source.dim})")
         if self.backend == "brute":
             return self._brute(q)
+        if self.backend == "sorted":
+            return self._sorted(q, normalize_ties)
         return self._kdtree(q, normalize_ties)
 
     # -- internals ----------------------------------------------------------
@@ -216,6 +237,25 @@ class NearestIndex:
             out_d[start:stop] = dmat[np.arange(stop - start), idx]
         return out_d, out_i
 
+    def _sorted(self, q: np.ndarray, normalize_ties: bool) -> tuple[np.ndarray, np.ndarray]:
+        values, lowest = self._runs
+        # two distinct values below each query and two at or above it; a
+        # padding value is infinitely far
+        near = np.searchsorted(values[:, 0], q[:, 0])[:, None] + np.arange(-2, 2)
+        dists = self.metric.norms(q[:, None, :] - values[near])
+        dist = dists.min(axis=1)
+        hit = dists == dist[:, None]
+        idx = np.where(hit, lowest[near], len(self.source)).min(axis=1)
+        if normalize_ties:
+            # a rounded difference is monotone in the value, so the two middle
+            # values hold the minimum; an outer one ties it only when rounding
+            # merges two differences, and then a farther value may tie too:
+            # one brute pass over those rows settles the lowest index
+            far = hit[:, 0] | hit[:, 3]
+            if np.any(far):
+                dist[far], idx[far] = self._brute(q[far])
+        return dist, idx
+
     def _kdtree(self, q: np.ndarray, normalize_ties: bool) -> tuple[np.ndarray, np.ndarray]:
         pts = self.source.points
         if len(self.source) == 1:
@@ -225,24 +265,17 @@ class NearestIndex:
         d0 = self.metric.norms(q - pts[pair_idx[:, 0]])
         d1 = self.metric.norms(q - pts[pair_idx[:, 1]])
         idx = pair_idx[:, 0].astype(np.int64)
-        dist = d0
+        dist = np.minimum(d0, d1)
         # the tree ranks by its own arithmetic; re-ranking with ours can flip
         # the order at the last ulp
         swap = d1 < d0
-        if np.any(swap):
-            idx[swap] = pair_idx[swap, 1]
-            dist = np.minimum(d0, d1)
+        idx[swap] = pair_idx[swap, 1]
         if normalize_ties:
-            tied = np.flatnonzero(d0 == d1)
-            for row in tied:
-                cand = self._tree.query_ball_point(
-                    q[row], r=dist[row] * (1.0 + 1e-12) + 1e-300, p=self.metric.p
-                )
-                cand = np.asarray(cand, dtype=np.int64)
-                cd = self.metric.norms(q[row] - pts[cand])
-                best = cd.min()
-                idx[row] = cand[cd == best].min()
-                dist[row] = best
+            # two nearest at one distance: the lowest index among all of them
+            # comes from one brute pass over those rows
+            tied = d0 == d1
+            if np.any(tied):
+                dist[tied], idx[tied] = self._brute(q[tied])
         return dist, idx
 
 

@@ -229,9 +229,7 @@ def decide_cdut(
         raise SeparationError(certificate)
 
     translations = difference_candidates(a, b, sample_anchors(m, max(1, anchors), seed))
-    queries = (translations[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
-    _, nn_idx = build_index(b, metric).query_many(queries)
-    nn_idx = nn_idx.reshape(len(translations), m)
+    index = build_index(b, metric)
 
     n = len(b)
     accuracy = epsilon * radius / m
@@ -240,7 +238,11 @@ def decide_cdut(
     best_evidence = None
     iterations = nonconverged = 0
     for u in range(len(translations) // n):
-        deltas = b.points[nn_idx[u * n : (u + 1) * n]] - a.points
+        # one anchor's n*m query rows at a time, so a YES stops querying at its answer
+        cands = translations[u * n : (u + 1) * n]
+        _, nn_idx = index.query_many((cands[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim))
+        nn_idx = nn_idx.reshape(n, m)
+        deltas = b.points[nn_idx] - a.points
         floors = _total_floors(deltas, metric) * (1.0 - _FLOOR_SLACK)
         for i in range(n):
             # best_s > bound until the answer is YES, so a row whose floor
@@ -257,7 +259,7 @@ def decide_cdut(
                 best_evidence = ChamferReport(
                     value=s,
                     translation=median.point,
-                    assignment=nn_idx[row],
+                    assignment=nn_idx[i],
                     algorithm="decide",
                     epsilon=epsilon,
                     c=c,

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cdut.approx
@@ -73,11 +73,12 @@ def full_scan(a, ts, b, metric, index=None):
     d=st.integers(1, 3),
     count=st.integers(1, 60),
     metric=st.sampled_from(sorted(METRICS)),
-    backend=st.sampled_from(["brute", "kdtree"]),
+    backend=st.sampled_from(["brute", "kdtree", "sorted"]),
     grid=st.booleans(),
     stages=st.sampled_from([1, 2, 8, 64]),
 )
 def test_matches_full_scan(seed, m, n, d, count, metric, backend, grid, stages):
+    assume(backend != "sorted" or d == 1)
     a, b = instance(seed, m, n, d, grid)
     ts = translations(seed, a, b, count)
     index = build_index(b, METRICS[metric], backend)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cdut.core
 from cdut import (
@@ -105,6 +111,11 @@ class TestNearestIndex:
             dist, idx = build_index(b, backend=backend).query_many([[5.0, 1.0]])
             assert dist[0] == 0.0
             assert idx[0] == 1
+        b = pts([[2.0], [5.0]])
+        for backend in ("brute", "kdtree", "sorted"):
+            dist, idx = build_index(b, backend=backend).query_many([[5.0]])
+            assert dist[0] == 0.0
+            assert idx[0] == 1
 
     @pytest.mark.parametrize("metric", [L1, L2, LINF])
     def test_matches_brute_scan(self, metric):
@@ -155,7 +166,7 @@ class TestNearestIndex:
 
     def test_tie_normalization_with_duplicates(self):
         b = pts([[1.0], [1.0], [3.0], [3.0]])
-        for backend in ("brute", "kdtree"):
+        for backend in ("brute", "kdtree", "sorted"):
             _, idx = build_index(b, backend=backend).query_many(np.array([[1.0], [2.0], [3.0]]))
             assert idx.tolist() == [0, 0, 2]
 
@@ -166,6 +177,104 @@ class TestNearestIndex:
     def test_bad_backend(self):
         with pytest.raises(ValueError, match="backend"):
             build_index(pts([[0.0]]), backend="octree")
+        with pytest.raises(ValueError, match="d = 1"):
+            build_index(pts([[0.0, 1.0]]), backend="sorted")
+
+    def test_auto_backend_fits_the_input(self):
+        line = PointSet(np.arange(40.0))
+        assert build_index(line).backend == "sorted"
+        assert build_index(PointSet(np.zeros((3, 1)))).backend == "sorted"
+        assert build_index(PointSet(np.zeros((16, 2)))).backend == "kdtree"
+        assert build_index(PointSet(np.zeros((15, 2)))).backend == "brute"
+
+    def test_sorted_settles_ties_that_rounding_makes(self):
+        # far from B, q - 0.5 and q - 1.0 round to the same float, so the
+        # lowest index holding the minimum can sit past the nearest value
+        b = pts([[0.5], [2.0], [1.0], [1.0]])
+        queries = np.array([[1e20], [-1e20], [1.5], [0.75], [-3.0]])
+        for metric in (L1, L2, LINF):
+            want = build_index(b, metric, "brute").query_many(queries)
+            got = build_index(b, metric, "sorted").query_many(queries)
+            assert got[1].tolist() == want[1].tolist() == [0, 0, 1, 0, 0]
+            assert np.array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("backend", ["kdtree", "sorted"])
+    def test_ties_settle_in_one_brute_pass(self, backend, monkeypatch):
+        b = PointSet(np.repeat(np.arange(20.0), 2)[:, None])
+        queries = np.arange(-0.5, 20.0, 0.5)[:, None]
+        index = build_index(b, L1, backend)
+        calls = []
+        brute = index._brute
+
+        def counting(q):
+            calls.append(len(q))
+            return brute(q)
+
+        monkeypatch.setattr(index, "_brute", counting)
+        dist, idx = index.query_many(queries)
+        assert np.array_equal(idx, build_index(b, L1, "brute").query_many(queries)[1])
+        # the kd-tree's tied rows are all the rows here; the sorted index
+        # settles equal values itself and has no rounded tie to pass on
+        assert calls == ([len(queries)] if backend == "kdtree" else [])
+
+
+@st.composite
+def tie_heavy(draw):
+    """An integer grid B with repeated points, and queries on the grid or at its midpoints."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.integers(1, 3))
+    b = rng.integers(-span, span + 1, size=(n, d)).astype(np.float64)
+    b[rng.integers(0, n, size=n // 2)] = b[rng.integers(0, n, size=n // 2)]
+    # half-integers: every query is a grid point or a midpoint between two
+    queries = rng.integers(-2 * span - 2, 2 * span + 3, size=(draw(st.integers(1, 60)), d)) / 2.0
+    return PointSet(b), queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tie_heavy(), metric=st.sampled_from([L1, L2, LINF]))
+def test_backends_agree_on_tie_heavy_grids(case, metric):
+    b, queries = case
+    want_d, want_i = build_index(b, metric, "brute").query_many(queries)
+    backends = ("kdtree", "sorted") if b.dim == 1 else ("kdtree",)
+    for backend in backends:
+        index = build_index(b, metric, backend)
+        for normalize_ties in (True, False):
+            dist, idx = index.query_many(queries, normalize_ties)
+            assert dist.tobytes() == want_d.tobytes()
+            if normalize_ties:
+                assert np.array_equal(idx, want_i)
+
+
+def test_scipy_loads_only_for_a_kdtree():
+    # a fresh interpreter: this one has loaded scipy already
+    code = """
+import sys
+import cdut
+from cdut.instances import uniform_instance
+
+cdut.cdut_exact_1d(*uniform_instance(50, 50, 1, 0))
+cdut.cdut_approx_v1(*uniform_instance(12, 12, 2, 0), 0.5)
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert not loaded, loaded
+a, b = uniform_instance(20, 20, 2, 0)
+assert cdut.build_index(b).backend == "kdtree"
+report = cdut.cdut_approx_v1(a, b, 0.5)
+brute = cdut.chamfer_translated(a, report.translation, b, index=cdut.build_index(b, backend="brute"))
+assert report.value == brute.value
+assert "scipy.spatial" in sys.modules
+try:
+    cdut.build_index(b, backend="sorted")
+except ValueError:
+    pass
+else:
+    raise AssertionError("a 2-D set got a sorted index")
+"""
+    src = os.path.dirname(os.path.dirname(cdut.core.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestInvariants:

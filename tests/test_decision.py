@@ -475,7 +475,8 @@ class TestPrunedDecide:
         monkeypatch.setattr(cdut.core.NearestIndex, "query_many", counting)
         result = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=0)
         assert result.answer == "NO" and result.translations_tested == np.unique(anchor_idx).size * n
-        assert rows == [np.unique(anchor_idx).size * n * m]
+        # one query per distinct anchor, n*m rows each
+        assert rows == [n * m] * np.unique(anchor_idx).size
 
 
 class TestEmdEquivalence:
