@@ -174,15 +174,15 @@ class NearestIndex:
     searches the sorted coordinates of a one-dimensional set.  All return
     identical (distance, index) answers: distances are recomputed with the
     metric's own arithmetic and ties resolve to the lowest index in B.
-    'auto' takes 'sorted' at d = 1, else 'kdtree' from 16 points up and
-    'brute' below.  scipy is loaded on the first kd-tree build.
+    'auto' takes 'brute' below 16 points, else 'sorted' at d = 1 and
+    'kdtree' above.  scipy is loaded on the first kd-tree build.
     """
 
     def __init__(self, source: PointSet, metric: Metric = L2, backend: str = "auto"):
         if backend not in ("auto", "brute", "kdtree", "sorted"):
             raise ValueError(f"unknown backend {backend!r}")
         if backend == "auto":
-            backend = "sorted" if source.dim == 1 else "kdtree" if len(source) >= 16 else "brute"
+            backend = "brute" if len(source) < 16 else "sorted" if source.dim == 1 else "kdtree"
         if backend == "sorted" and source.dim != 1:
             raise ValueError(f"backend 'sorted' needs d = 1, got d = {source.dim}")
         self.source = source
@@ -447,6 +447,18 @@ def chamfer_many(
     return (values, dist) if want_distances else values
 
 
+def _fold_scanned(points: np.ndarray, seen: int, lo: int, near: np.ndarray, gap: np.ndarray, metric: Metric):
+    """Fold A's columns ``seen:lo``, now scanned, into ``near`` and ``gap``.
+
+    For each column from ``lo`` on, ``near`` holds its nearest scanned
+    column (the lowest on equal distance) and ``gap`` their distance.
+    """
+    dist, idx = NearestIndex(PointSet(points[seen:lo]), metric, "brute").query_many(points[lo:])
+    nearer = dist < gap[lo:]
+    near[lo:][nearer] = idx[nearer] + seen
+    gap[lo:][nearer] = dist[nearer]
+
+
 def chamfer_argmin(
     a: PointSet,
     translations: np.ndarray,
@@ -468,6 +480,16 @@ def chamfer_argmin(
     dropped.  Complete values are the same contiguous row sums that
     ``chamfer_many`` takes, so ties still go to the first position.
 
+    Before a stage of at least ``_POOL_ROWS`` query rows (counted before
+    the prune), the unscanned columns are bounded too, by a column floor
+    that costs no query.  Each term d(a_k + t, B) is 1-Lipschitz in a_k,
+    so it is at least d(a_l + t, B) - |a_k - a_l| for the scanned column l
+    nearest to a_k, whose distance the candidate already holds.  A
+    candidate is dropped when its partial sum plus these floors (each
+    clipped at 0), less twice ``_rounding`` over the translations, exceeds
+    the bound by more than ``_PRUNE_SLACK``: the same rounding slack that
+    ``lattice_argmin``'s cell floors allow for.
+
     ``upper`` pre-seeds the bound: only a value <= ``upper`` can win, and if
     none does the result is ``(-1, inf)``.  ``floors``, when given, holds a
     lower bound on each candidate's computed value, and a candidate is also
@@ -486,10 +508,23 @@ def chamfer_argmin(
     floor = None if floors is None else np.asarray(floors, dtype=np.float64)
     stored = []  # distances of the alive candidates, one array per stage
     rows = 0
+    seen = 0  # columns of A folded into the column floor's ``near`` and ``gap``
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        keep = partial <= best_val * (1.0 + _PRUNE_SLACK)
+        bar = best_val * (1.0 + _PRUNE_SLACK)
+        keep = partial <= bar
         if floor is not None:
             keep &= floor <= best_val
+        if lo and alive.size * (hi - lo) >= _POOL_ROWS:
+            # the column floor costs no query, but its numpy calls repay
+            # themselves only before a stage this large
+            if not seen:
+                # each unscanned column's nearest scanned column, and their distance
+                near, gap = np.zeros(m, dtype=np.int64), np.full(m, math.inf)
+                slack = 2.0 * _rounding(a, ts)
+            _fold_scanned(a.points, seen, lo, near, gap, metric)
+            seen = lo
+            terms = np.hstack(stored)[np.ix_(keep, near[lo:])] - gap[lo:]
+            keep[keep] = partial[keep] + np.maximum(terms, 0.0).sum(axis=1) - slack <= bar
         if not keep.all():
             alive, partial = alive[keep], partial[keep]
             floor = None if floor is None else floor[keep]
@@ -502,7 +537,7 @@ def chamfer_argmin(
         stored.append(dist)
         partial += sums
         lead = int(np.argmin(partial))
-        if hi < m and partial[lead] <= best_val * (1.0 + _PRUNE_SLACK):
+        if hi < m and partial[lead] <= bar:
             # complete the leader; it leaves the pool at the next prune
             tail = PointSet(a.points[hi:])
             rest = chamfer_many(tail, ts[alive[lead]][None], b, metric, index, want_distances=True)[1]

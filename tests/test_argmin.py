@@ -65,6 +65,25 @@ def full_scan(a, ts, b, metric, index=None):
     return pos, values[pos]
 
 
+def shaped(seed: int, m: int, n: int, d: int, shape: str):
+    """``instance`` sets, or ones whose A makes the column floor's gaps degenerate.
+
+    "repeated" A has many equal points (gap 0), "clustered" A sits in two
+    tight clumps, and "offset" moves both sets by 1e9, so that the queries
+    round at that scale, which the floor's rounding slack must cover.
+    """
+    a, b = instance(seed, m, n, d, shape == "grid")
+    rng = np.random.default_rng(seed + 2)
+    pa = a.points.copy()
+    if shape == "repeated":
+        pa = pa[rng.integers(0, max(1, m // 4), m)]
+    elif shape == "clustered":
+        pa = rng.choice([-5.0, 5.0], (m, 1)) + rng.normal(0.0, 1e-3, (m, d))
+    elif shape == "offset":
+        return PointSet(pa + 1e9), PointSet(b.points + 1e9)
+    return PointSet(pa), b
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
@@ -74,24 +93,51 @@ def full_scan(a, ts, b, metric, index=None):
     count=st.integers(1, 60),
     metric=st.sampled_from(sorted(METRICS)),
     backend=st.sampled_from(["brute", "kdtree", "sorted"]),
-    grid=st.booleans(),
+    shape=st.sampled_from(["uniform", "grid", "repeated", "clustered", "offset"]),
     stages=st.sampled_from([1, 2, 8, 64]),
 )
-def test_matches_full_scan(seed, m, n, d, count, metric, backend, grid, stages):
+def test_matches_full_scan(seed, m, n, d, count, metric, backend, shape, stages):
     assume(backend != "sorted" or d == 1)
-    a, b = instance(seed, m, n, d, grid)
+    a, b = shaped(seed, m, n, d, shape)
     ts = translations(seed, a, b, count)
     index = build_index(b, METRICS[metric], backend)
-    pos, value = full_scan(a, ts, b, METRICS[metric], index)
+    values = chamfer_many(a, ts, b, METRICS[metric], index=index)
+    pos = int(np.argmin(values))
+    value = values[pos]
+    # floors at or below each computed value, some of them exact
+    floors = values - np.random.default_rng(seed).choice([0.0, 1.0, 1e9], len(values))
     for workers in (None, "2"):
-        # no row floor, so that even these small stages go to the pool
+        # no row floor, so that even these small stages go to the pool and
+        # the column floor runs before every stage but the first
         with threads(workers), mock.patch.object(cdut.core, "_ARGMIN_STAGES", stages), mock.patch.object(
             cdut.core, "_POOL_ROWS", 0
         ):
-            got = chamfer_argmin(a, ts, b, METRICS[metric], index=index)
-        assert got.pos == pos
-        assert bits(got.value) == bits(value)
-        assert 0 < got.rows <= len(ts) * m
+            for upper in (math.inf, value):
+                for given_floors in (None, floors):
+                    got = chamfer_argmin(a, ts, b, METRICS[metric], index=index, upper=upper, floors=given_floors)
+                    assert got.pos == pos
+                    assert bits(got.value) == bits(value)
+                    assert 0 < got.rows <= len(ts) * m
+
+
+def test_column_floor_keeps_a_tie_it_bounds_exactly(monkeypatch):
+    # one column per stage; at t = 0 each later term |a_k| equals its floor
+    # |a_l| - |a_l - a_k| exactly, so the first position's floor is its value
+    # 36, which the later position sets as the bound after its first stage
+    a, b = PointSet(np.arange(8.0, 0.0, -1.0)), PointSet([[0.0]])
+    ts = np.array([[0.0], [-9.0]])
+    assert chamfer_many(a, ts, b).tolist() == [36.0, 36.0]
+    monkeypatch.setattr(cdut.core, "_POOL_ROWS", 0)
+    for backend in ("brute", "sorted"):
+        got = chamfer_argmin(a, ts, b, index=build_index(b, L2, backend))
+        assert (got.pos, got.value) == (0, 36.0)
+
+
+def test_column_floor_drops_candidates_the_partial_sums_keep():
+    # partial sums alone drop too few here: they query 41% of the rows
+    a, b = uniform_instance(120, 120, 2, 1)
+    got = cdut_approx_v1(a, b, 0.5, seed=1)
+    assert got.extras["engine_rows"] <= 0.30 * got.extras["engine_rows_full"]
 
 
 @pytest.mark.parametrize("backend", ["brute", "kdtree"])

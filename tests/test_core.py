@@ -183,7 +183,9 @@ class TestNearestIndex:
     def test_auto_backend_fits_the_input(self):
         line = PointSet(np.arange(40.0))
         assert build_index(line).backend == "sorted"
-        assert build_index(PointSet(np.zeros((3, 1)))).backend == "sorted"
+        assert build_index(PointSet(np.arange(16.0))).backend == "sorted"
+        assert build_index(PointSet(np.zeros((15, 1)))).backend == "brute"
+        assert build_index(PointSet(np.zeros((3, 1)))).backend == "brute"
         assert build_index(PointSet(np.zeros((16, 2)))).backend == "kdtree"
         assert build_index(PointSet(np.zeros((15, 2)))).backend == "brute"
 
