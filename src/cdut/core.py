@@ -160,6 +160,9 @@ class ChamferReport:
 
 # float64 entries in the largest temporary of one tile of any phase
 _TILE_ENTRIES = 1 << 22
+# the same for the kd-tree's brute tie pass, whose rows come in bulk when B
+# is large: tiles this small keep its temporaries in cache
+_TIE_TILE_ENTRIES = 1 << 16
 
 
 def _tile_rows(width: int) -> int:
@@ -272,10 +275,12 @@ class NearestIndex:
         idx[swap] = pair_idx[swap, 1]
         if normalize_ties:
             # two nearest at one distance: the lowest index among all of them
-            # comes from one brute pass over those rows
-            tied = d0 == d1
-            if np.any(tied):
-                dist[tied], idx[tied] = self._brute(q[tied])
+            # comes from a brute pass over those rows, in cache-sized tiles
+            tied = np.flatnonzero(d0 == d1)
+            step = max(1, _TIE_TILE_ENTRIES // (len(self.source) * self.source.dim))
+            for start in range(0, tied.size, step):
+                rows = tied[start : start + step]
+                dist[rows], idx[rows] = self._brute(q[rows])
         return dist, idx
 
 

@@ -13,9 +13,30 @@ the m*(n-1) midpoint translations are written into the two halves of one
 buffer and each half is sorted in place.  A stable argsort then merges the
 two runs in one linear pass, and an index below m*n marks a match.  Equal
 positions form one group, and only a group's counts enter the sweep, so the
-order of ties inside a group does not matter.  All 2mn - m events are held
-at once, about 40 bytes each at peak, so memory is quadratic like the time;
-``_EVENT_BUDGET`` caps the event count.
+order of ties inside a group does not matter.  An event takes about 40
+bytes at peak; ``_EVENT_BUDGET`` caps the 2mn - m events.
+
+``cdut_exact_1d`` sweeps in one pass when the events number at most
+``_WINDOW_EVENTS``.  Above that it cuts the t axis into windows of about
+that many events, at quantiles of a strided sample of the match
+translations.  Over a window [lo, hi] each term of CD(A + t, B) is at least
+the distance from the interval [a + lo, a + hi] to B, so one
+``searchsorted`` per point of A bounds every window from below.  The window
+of lowest bound is swept first, and its best match value drops every
+window whose bound, less the rounding slack of ``core._rounding``, exceeds
+it by more than ``core._PRUNE_SLACK``.  Each run of consecutive surviving
+windows is swept in one pass: for each a its events are a range of sorted
+B and of the midpoints, its first value is one exact evaluation, and its
+starting slope comes from the events left of the run.  A reseeded run's
+values can differ from the one-shot sweep's in the last bits, so the
+winner is picked exactly: every match whose swept value lies within the
+rounding slack of the lowest goes, in ascending t, to
+``core.chamfer_argmin``, which returns the smallest t of lowest exact
+value.  Far from the origin that slack can admit most matches; when their
+exact scan would take more query rows than the one-shot sweep has events
+(and more than ``core._QUERY_ROWS``), the one-shot sweep decides instead.
+Memory is bounded by the largest run swept, which can still be all events,
+as at m = 1, where every window bounds to 0.
 
 For the l1 metric the same kink structure holds per coordinate, so in d
 dimensions the optimum lies on the grid of per-dimension alignments
@@ -54,7 +75,12 @@ from .core import (
     NearestIndex,
     PointSet,
     _check_same_dim,
+    _PRUNE_SLACK,
+    _QUERY_ROWS,
+    _rounding,
+    _tile_rows,
     build_index,
+    chamfer_argmin,
     chamfer_many,
     chamfer_translated,
     lattice_argmin,
@@ -67,24 +93,80 @@ _MAX_DIM = 3
 _CANDIDATE_BUDGET = 2_000_000
 # events of the 1D sweep (2mn - m)
 _EVENT_BUDGET = 1 << 25
+# events per window of the windowed sweep; a sweep of no more events runs in
+# one pass, with no windows
+_WINDOW_EVENTS = 1 << 14
 
 
-def _require_1d(a: PointSet, b: PointSet) -> None:
+def _event_count(a: PointSet, b: PointSet) -> int:
+    """The sweep's 2mn - m events; raises ``ValueError`` for sets that are
+    not 1D or when the count exceeds ``_EVENT_BUDGET``."""
     if a.dim != 1 or b.dim != 1:
         raise ValueError(f"expected one-dimensional sets, got dims {a.dim} and {b.dim}")
+    events = 2 * len(a) * len(b) - len(a)
+    if events > _EVENT_BUDGET:
+        raise ValueError(f"1D sweep has {events} events, over budget {_EVENT_BUDGET}")
+    return events
 
 
-def _event_arrays(a: PointSet, b: PointSet):
+def _ranks(values: np.ndarray, av: np.ndarray, t: float) -> np.ndarray:
+    """For each a of ``av``, how many of the sorted ``values`` v give a
+    computed difference v - a below ``t``.
+
+    A rounded difference is monotone in v, so these are the ranks that
+    ``searchsorted`` finds for a + t, except where rounding puts a + t and
+    some v - a on different sides of t; such a row is counted directly.
+    """
+    rank = np.searchsorted(values, av + t)
+    if values.size == 0:
+        return rank
+    before = values[np.maximum(rank - 1, 0)] - av
+    at = values[np.minimum(rank, values.size - 1)] - av
+    for i in np.flatnonzero(((rank > 0) & (before >= t)) | ((rank < values.size) & (at < t))):
+        rank[i] = np.searchsorted(values - av[i], t)
+    return rank
+
+
+def _gather(values: np.ndarray, av: np.ndarray, first: np.ndarray, stop: np.ndarray, out: np.ndarray) -> None:
+    """Write values[j] - a for every a of ``av`` and j in [first, stop) into ``out``."""
+    counts = stop - first
+    rows = np.repeat(np.arange(av.size), counts)
+    cols = np.arange(out.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    np.subtract(values[cols], av[rows], out=out)
+
+
+def _event_arrays(a: PointSet, b: PointSet, window=None):
     """Sorted unique event positions, match/midpoint multiplicities, and the
-    slope of the objective to the right of each position."""
+    slope of the objective to the right of each position.
+
+    ``window``, a pair (lo, hi), keeps only the events at lo <= t < hi; the
+    slope still counts every event to the left of each position.
+    """
     av = a.points[:, 0]
     bv = np.sort(b.points[:, 0])
+    mids = (bv[:-1] + bv[1:]) / 2.0
     m, n = av.size, bv.size
-    k = m * n
-    total = 2 * k - m
-    ev = np.empty(total)
-    np.subtract(bv, av[:, None], out=ev[:k].reshape(m, n))
-    np.subtract((bv[:-1] + bv[1:]) / 2.0, av[:, None], out=ev[k:].reshape(m, n - 1))
+    if window is None:
+        k = m * n
+        total = 2 * k - m
+        ev = np.empty(total)
+        np.subtract(bv, av[:, None], out=ev[:k].reshape(m, n))
+        np.subtract(mids, av[:, None], out=ev[k:].reshape(m, n - 1))
+        base = -m
+    else:
+        lo, hi = window
+        match_lo, mid_lo = _ranks(bv, av, lo), _ranks(mids, av, lo)
+        match_hi, mid_hi = _ranks(bv, av, hi), _ranks(mids, av, hi)
+        k = int((match_hi - match_lo).sum())
+        total = k + int((mid_hi - mid_lo).sum())
+        if total == 0:
+            empty = np.zeros(0, dtype=np.int64)
+            return np.zeros(0), empty, empty, empty
+        ev = np.empty(total)
+        _gather(bv, av, match_lo, match_hi, ev[:k])
+        _gather(mids, av, mid_lo, mid_hi, ev[k:])
+        # the slope left of lo: -m + 2 * (matches - midpoints below lo)
+        base = -m + 2 * (int(match_lo.sum()) - int(mid_lo.sum()))
     ev[:k].sort()
     ev[k:].sort()
     perm = ev.argsort(kind="stable")  # merges the two sorted runs
@@ -110,32 +192,32 @@ def _event_arrays(a: PointSet, b: PointSet):
     n_mid[0] = seen[0]
     np.subtract(seen[1:], seen[:-1], out=n_mid[1:])
     n_mid -= n_match
-    # -m + 2 * (matches - midpoints so far) = -m + 2 * (2 * cm - seen)
+    # base + 2 * (matches - midpoints so far) = base + 2 * (2 * cm - seen)
     slope = seen
     np.subtract(cm, slope, out=slope)
     slope += cm
     slope *= 2
-    slope -= m
+    slope += base
     return ts, n_match, n_mid, slope
 
 
-def sweep_curve(a: PointSet, b: PointSet, index: Optional[NearestIndex] = None):
+def sweep_curve(a: PointSet, b: PointSet, index: Optional[NearestIndex] = None, window=None):
     """Event positions and the exact objective value at each of them.
 
     Returns (ts, values, n_match, n_mid).  values[i] is CD(A + ts[i], B),
     obtained by seeding an exact evaluation at ts[0] and integrating the
     piecewise-constant slope across the event list.  ``index``, an l2
-    index over ``b``, seeds that evaluation when given.  Raises
-    ``ValueError`` when the 2mn - m events exceed ``_EVENT_BUDGET``.
+    index over ``b``, seeds that evaluation when given.  ``window``, a
+    pair (lo, hi), keeps only the events at lo <= t < hi (either end may
+    be infinite); the seed is then taken at the window's first event.
+    Raises ``ValueError`` when the 2mn - m events exceed ``_EVENT_BUDGET``.
     """
-    _require_1d(a, b)
-    m = len(a)
-    events = 2 * m * len(b) - m
-    if events > _EVENT_BUDGET:
-        raise ValueError(f"1D sweep has {events} events, over budget {_EVENT_BUDGET}")
-    ts, n_match, n_mid, slope = _event_arrays(a, b)
-    cd0 = float(chamfer_many(a, ts[:1].reshape(-1, 1), b, index=index)[0])
+    _event_count(a, b)
+    ts, n_match, n_mid, slope = _event_arrays(a, b, window)
     values = np.empty_like(ts)
+    if ts.size == 0:
+        return ts, values, n_match, n_mid
+    cd0 = float(chamfer_many(a, ts[:1].reshape(-1, 1), b, index=index)[0])
     values[0] = cd0
     if ts.size > 1:
         # the same float operations, in the same order, as
@@ -147,19 +229,129 @@ def sweep_curve(a: PointSet, b: PointSet, index: Optional[NearestIndex] = None):
     return ts, values, n_match, n_mid
 
 
+def _windows(av: np.ndarray, bv: np.ndarray, events: int):
+    """Edges (lo, hi) of windows of about ``_WINDOW_EVENTS`` of the
+    ``events`` each, or None when the edges leave one window.
+
+    The inner edges are quantiles of a strided sample of the match
+    translations, each one a match itself, so every window holds at least
+    one match.  The outer edges are infinite.
+    """
+    count = -(-events // _WINDOW_EVENTS)
+    m, n = av.size, bv.size
+    # a grid of about 32 samples per window, shaped like the m x n matches
+    size = 32 * count
+    rows = min(m, max(1, round(math.sqrt(size * m / n))))
+    cols = min(n, -(-size // rows))
+    sample = np.sort((bv[np.arange(cols) * n // cols][None, :] - av[np.arange(rows) * m // rows][:, None]).ravel())
+    cuts = np.unique(sample[np.arange(1, count) * sample.size // count])
+    cuts = cuts[cuts > bv[0] - av.max()]
+    if cuts.size == 0:
+        return None
+    return np.concatenate([[-math.inf], cuts]), np.concatenate([cuts, [math.inf]])
+
+
+def _window_bounds(av: np.ndarray, bv: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A lower bound on the computed CD(A + t, B) over each window [lo, hi].
+
+    Each term is at least the distance from the interval [a + lo, a + hi]
+    to B: zero when a point of B lies inside, else the gap to the nearer
+    side.  Rounding is monotone, so each computed gap is at most the
+    computed term at any t of the window, and the row sums, taken in A's
+    order like ``chamfer_many``'s, keep that order.
+    """
+    lo = np.maximum(lo, bv[0] - av.max())
+    hi = np.minimum(hi, bv[-1] - av.min())
+    padded = np.concatenate([[-math.inf], bv, [math.inf]])
+    # A sorted, so that each row of keys ascends, which ``searchsorted``
+    # runs fastest on
+    order = np.argsort(av, kind="stable")
+    sorted_a = av[order]
+    bounds = np.empty(lo.size)
+    step = _tile_rows(av.size)
+    for s in range(0, lo.size, step):
+        q_lo = lo[s : s + step, None] + sorted_a
+        q_hi = hi[s : s + step, None] + sorted_a
+        right = np.searchsorted(padded, q_lo)  # the first point of B at or above a + lo
+        above = padded[right]
+        gap = np.minimum(q_lo - padded[right - 1], above - q_hi)
+        gap[above <= q_hi] = 0.0
+        # the index's own l2 arithmetic, which rounds a tiny gap to 0
+        np.multiply(gap, gap, out=gap)
+        np.sqrt(gap, out=gap)
+        q_lo[:, order] = gap  # back in A's order, in a buffer no longer needed
+        bounds[s : s + step] = q_lo.sum(axis=1)
+    return bounds
+
+
+def _windowed_argmin(a: PointSet, b: PointSet, index: NearestIndex, events: int, lo: np.ndarray, hi: np.ndarray):
+    """The smallest match translation of lowest exact value, sweeping only
+    the windows [lo, hi) whose lower bound can still win.
+
+    Returns the translation and the distinct event positions and windows
+    swept, or None when the exact scan of the near ties would take more
+    query rows than the larger of ``events`` and ``_QUERY_ROWS``.
+    """
+    av = a.points[:, 0]
+    bv = np.sort(b.points[:, 0])
+    bounds = _window_bounds(av, bv, lo, hi)
+    rounding = _rounding(a, np.array([bv[0] - av.max(), bv[-1] - av.min()]))
+    first = int(np.argmin(bounds))
+    pieces = {first: sweep_curve(a, b, index, (lo[first], hi[first]))}
+    ts, values, n_match, _ = pieces[first]
+    best = float(values[n_match > 0].min())
+    live = bounds - rounding <= best * (1.0 + _PRUNE_SLACK)
+    live[first] = False
+    # each run of consecutive live windows is swept in one pass
+    flips = np.flatnonzero(np.diff(np.concatenate([[False], live, [False]]).astype(np.int8)))
+    for start, stop in zip(flips[::2], flips[1::2]):
+        pieces[start] = sweep_curve(a, b, index, (lo[start], hi[stop - 1]))
+    runs = [pieces[key] for key in sorted(pieces)]
+    is_match = [n_match > 0 for _, _, n_match, _ in runs]
+    low = min(float(values.min(where=match, initial=math.inf)) for (_, values, _, _), match in zip(runs, is_match))
+    # swept values drift from exact ones within the rounding slack; every
+    # match near the lowest goes to an exact scan, in ascending t
+    bar = low * (1.0 + 2.0 * _PRUNE_SLACK) + 2.0 * rounding
+    near = np.concatenate([ts[match & (values <= bar)] for (ts, values, _, _), match in zip(runs, is_match)])
+    if near.size * len(a) > max(events, _QUERY_ROWS):
+        # the slack grows with the coordinates' magnitude; far from the
+        # origin it can admit most matches
+        return None
+    pos = chamfer_argmin(a, near, b, index=index).pos if near.size > 1 else 0
+    swept = sum(ts.size for ts, _, _, _ in runs)
+    return near[pos], swept, 1 + int(live.sum())
+
+
 def cdut_exact_1d(a: PointSet, b: PointSet) -> ChamferReport:
     """Global minimum of CD(A+t, B) over all real t, for 1D sets.
 
-    The returned translation is the smallest match translation b - a
-    attaining the minimum; value and assignment are re-evaluated exactly
-    there.
+    The returned translation is a match translation b - a attaining the
+    minimum; value and assignment are re-evaluated exactly there.  When
+    the windowed sweep runs, it is the smallest match of lowest exact
+    value; otherwise, in the one-shot sweep, the match of lowest swept
+    value, the smallest on ties.  ``evaluations`` counts the distinct event
+    positions swept; the extras give all 2mn - m events (``events_full``),
+    the windows, and the windows swept.
     """
+    events = _event_count(a, b)
     index = build_index(b)
-    ts, values, n_match, _ = sweep_curve(a, b, index)
-    match_pos = np.flatnonzero(n_match > 0)
-    best = match_pos[np.argmin(values[match_pos])]
+    edges = found = None
+    if events > _WINDOW_EVENTS:
+        edges = _windows(a.points[:, 0], np.sort(b.points[:, 0]), events)
+    windows = 1 if edges is None else len(edges[0])
+    if edges is not None:
+        found = _windowed_argmin(a, b, index, events, *edges)
+    if found is None:
+        ts, values, n_match, _ = sweep_curve(a, b, index)
+        match_pos = np.flatnonzero(n_match > 0)
+        t, swept, windows_swept = ts[match_pos[np.argmin(values[match_pos])]], ts.size, windows
+    else:
+        t, swept, windows_swept = found
     return replace(
-        chamfer_translated(a, ts[best], b, index=index), algorithm="exact1d", evaluations=int(ts.size)
+        chamfer_translated(a, t, b, index=index),
+        algorithm="exact1d",
+        evaluations=int(swept),
+        extras={"events_full": events, "windows": windows, "windows_swept": windows_swept},
     )
 
 

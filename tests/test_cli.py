@@ -77,6 +77,19 @@ class TestCompute:
         record = json.loads(text)
         assert record["value"] == 0.0
         assert record["algorithm"] == "exact1d"
+        # 6 points in A, 8 in B: 2mn - m events, all in one window
+        assert record["extras"] == {"events_full": 90, "windows": 1, "windows_swept": 1}
+
+    def test_exact1d_reports_the_windows_it_swept(self, capsys, tmp_path):
+        out = tmp_path / "uni"
+        run(capsys, ["gen", "uniform", "--out", str(out), "--m", "200", "--n", "200", "--dim", "1", "--seed", "3"])
+        code, text, _ = run(capsys, ["compute", "exact1d", f"{out}_a.txt", f"{out}_b.txt", "--json"])
+        assert code == 0
+        record = json.loads(text)
+        extras = record["extras"]
+        assert extras["events_full"] == 2 * 200 * 200 - 200
+        assert 1 <= extras["windows_swept"] < extras["windows"]
+        assert record["evaluations"] < extras["events_full"]
 
     def test_seeded_runs_reproduce_records(self, capsys, tmp_path):
         out = tmp_path / "uni"

@@ -19,7 +19,7 @@ from cdut import (
 )
 from cdut.cli import main as cli_main
 from cdut.io import write_instance
-from cdut.oracle import default_grid_spec, oracle_cdut_grid
+from cdut.oracle import default_grid_spec, oracle_cdut_1d, oracle_cdut_grid
 from cdut.instances import translated_copy_instance, uniform_instance
 
 REL = 1e-9
@@ -203,6 +203,148 @@ class TestSortedRunBuild:
         assert np.float64(report.value).tobytes() == np.float64(ref.value).tobytes()
         assert np.array_equal(report.translation, ref.translation)
         assert report.evaluations == ts.size
+
+
+def first_exact_minimum(a, b):
+    """The smallest match translation b - a of lowest ``chamfer_many`` value."""
+    cands = np.unique(b.points[:, 0][None, :] - a.points[:, 0][:, None])
+    return cands[int(np.argmin(chamfer_many(a, cands.reshape(-1, 1), b)))]
+
+
+class TestWindowedSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_sets(), st.integers(8, 64))
+    @example((pts1([0.0]), pts1([0.0])), 8)
+    @example((pts1([2.5]), pts1([0.0, 7.0, -3.0, 1.5, 9.0])), 8)
+    @example((pts1([1.0, 4.0, 4.0, 9.0, -2.0]), pts1([3.0])), 8)
+    # the lowest swept value falls on a later match than the exact minimum
+    @example((pts1([88.28035677865338, 0.5822846382252322, 88.28035677865338, -51.69758955533082]),
+              pts1([-1.192092896e-07, 0.5822846382252322])), 8)
+    @example((pts1([43.70204565131297]), pts1([54.09146588319814, -82.19632336635216, -32.14179336935338,
+                                               60.54214227335487, -47.157040982692855, 84.3572178469791,
+                                               5.620922740486137, 1.1])), 8)
+    def test_translation_is_the_first_exact_minimum(self, sets, window):
+        a, b = sets
+        m, n = len(a), len(b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cdut.sweep1d, "_WINDOW_EVENTS", window)
+            report = cdut_exact_1d(a, b)
+        extras = report.extras
+        assert extras["events_full"] == 2 * m * n - m
+        assert 1 <= extras["windows_swept"] <= extras["windows"]
+        distinct = sweep_curve(a, b)[0].size
+        if extras["windows"] > 1:
+            assert report.evaluations <= distinct
+            assert report.translation[0] == first_exact_minimum(a, b)
+        else:
+            # one window: the one-shot sweep, as at the default window size
+            assert report.evaluations == distinct
+            whole = cdut_exact_1d(a, b)
+            assert np.array_equal(report.translation, whole.translation)
+        again = chamfer_translated(a, report.translation, b)
+        assert np.float64(report.value).tobytes() == np.float64(again.value).tobytes()
+        assert np.array_equal(report.assignment, again.assignment)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_sets(), st.integers(8, 64), st.randoms(use_true_random=False))
+    def test_window_bounds_hold_inside_each_window(self, sets, window, rnd):
+        a, b = sets
+        av, bv = a.points[:, 0], np.sort(b.points[:, 0])
+        m, n = len(a), len(b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cdut.sweep1d, "_WINDOW_EVENTS", window)
+            edges = cdut.sweep1d._windows(av, bv, 2 * m * n - m)
+        if edges is None:
+            return
+        lo, hi = edges
+        bounds = cdut.sweep1d._window_bounds(av, bv, lo, hi)
+        t_lo, t_hi = np.maximum(lo, bv[0] - av.max()), np.minimum(hi, bv[-1] - av.min())
+        for w in range(lo.size):
+            inside = [t_lo[w], t_hi[w]] + [rnd.uniform(t_lo[w], t_hi[w]) for _ in range(3)]
+            inside += sweep_curve(a, b, None, (lo[w], hi[w]))[0].tolist()
+            fresh = chamfer_many(a, np.array(inside).reshape(-1, 1), b)
+            assert bounds[w] <= fresh.min()
+
+    def test_runs_partition_the_events(self, monkeypatch):
+        # the windows' events, swept apart and joined, are the one-shot events
+        a, b = uniform_instance(30, 40, 1, 11)
+        monkeypatch.setattr(cdut.sweep1d, "_WINDOW_EVENTS", 100)
+        lo, hi = cdut.sweep1d._windows(a.points[:, 0], np.sort(b.points[:, 0]), 2 * 30 * 40 - 30)
+        ts, values, n_match, n_mid = sweep_curve(a, b)
+        pieces = [sweep_curve(a, b, None, (l, h)) for l, h in zip(lo, hi)]
+        assert lo.size > 10
+        assert np.array_equal(np.concatenate([p[0] for p in pieces]), ts)
+        assert np.array_equal(np.concatenate([p[2] for p in pieces]), n_match)
+        assert np.array_equal(np.concatenate([p[3] for p in pieces]), n_mid)
+        assert np.allclose(np.concatenate([p[1] for p in pieces]), values, rtol=REL, atol=1e-9)
+
+    def test_one_window_is_the_one_shot_sweep(self):
+        a, b = uniform_instance(12, 12, 1, 5)
+        report = cdut_exact_1d(a, b)
+        ts, values, n_match, _ = sweep_curve(a, b)
+        match_pos = np.flatnonzero(n_match > 0)
+        assert report.translation[0] == ts[match_pos[np.argmin(values[match_pos])]]
+        assert report.evaluations == ts.size
+        assert report.extras == {"events_full": 2 * 12 * 12 - 12, "windows": 1, "windows_swept": 1}
+
+    def test_far_from_the_origin_the_one_shot_sweep_decides(self, monkeypatch):
+        # near 1e12 the rounding slack admits every match to the exact scan;
+        # past its row cap the one-shot sweep picks the winner instead
+        a, b = uniform_instance(20, 20, 1, 9)
+        a, b = PointSet(a.points + 1e12), PointSet(b.points + 1e12)
+        whole = cdut_exact_1d(a, b)
+        scanned = []
+        scan = cdut.sweep1d.chamfer_argmin
+
+        def counting(a, ts, b, **kwargs):
+            scanned.append(len(ts))
+            return scan(a, ts, b, **kwargs)
+
+        monkeypatch.setattr(cdut.sweep1d, "chamfer_argmin", counting)
+        monkeypatch.setattr(cdut.sweep1d, "_WINDOW_EVENTS", 64)
+        cdut_exact_1d(a, b)
+        assert scanned and scanned[0] * len(a) > 2 * 20 * 20 - 20
+        monkeypatch.setattr(cdut.sweep1d, "_QUERY_ROWS", 0)
+        report = cdut_exact_1d(a, b)
+        assert len(scanned) == 1
+        assert report.extras["windows"] > 1
+        assert report.extras["windows_swept"] == report.extras["windows"]
+        assert report.evaluations == whole.evaluations
+        assert np.float64(report.value).tobytes() == np.float64(whole.value).tobytes()
+        assert np.array_equal(report.translation, whole.translation)
+
+    def test_bench_sized_solve_sweeps_few_windows(self, monkeypatch):
+        a, b = uniform_instance(400, 400, 1, 8191)
+        report = cdut_exact_1d(a, b)
+        extras = report.extras
+        assert extras["windows"] > 1
+        assert extras["windows_swept"] < extras["windows"] / 2
+        assert report.evaluations < extras["events_full"] / 2
+        monkeypatch.setattr(cdut.sweep1d, "_WINDOW_EVENTS", extras["events_full"])
+        whole = cdut_exact_1d(a, b)
+        assert whole.extras["windows"] == 1
+        assert report.value <= whole.value
+
+
+class TestLargeOffsets:
+    def test_exact1d_matches_the_brute_minimum(self):
+        # instances offset by 1e12, one of them large enough for windows
+        worst = 0.0
+        sizes = [(k % 29 + 1, k * 7 % 31 + 1) for k in range(100)] + [(100, 100)]
+        for seed, (m, n) in enumerate(sizes):
+            a, b = uniform_instance(m, n, 1, 5000 + seed)
+            a, b = PointSet(a.points + 1e12), PointSet(b.points + 1e12)
+            got, want = cdut_exact_1d(a, b).value, oracle_cdut_1d(a, b).value
+            worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
+        assert worst <= 1.5e-15
+
+    def test_sweep_drift_at_two_million_events(self):
+        a, b = uniform_instance(1061, 1061, 1, 0)
+        ts, values, _, _ = sweep_curve(a, b)
+        assert ts.size > 2_200_000
+        pick = np.arange(0, ts.size, ts.size // 400)
+        fresh = chamfer_many(a, ts[pick].reshape(-1, 1), b)
+        assert np.max(np.abs(values[pick] - fresh) / np.maximum(1.0, np.abs(fresh))) <= 7e-11
 
 
 class TestEventBudget:
