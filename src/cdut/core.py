@@ -32,6 +32,7 @@ __all__ = [
     "chamfer_many",
     "chamfer_argmin",
     "ArgminResult",
+    "Lattice",
     "lattice_argmin",
     "LatticeArgmin",
     "difference_candidates",
@@ -376,6 +377,9 @@ _CELL_SIDES = (16, 4)
 # a coarse level runs only when the keys' bounding box spans this many of
 # its cells; below that its call costs more than the fine centres it saves
 _MIN_COARSE_CELLS = 64
+# the most that one lattice phase builds: a builder's interval rows, the
+# pieces one cell level cuts them into, or the members of surviving cells
+_LATTICE_BUDGET = 2_000_000
 
 
 class ArgminResult(NamedTuple):
@@ -595,30 +599,119 @@ def _row_order(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, new
 
 
-def _unique_rows(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of an integer array, sorted, and each row's rank among them."""
-    order, new = _row_order(idx)
-    rank = np.empty(len(idx), dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
-    return idx[order[new]], rank
+def _runs(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For consecutive runs of ``count[i]`` items, each item's run and its
+    rank inside the run."""
+    run = np.repeat(np.arange(count.size), count)
+    return run, np.arange(run.size) - np.repeat(np.cumsum(count) - count, count)
 
 
-def _lattice_cells(ts: np.ndarray, keys: np.ndarray, side: int, metric: Metric):
-    """Group translations into cells of ``side``^d lattice keys.
+def _check_budget(phase: str, work: int) -> None:
+    """Raise ``ValueError`` when ``phase`` would build more than
+    ``_LATTICE_BUDGET`` interval rows, pieces or members."""
+    if work > _LATTICE_BUDGET:
+        raise ValueError(f"{phase} would build {work}, over the lattice budget {_LATTICE_BUDGET}")
 
-    Returns each translation's cell, and each cell's centre and radius: the
-    centre of the bounding box of the cell's translations, and the metric
-    length of half the box's diagonal.  Every member lies within its
-    cell's radius of the centre, however unevenly the lattice is spaced.
+
+@dataclass(frozen=True)
+class Lattice:
+    """Integer lattice keys, held as last-axis intervals, each standing for
+    one translation.
+
+    Row i holds the keys ``(*prefix[i], x)`` for ``lo[i] <= x <= hi[i]``.
+    A key k stands for the translation ``k * step`` when ``step`` is set
+    (a local net), and else for ``(axes[0][k_0], ..., axes[d-1][k_{d-1}])``
+    (an alignment grid, each axis sorted).  Either way each coordinate
+    grows with its key, so the translations of a box of keys span the box
+    between the translations of its corners.  The scan meets the rows in
+    order, each row's keys ascending, and skips a key an earlier row holds;
+    rows that are disjoint and sorted are met in key order.  ``size``
+    counts the keys with their repeats.
     """
-    order, new = _row_order(keys // side)
-    which = np.empty(len(ts), dtype=np.int64)
+
+    prefix: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    step: Optional[float] = None
+    axes: Optional[tuple] = None
+
+    def __post_init__(self):
+        prefix = np.asarray(self.prefix, dtype=np.int64)
+        lo = np.asarray(self.lo, dtype=np.int64)
+        hi = np.asarray(self.hi, dtype=np.int64)
+        if prefix.ndim != 2 or lo.shape != hi.shape or lo.shape != prefix.shape[:1]:
+            raise ValueError("a lattice takes (R, d - 1) prefixes and R intervals")
+        if (self.step is None) == (self.axes is None):
+            raise ValueError("a lattice takes either a step or per-axis values")
+        for name, value in (("prefix", prefix), ("lo", lo), ("hi", hi)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        return self.prefix.shape[1] + 1
+
+    @property
+    def size(self) -> int:
+        return int((self.hi - self.lo + 1).sum())
+
+    def translations(self, keys: np.ndarray) -> np.ndarray:
+        """The translation of each row of an (N, d) key array."""
+        if self.step is not None:
+            return keys.astype(np.float64) * self.step
+        return np.stack([values[k] for values, k in zip(self.axes, keys.T)], axis=1)
+
+
+def _keys(lattice: Lattice, row: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of the pieces ``lo[i]..hi[i]`` of rows ``row[i]``, piece by
+    piece and ascending in each, and the piece of each key."""
+    piece, rank = _runs(hi - lo + 1)
+    keys = np.empty((piece.size, lattice.dim), dtype=np.int64)
+    keys[:, :-1] = lattice.prefix[row[piece]]
+    keys[:, -1] = lo[piece] + rank
+    return keys, piece
+
+
+class _Pieces(NamedTuple):
+    """Pieces ``lo..hi`` of lattice rows ``row``, in scan order, each with
+    the highest cell floor met so far."""
+
+    row: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    floor: np.ndarray
+
+
+def _lattice_cells(lattice: Lattice, pieces: _Pieces, side: int, metric: Metric):
+    """Cut ``pieces`` at multiples of ``side`` and group them into cells of
+    ``side``^d keys.
+
+    Returns the cut pieces, still in scan order, each cut piece's cell, and
+    each cell's centre and radius: the centre of the bounding box of the
+    cell's translations, and the metric length of half the box's diagonal.
+    The box is read from the cell's extreme keys, whose translations are
+    its corners, so every member lies within its cell's radius of the
+    centre, however unevenly the lattice is spaced.
+    """
+    first = pieces.lo // side
+    count = pieces.hi // side - first + 1
+    _check_budget(f"lattice cells of side {side}", int(count.sum()))
+    src, rank = _runs(count)
+    cell = first[src] + rank
+    row = lattice.prefix[pieces.row[src]]
+    cut = _Pieces(
+        pieces.row[src],
+        np.maximum(pieces.lo[src], cell * side),
+        np.minimum(pieces.hi[src], cell * side + (side - 1)),
+        pieces.floor[src],
+    )
+    order, new = _row_order(np.column_stack([row // side, cell]))
+    which = np.empty(src.size, dtype=np.int64)
     which[order] = np.cumsum(new) - 1
     starts = np.flatnonzero(new)
-    members = ts[order]
-    lo = np.minimum.reduceat(members, starts, axis=0)
-    hi = np.maximum.reduceat(members, starts, axis=0)
-    return which, (lo + hi) / 2.0, metric.norms((hi - lo) / 2.0)
+    low = np.minimum.reduceat(np.column_stack([row, cut.lo])[order], starts, axis=0)
+    high = np.maximum.reduceat(np.column_stack([row, cut.hi])[order], starts, axis=0)
+    lo, hi = lattice.translations(low), lattice.translations(high)
+    return cut, which, (lo + hi) / 2.0, metric.norms((hi - lo) / 2.0)
 
 
 def _rounding(a: PointSet, ts: np.ndarray) -> float:
@@ -645,10 +738,11 @@ def _cell_floor(values: np.ndarray, r: np.ndarray, m: int, rounding: float) -> n
 
 
 class LatticeArgmin(NamedTuple):
-    """Winner of ``lattice_argmin``: position, exact value, query rows at the
-    translations, and query rows at the cell centres that bounded them."""
+    """Winner of ``lattice_argmin``: its translation (None when nothing
+    wins), exact value, query rows at lattice translations, and query rows
+    at the cell centres that bounded them."""
 
-    pos: int
+    translation: Optional[np.ndarray]
     value: float
     rows: int
     bound_rows: int
@@ -656,63 +750,63 @@ class LatticeArgmin(NamedTuple):
 
 def lattice_argmin(
     a: PointSet,
-    translations: np.ndarray,
-    keys: np.ndarray,
+    lattice: Lattice,
     b: PointSet,
     metric: Metric = L2,
     index: Optional[NearestIndex] = None,
     upper: float = math.inf,
     holds_optimum: bool = False,
 ) -> LatticeArgmin:
-    """``chamfer_argmin`` over translations that carry integer lattice keys,
-    skipping the cells of the lattice that cannot win.
+    """``chamfer_argmin`` over the translations of a lattice, in its scan
+    order, building only the cells of the lattice that can win.
 
-    ``keys[i]`` is the lattice index of ``translations[i]`` (a local net's
-    index, or each axis's rank in an alignment grid), and equal keys must
-    mean equal translations.  A repeated key is scanned once, at its first
-    position: it would only repeat the same value later.
+    The lattice's rows are cut into cells of 16^d keys.  Each cell's
+    bounding box comes from its extreme keys, read off the rows' intervals,
+    and its centre is scored once with ``chamfer_many``.  CD(A + t, B) is
+    m-Lipschitz, so a cell of radius r whose centre has value v holds no
+    translation below its floor v - m*r (less a rounding slack).  Cells
+    whose floor exceeds the bound are dropped, and the pieces of rows in
+    the survivors are cut into cells of 4^d keys and bounded again.  The
+    coarse level is skipped when the keys span fewer than
+    ``_MIN_COARSE_CELLS`` of its cells.  Only the members of the surviving
+    fine cells are built, each key once, where the scan first meets it.
+    They go straight into the early-abandoning scan, ``chamfer_argmin``,
+    with their floors as per-candidate lower bounds, so a translation
+    leaves the scan as soon as its floor or its partial sum rules it out;
+    the scan's first completed leader tightens the bound.  Centres only
+    bound and never win: translation and value are bit-identical to
+    ``chamfer_argmin(a, ts, b, metric, upper=upper)`` over every
+    translation ``ts`` of the lattice in scan order, ties included.
 
-    The keys are grouped into cells of 16^d keys, and each cell's centre is
-    scored once with ``chamfer_many``.  CD(A + t, B) is m-Lipschitz, so a
-    cell of radius r whose centre has value v holds no translation below
-    its floor v - m*r (less a rounding slack).  Cells whose floor exceeds
-    the bound are dropped, and the survivors are split into cells of 4^d
-    keys and bounded again.  The coarse level is skipped when the keys span
-    fewer than ``_MIN_COARSE_CELLS`` of its cells.  The survivors go
-    straight into the early-abandoning scan, ``chamfer_argmin``, with their
-    floors as per-candidate lower bounds, so a translation leaves the scan
-    as soon as its floor or its partial sum rules it out; the scan's first
-    completed leader tightens the bound.  Centres only bound and never
-    win: position and value are bit-identical to ``chamfer_argmin(a,
-    translations, b, metric, upper=upper)``, ties included.
-
-    The bound starts at ``upper``.  With ``holds_optimum`` the translations
-    are known to hold a global minimiser of CD(A + t, B) over all t, so none
-    can beat the lowest centre value, which, plus twice the rounding that
-    the floors allow for, then tightens the bound by itself.  ``rows``
-    counts the query rows at the translations and ``bound_rows`` those at
-    the centres.
+    The bound starts at ``upper``.  With ``holds_optimum`` the lattice is
+    known to hold a global minimiser of CD(A + t, B) over all t, so none of
+    it can beat the lowest centre value, which, plus twice the rounding
+    that the floors allow for, then tightens the bound by itself.  ``rows``
+    counts the query rows at lattice translations and ``bound_rows`` those
+    at the centres.  The pieces each level cuts and the members built are
+    held to ``_LATTICE_BUDGET``.
     """
     _check_same_dim(a, b)
-    ts = _as_translations(a, translations)
-    if len(ts) == 0:
-        return LatticeArgmin(-1, math.inf, 0, 0)
-    keys = np.asarray(keys, dtype=np.int64).reshape(len(ts), -1)
+    if lattice.dim != a.dim:
+        raise ValueError(f"lattice has dimension {lattice.dim}, expected {a.dim}")
+    if lattice.lo.size == 0:
+        return LatticeArgmin(None, math.inf, 0, 0)
     if index is None:
         index = build_index(b, metric)
     m = len(a)
-    order, new = _row_order(keys)
-    live = np.sort(order[new])  # each distinct key at its first position
-    rounding = _rounding(a, ts)
-    floors = np.full(len(ts), -math.inf)
+    # the extreme keys along each axis, whose translations hold the extremes
+    lo = np.append(lattice.prefix.min(axis=0), lattice.lo.min())
+    hi = np.append(lattice.prefix.max(axis=0), lattice.hi.max())
+    rounding = _rounding(a, lattice.translations(np.stack([lo, hi])))
+    count = lattice.lo.size
+    pieces = _Pieces(np.arange(count), lattice.lo, lattice.hi, np.full(count, -math.inf))
     bound, bound_rows = float(upper), 0
-    lo, hi = keys.min(axis=0), keys.max(axis=0)
     for side in _CELL_SIDES:
         if side != _CELL_SIDES[-1] and math.prod((hi // side - lo // side + 1).tolist()) < _MIN_COARSE_CELLS:
             continue  # too few coarse cells to repay scoring them
-        if live.size == 0:
+        if pieces.row.size == 0:
             break
-        which, centres, r = _lattice_cells(ts[live], keys[live], side, metric)
+        pieces, which, centres, r = _lattice_cells(lattice, pieces, side, metric)
         values = chamfer_many(a, centres, b, metric, index)
         bound_rows += len(centres) * m
         if holds_optimum:
@@ -720,10 +814,16 @@ def lattice_argmin(
             # any centre's; each computed value is off by at most its rounding
             low = float(values.min())
             bound = min(bound, low * (1.0 + 2.0 * _PRUNE_SLACK) + 2.0 * rounding)
-        floors[live] = np.maximum(floors[live], _cell_floor(values, r, m, rounding)[which])
-        live = live[floors[live] <= bound]
-    pos, value, rows = chamfer_argmin(a, ts[live], b, metric, index, upper=bound, floors=floors[live])
-    return LatticeArgmin(int(live[pos]) if pos >= 0 else -1, value, rows, bound_rows)
+        floor = np.maximum(pieces.floor, _cell_floor(values, r, m, rounding)[which])
+        keep = floor <= bound
+        pieces = _Pieces(pieces.row[keep], pieces.lo[keep], pieces.hi[keep], floor[keep])
+    _check_budget("lattice members", int((pieces.hi - pieces.lo + 1).sum()))
+    keys, piece = _keys(lattice, pieces.row, pieces.lo, pieces.hi)
+    order, new = _row_order(keys)
+    first = np.sort(order[new])  # each key where the scan first meets it
+    ts = lattice.translations(keys[first])
+    pos, value, rows = chamfer_argmin(a, ts, b, metric, index, upper=bound, floors=pieces.floor[piece[first]])
+    return LatticeArgmin(ts[pos] if pos >= 0 else None, value, rows, bound_rows)
 
 
 def bbox_diameter(ps: PointSet, metric: Metric = L2) -> float:

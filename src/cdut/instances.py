@@ -19,6 +19,11 @@ __all__ = [
 ]
 
 
+# sites of the lattice that separated_planted_instance draws B from; the draw
+# permutes all of them, 8 bytes each
+_MAX_SITES = 1 << 24
+
+
 @dataclass(frozen=True)
 class PlantedInstance:
     a: PointSet
@@ -103,9 +108,10 @@ def separated_planted_instance(
 ) -> PlantedInstance:
     """A decision instance with a known answer.
 
-    B sits on a lattice scaled so the separation assumption holds with the
-    given margin.  A is m of those sites pulled back by a shift and
-    perturbed: for a YES instance the perturbations' norms sum to R/2, so
+    B sits on n sites of a side^d lattice (side = ceil(n^(1/d))), scaled
+    so the separation assumption holds with the given margin; a lattice of
+    more than ``_MAX_SITES`` sites is refused with ``ValueError``.  A is m
+    of those sites pulled back by a shift and perturbed: for a YES instance the perturbations' norms sum to R/2, so
     the optimum is at most R/2.  For a NO instance the perturbations are
     +-delta along the first axis in equal numbers; no translation can
     cancel opposite offsets, so the optimum is exactly m * delta,
@@ -117,13 +123,15 @@ def separated_planted_instance(
         raise ValueError("NO instances need an even m so offsets pair up")
     if m > n:
         raise ValueError(f"m = {m} exceeds n = {n}: A's points are drawn from B's sites without replacement")
+    side = math.ceil(n ** (1.0 / d))
+    if side**d > _MAX_SITES:
+        raise ValueError(f"a lattice of {side}^{d} sites exceeds the cap of {_MAX_SITES}")
     rng = np.random.default_rng(seed)
     spacing = margin * (c + 1.0) * (1.0 + 2.0 / m) * radius
-    side = math.ceil(n ** (1.0 / d))
-    axes = np.stack(
-        np.meshgrid(*[np.arange(side, dtype=np.float64)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    sites = axes[rng.permutation(len(axes))[:n]] * spacing
+    # n sites drawn from the side^d lattice, whose site j is j's digits in
+    # base side, the last axis fastest
+    digits = np.unravel_index(rng.permutation(side**d)[:n], (side,) * d)
+    sites = np.stack(digits, axis=-1).astype(np.float64) * spacing
     b = PointSet(sites)
     chosen = rng.permutation(n)[:m]
     shift = rng.uniform(-5.0, 5.0, size=d) * radius

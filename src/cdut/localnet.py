@@ -8,23 +8,27 @@ cost is within (1 + eps) of the optimum.  The reported value is an exact
 evaluation at a real translation, so it can never fall below the true
 optimum.
 
-The search skips net points that provably cannot win, through
-``core.lattice_argmin``, the pruned scan that ``exact-l1linf`` also runs
-over its alignment grid.  Each term of CD(A + t, B) is 1-Lipschitz in t,
+The net is never built whole.  ``_net_lattice`` holds it as a lattice:
+one key interval per row of each ball's key box, because along a row only
+the last key moves and every float operation of the ball test is monotone
+in it on either side of the centre.  ``core.lattice_argmin``, the scan that
+``exact-l1linf`` also runs over its alignment grid, then builds only the
+net points that can win.  Each term of CD(A + t, B) is 1-Lipschitz in t,
 so the whole sum is m-Lipschitz: one exact value at the centre of a block
 of lattice points bounds every point of the block from below.  Blocks of
-16^d lattice indices are bounded first, then blocks of 4^d inside the
-survivors, and the floors that remain ride along into the early-abandoning
-scan of the net, in its original order, under the bound u.  A point that
-plain mode repeats is scanned once, at its first position.  Centres only
-bound and never win, so the winner is the first minimum of a full scan,
-bit for bit, and ``evaluations`` still counts the whole net.
+16^d lattice keys are bounded first, their boxes read off the rows'
+intervals, then blocks of 4^d inside the survivors.  Only the points of
+the surviving blocks are built, and their floors ride along into the
+early-abandoning scan, in the net's order, under the bound u.  A point
+that plain mode repeats is scanned once, at its first position.  Centres
+only bound and never win, so the winner is the first minimum of a full
+scan, bit for bit, and ``evaluations`` still counts the whole net.
 
 Net points are drawn from a single global lattice (spacing chosen per
 metric so any ball point is within rho of a kept lattice point).  The
-union mode deduplicates lattice points shared by overlapping balls; plain
-mode evaluates each ball separately.  Both modes therefore scan exactly
-the same set of translations and agree on the minimum value.
+union mode merges the intervals that overlapping balls share; plain mode
+keeps each ball's rows.  Both modes therefore scan exactly the same set
+of translations and agree on the minimum value.
 """
 
 from __future__ import annotations
@@ -37,10 +41,13 @@ import numpy as np
 from .core import (
     L2,
     ChamferReport,
+    Lattice,
     Metric,
     PointSet,
+    _check_budget,
     _check_same_dim,
-    _unique_rows,
+    _row_order,
+    _runs,
     anchor_count,
     build_index,
     chamfer_argmin,
@@ -54,9 +61,6 @@ from .core import (
 __all__ = ["LocalNetConfig", "cdut_localnet"]
 
 _MAX_NET_DIM = 6
-_NET_BUDGET = 2_000_000
-# rows of the shared offset box that _net_phase masks at once, over its balls
-_NET_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -86,20 +90,61 @@ def _ball_lattice_ranges(center: np.ndarray, radius: float, step: float):
     return lo, hi
 
 
-def _net_phase(
+def _first_true(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row, the least x in [lo, hi] where ``pred`` holds, or hi + 1 where
+    it holds nowhere; along each row ``pred`` is false, then true."""
+    hi = hi + 1
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) // 2
+        ok = pred(mid)
+        hi = np.where(open_ & ok, mid, hi)
+        lo = np.where(open_ & ~ok, mid + 1, lo)
+
+
+def _merged_rows(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Rows holding the same keys, each prefix's intervals merged: disjoint,
+    and sorted by key."""
+    if lo.size == 0:
+        return prefix, lo, hi
+    order, _ = _row_order(np.column_stack([prefix, lo]))
+    prefix, lo, hi = prefix[order], lo[order], hi[order]
+    new = np.ones(lo.size, dtype=bool)
+    new[1:] = np.any(prefix[1:] != prefix[:-1], axis=1)
+    # the running maximum of hi within each prefix, taken over ranks of hi,
+    # each prefix offset past every rank of the one before
+    values, rank = np.unique(hi, return_inverse=True)
+    offset = (np.cumsum(new) - 1) * values.size
+    reach = values[np.maximum.accumulate(offset + rank) - offset]
+    start = new.copy()
+    start[1:] |= lo[1:] > reach[:-1] + 1
+    starts = np.flatnonzero(start)
+    return prefix[starts], lo[starts], reach[np.append(starts[1:], lo.size) - 1]
+
+
+def _net_lattice(
     dim: int,
     metric: Metric,
     candidates: np.ndarray,
     radius: float,
     rho: float,
     union: bool,
-):
-    """Lattice translations to evaluate, per ball or as a deduplicated union.
+) -> Lattice:
+    """The lattice points within ``radius`` of the candidates, as a lattice.
 
-    Returns the net points and their lattice indices; each point is its
-    index times the lattice step.  Plain mode lists each ball's lattice
-    points in ball order, each ball in the order of its own lattice box
-    (last axis fastest); union mode lists the distinct indices, sorted.
+    Each point is its lattice key times the lattice step.  A ball keeps the
+    points of its key box whose computed distance from the centre,
+    ``norms(key * step - centre)``, is at most ``radius * (1 + 1e-9) +
+    1e-12``.  Along a row of the box only the last key moves, and every
+    float operation of that test is monotone in it on either side of the
+    centre, so a row keeps one interval of keys, whose ends one bisection
+    finds.  Plain mode keeps each ball's rows, in ball order and each
+    ball's rows in key order, so the scan meets the points as a
+    ball-by-ball listing would; union mode merges the rows of each prefix,
+    so it holds each point once, in key order.  The rows built are held to
+    the lattice budget.
     """
     d = dim
     if d > _MAX_NET_DIM:
@@ -109,26 +154,37 @@ def _net_phase(
     centres = np.asarray(candidates, dtype=np.float64).reshape(-1, d)
     lo, hi = _ball_lattice_ranges(centres, radius, step)
     widths = np.maximum(hi - lo + 1, 0)
-    if np.prod(widths.astype(np.float64), axis=1).sum() > _NET_BUDGET:
-        raise ValueError("net search exceeds the evaluation budget")
-    if len(centres) == 0:
-        return np.empty((0, d)), np.empty((0, d), dtype=np.int64)
-    # one box of offsets wide enough for every ball, last axis fastest; the
-    # offsets inside a ball's own box keep that box's order
-    offsets = np.indices(widths.max(axis=0)).reshape(d, -1).T
-    per = max(1, _NET_ROWS // max(1, len(offsets)))
-    blocks = []
-    for start in range(0, len(centres), per):
-        stop = start + per
-        idx = lo[start:stop, None, :] + offsets[None, :, :]
-        keep = np.all(offsets[None, :, :] < widths[start:stop, None, :], axis=2)
-        pts = idx.astype(np.float64) * step
-        keep &= metric.norms(pts - centres[start:stop, None, :]) <= radius * (1.0 + 1e-9) + 1e-12
-        blocks.append(idx[keep])
-    idx = np.concatenate(blocks, axis=0)
-    if union:
-        idx = _unique_rows(idx)[0]
-    return idx.astype(np.float64) * step, idx
+    per_ball = np.prod(widths[:, :-1].astype(np.float64), axis=1) * (widths[:, -1] > 0)
+    _check_budget("local net rows", int(per_ball.sum()))
+    # one row per ball and prefix of its box, the last prefix axis fastest
+    ball, rank = _runs(per_ball.astype(np.int64))
+    prefix = np.empty((ball.size, d - 1), dtype=np.int64)
+    for k in range(d - 2, -1, -1):
+        prefix[:, k] = lo[ball, k] + rank % widths[ball, k]
+        rank //= widths[ball, k]
+    # each row twice: the first copy finds the row's first key in the ball,
+    # the second the first key past it
+    rows = ball.size
+    diff = np.empty((2 * rows, d))
+    diff[:rows, :-1] = prefix.astype(np.float64) * step - centres[ball, :-1]
+    diff[rows:, :-1] = diff[:rows, :-1]
+    centre, reach = np.tile(centres[ball, -1], 2), radius * (1.0 + 1e-9) + 1e-12
+    second = np.arange(2 * rows) >= rows
+
+    def found(x):
+        # on the near side of the centre a key enters the ball and stays in,
+        # on the far side it stays in until it leaves: so the first copy
+        # looks for in the ball or at or past the centre, the second for out
+        # of the ball and at or past the centre
+        diff[:, -1] = x.astype(np.float64) * step - centre
+        inside, ahead = metric.norms(diff) <= reach, diff[:, -1] >= 0.0
+        return np.where(second, ahead & ~inside, ahead | inside)
+
+    ends = _first_true(found, np.tile(lo[ball, -1], 2), np.tile(hi[ball, -1], 2))
+    start, stop = ends[:rows], ends[rows:]
+    keep = start < stop
+    kept = prefix[keep], start[keep], stop[keep] - 1
+    return Lattice(*(_merged_rows(*kept) if union else kept), step=step)
 
 
 def cdut_localnet(
@@ -142,27 +198,28 @@ def cdut_localnet(
     u_pos, u, rows = chamfer_argmin(a, candidates, b, metric, index=index)
     radius = (1.0 + config.gamma) * u / m
     rho = config.epsilon * u / (config.h * m)
+    best_t, net_size, net_rows, bound_rows = candidates[u_pos], 0, 0, 0
     # a zero-cost candidate is globally optimal and the net radii degenerate,
     # so no net is built and the candidate wins
-    if u == 0.0:
-        net, idx = np.empty((0, a.dim)), np.empty((0, a.dim), dtype=np.int64)
-    else:
-        net, idx = _net_phase(a.dim, metric, candidates, radius, rho, config.union_mode)
-    best, value, net_rows, bound_rows = lattice_argmin(a, net, idx, b, metric, index=index, upper=u)
-    best_t = net[best] if value < u else candidates[u_pos]
+    if u > 0.0:
+        net = _net_lattice(a.dim, metric, candidates, radius, rho, config.union_mode)
+        found = lattice_argmin(a, net, b, metric, index=index, upper=u)
+        if found.value < u:
+            best_t = found.translation
+        net_size, net_rows, bound_rows = net.size, found.rows, found.bound_rows
     return replace(
         chamfer_translated(a, best_t, b, metric, index=index),
         algorithm="localnet-union" if config.union_mode else "localnet",
         epsilon=config.epsilon,
         seed=seed,
-        evaluations=int(len(net)),
+        evaluations=net_size,
         extras={
             "u": u,
             "radius": radius,
             "rho": rho,
             "candidates": int(len(candidates)),
             "engine_rows": rows + net_rows,
-            "engine_rows_full": (len(candidates) + len(net)) * m,
+            "engine_rows_full": (len(candidates) + net_size) * m,
             "bound_rows": bound_rows,
         },
     )

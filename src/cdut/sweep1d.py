@@ -17,8 +17,9 @@ order of ties inside a group does not matter.  An event takes about 40
 bytes at peak; ``_EVENT_BUDGET`` caps the 2mn - m events.
 
 ``cdut_exact_1d`` sweeps in one pass when the events number at most
-``_WINDOW_EVENTS``.  Above that it cuts the t axis into windows of about
-that many events, at quantiles of a strided sample of the match
+``_WINDOW_EVENTS``, and the exact near-tie step below picks the winner
+among the swept matches.  Above that it cuts the t axis into windows of
+about that many events, at quantiles of a strided sample of the match
 translations.  Over a window [lo, hi] each term of CD(A + t, B) is at least
 the distance from the interval [a + lo, a + hi] to B, so one
 ``searchsorted`` per point of A bounds every window from below.  The window
@@ -36,7 +37,9 @@ value.  Far from the origin that slack can admit most matches; when their
 exact scan would take more query rows than the one-shot sweep has events
 (and more than ``core._QUERY_ROWS``), the one-shot sweep decides instead.
 Memory is bounded by the largest run swept, which can still be all events,
-as at m = 1, where every window bounds to 0.
+as at m = 1, where every window bounds to 0.  The one-pass sweep settles
+its near ties by the same exact scan: at m = 1 every match is an exact
+zero, yet the swept values can rank one of them above 0 by rounding.
 
 For the l1 metric the same kink structure holds per coordinate, so in d
 dimensions the optimum lies on the grid of per-dimension alignments
@@ -45,12 +48,15 @@ argument: the hyperplanes t_k = b_jk - a_ik cut R^d into boxes of the
 grid.  Inside one box every |a_ik + t_k - b_jk| is affine in t, so each
 point's nearest-neighbour distance, a minimum of affine functions, is
 concave, and so is their sum.  A concave function bounded below attains
-its minimum over a box at a vertex, a grid point.  The grid is scanned by
+its minimum over a box at a vertex, a grid point.  The grid is never
+built whole: ``_alignment_lattice`` holds it as the sorted alignment
+values of each axis and one full interval of last-axis ranks per row, and
 ``core.lattice_argmin``, the same Lipschitz-pruned scan as the local net,
-with each axis's rank as the lattice key.  Since the grid holds a global
-optimum, no grid point beats any real translation, so the lowest cell
-centre value (plus rounding slack) is a safe upper bound from the start;
-the scan stays exact and returns the same first minimum as a full scan.  The
+reads each cell's box from the per-axis values and builds only the grid
+points of the cells that survive.  Since the grid holds a global optimum,
+no grid point beats any real translation, so the lowest cell centre value
+(plus rounding slack) is a safe upper bound from the start; the scan stays
+exact and returns the same first minimum as a full scan.  The
 linf objective is different: its per-coordinate kinks sit at dominance
 corners |a_i + t_i - b_i| = max_j |a_j + t_j - b_j| rather than at
 alignments, and random 2D instances exist where every alignment candidate
@@ -71,10 +77,13 @@ import numpy as np
 from .core import (
     L1,
     ChamferReport,
+    Lattice,
     Metric,
     NearestIndex,
     PointSet,
+    _check_budget,
     _check_same_dim,
+    _POOL_ROWS,
     _PRUNE_SLACK,
     _QUERY_ROWS,
     _rounding,
@@ -90,7 +99,6 @@ __all__ = ["sweep_curve", "cdut_exact_1d", "cdut_exact_l1_linf"]
 
 # the alignment grid has up to (mn)^d points
 _MAX_DIM = 3
-_CANDIDATE_BUDGET = 2_000_000
 # events of the 1D sweep (2mn - m)
 _EVENT_BUDGET = 1 << 25
 # events per window of the windowed sweep; a sweep of no more events runs in
@@ -284,18 +292,48 @@ def _window_bounds(av: np.ndarray, bv: np.ndarray, lo: np.ndarray, hi: np.ndarra
     return bounds
 
 
+def _slack(a: PointSet, b: PointSet) -> float:
+    """``core._rounding`` over every match translation of A and B."""
+    av, bv = a.points[:, 0], b.points[:, 0]
+    return _rounding(a, np.array([bv.min() - av.max(), bv.max() - av.min()]))
+
+
+def _exact_near_ties(a: PointSet, b: PointSet, index: NearestIndex, runs, rounding: float, events: int):
+    """The smallest match translation of lowest exact value among the
+    matches of swept ``runs``, each a ``sweep_curve`` result.
+
+    Swept values drift from exact ones within the rounding slack, so every
+    match whose swept value lies that close to the lowest goes, in
+    ascending t, to ``chamfer_argmin``, or to one ``chamfer_many`` call
+    below ``_POOL_ROWS`` query rows; both return the first minimum.
+    Returns None when that scan would take more query rows than the larger
+    of ``events`` and ``_QUERY_ROWS``.
+    """
+    is_match = [n_match > 0 for _, _, n_match, _ in runs]
+    low = min(float(values.min(where=match, initial=math.inf)) for (_, values, _, _), match in zip(runs, is_match))
+    bar = low * (1.0 + 2.0 * _PRUNE_SLACK) + 2.0 * rounding
+    near = np.concatenate([ts[match & (values <= bar)] for (ts, values, _, _), match in zip(runs, is_match)])
+    if near.size * len(a) > max(events, _QUERY_ROWS):
+        # the slack grows with the coordinates' magnitude; far from the
+        # origin it can admit most matches
+        return None
+    if near.size * len(a) < _POOL_ROWS:
+        # a scan this small costs less in one call than in argmin's stages
+        return near[np.argmin(chamfer_many(a, near, b, index=index))]
+    return near[chamfer_argmin(a, near, b, index=index).pos]
+
+
 def _windowed_argmin(a: PointSet, b: PointSet, index: NearestIndex, events: int, lo: np.ndarray, hi: np.ndarray):
     """The smallest match translation of lowest exact value, sweeping only
     the windows [lo, hi) whose lower bound can still win.
 
     Returns the translation and the distinct event positions and windows
-    swept, or None when the exact scan of the near ties would take more
-    query rows than the larger of ``events`` and ``_QUERY_ROWS``.
+    swept, or None when ``_exact_near_ties`` declines.
     """
     av = a.points[:, 0]
     bv = np.sort(b.points[:, 0])
     bounds = _window_bounds(av, bv, lo, hi)
-    rounding = _rounding(a, np.array([bv[0] - av.max(), bv[-1] - av.min()]))
+    rounding = _slack(a, b)
     first = int(np.argmin(bounds))
     pieces = {first: sweep_curve(a, b, index, (lo[first], hi[first]))}
     ts, values, n_match, _ = pieces[first]
@@ -307,31 +345,22 @@ def _windowed_argmin(a: PointSet, b: PointSet, index: NearestIndex, events: int,
     for start, stop in zip(flips[::2], flips[1::2]):
         pieces[start] = sweep_curve(a, b, index, (lo[start], hi[stop - 1]))
     runs = [pieces[key] for key in sorted(pieces)]
-    is_match = [n_match > 0 for _, _, n_match, _ in runs]
-    low = min(float(values.min(where=match, initial=math.inf)) for (_, values, _, _), match in zip(runs, is_match))
-    # swept values drift from exact ones within the rounding slack; every
-    # match near the lowest goes to an exact scan, in ascending t
-    bar = low * (1.0 + 2.0 * _PRUNE_SLACK) + 2.0 * rounding
-    near = np.concatenate([ts[match & (values <= bar)] for (ts, values, _, _), match in zip(runs, is_match)])
-    if near.size * len(a) > max(events, _QUERY_ROWS):
-        # the slack grows with the coordinates' magnitude; far from the
-        # origin it can admit most matches
+    t = _exact_near_ties(a, b, index, runs, rounding, events)
+    if t is None:
         return None
-    pos = chamfer_argmin(a, near, b, index=index).pos if near.size > 1 else 0
-    swept = sum(ts.size for ts, _, _, _ in runs)
-    return near[pos], swept, 1 + int(live.sum())
+    return t, sum(ts.size for ts, _, _, _ in runs), 1 + int(live.sum())
 
 
 def cdut_exact_1d(a: PointSet, b: PointSet) -> ChamferReport:
     """Global minimum of CD(A+t, B) over all real t, for 1D sets.
 
-    The returned translation is a match translation b - a attaining the
-    minimum; value and assignment are re-evaluated exactly there.  When
-    the windowed sweep runs, it is the smallest match of lowest exact
-    value; otherwise, in the one-shot sweep, the match of lowest swept
-    value, the smallest on ties.  ``evaluations`` counts the distinct event
-    positions swept; the extras give all 2mn - m events (``events_full``),
-    the windows, and the windows swept.
+    The returned translation is the smallest match translation b - a of
+    lowest exact value; value and assignment are re-evaluated exactly
+    there.  Only when the exact scan of the near ties declines (coordinates
+    far from the origin) does the one-shot sweep pick the match of lowest
+    swept value, the smallest on ties.  ``evaluations`` counts the distinct
+    event positions swept; the extras give all 2mn - m events
+    (``events_full``), the windows, and the windows swept.
     """
     events = _event_count(a, b)
     index = build_index(b)
@@ -342,11 +371,14 @@ def cdut_exact_1d(a: PointSet, b: PointSet) -> ChamferReport:
     if edges is not None:
         found = _windowed_argmin(a, b, index, events, *edges)
     if found is None:
-        ts, values, n_match, _ = sweep_curve(a, b, index)
-        match_pos = np.flatnonzero(n_match > 0)
-        t, swept, windows_swept = ts[match_pos[np.argmin(values[match_pos])]], ts.size, windows
-    else:
-        t, swept, windows_swept = found
+        curve = sweep_curve(a, b, index)
+        t = _exact_near_ties(a, b, index, [curve], _slack(a, b), events)
+        if t is None:
+            ts, values, n_match, _ = curve
+            match_pos = np.flatnonzero(n_match > 0)
+            t = ts[match_pos[np.argmin(values[match_pos])]]
+        found = t, curve[0].size, windows
+    t, swept, windows_swept = found
     return replace(
         chamfer_translated(a, t, b, index=index),
         algorithm="exact1d",
@@ -359,20 +391,20 @@ def _alignment_values(points_a: np.ndarray, points_b: np.ndarray, axis: int) -> 
     return np.unique(points_b[:, axis][None, :] - points_a[:, axis][:, None])
 
 
-def _alignment_grid(points_a: np.ndarray, points_b: np.ndarray):
-    """Every combination of per-dimension alignments, last dimension fastest.
+def _alignment_lattice(points_a: np.ndarray, points_b: np.ndarray) -> Lattice:
+    """Every combination of per-dimension alignments, as a lattice of each
+    axis's rank among that axis's sorted alignment values.
 
-    Returns the grid's translations and their lattice keys: each axis's
-    rank among that axis's sorted alignment values.
+    Each combination of the leading axes' ranks is one row, holding every
+    rank of the last axis, so the scan meets the grid in key order.  The
+    rows are held to the lattice budget.
     """
-    per_dim = [_alignment_values(points_a, points_b, axis) for axis in range(points_a.shape[1])]
-    shape = tuple(vals.size for vals in per_dim)
-    total = math.prod(shape)
-    if total > _CANDIDATE_BUDGET:
-        raise ValueError(f"candidate grid has {total} points, over budget {_CANDIDATE_BUDGET}")
-    mesh = np.meshgrid(*per_dim, indexing="ij")
-    keys = np.indices(shape).reshape(len(shape), -1).T
-    return np.stack([m.ravel() for m in mesh], axis=1), keys
+    axes = tuple(_alignment_values(points_a, points_b, axis) for axis in range(points_a.shape[1]))
+    shape = tuple(vals.size for vals in axes)
+    rows = math.prod(shape[:-1])
+    _check_budget("alignment grid rows", rows)
+    prefix = np.indices(shape[:-1]).reshape(len(shape) - 1, rows).T
+    return Lattice(prefix, np.zeros(rows, dtype=np.int64), np.full(rows, shape[-1] - 1), axes=axes)
 
 
 def cdut_exact_l1_linf(a: PointSet, b: PointSet, metric: Metric) -> ChamferReport:
@@ -384,7 +416,8 @@ def cdut_exact_l1_linf(a: PointSet, b: PointSet, metric: Metric) -> ChamferRepor
     win.  ``evaluations`` counts the whole grid; the extras count the query
     rows scored at grid points (``engine_rows``) and at cell centres
     (``bound_rows``).  The grid has up to (mn)^d points, so the dimension
-    is capped.
+    is capped, and its rows, cell pieces and built points are held to the
+    lattice budget (``ValueError`` beyond it).
 
     linf: in 2D, rotating coordinates by 45 degrees turns the problem into
     an l1 instance, which is then solved the same way; in 1D the metrics
@@ -407,24 +440,22 @@ def cdut_exact_l1_linf(a: PointSet, b: PointSet, metric: Metric) -> ChamferRepor
         # max(|x|, |y|) = (|x+y| + |x-y|) / 2: solve as l1 in rotated coords
         rot = np.array([[1.0, 1.0], [1.0, -1.0]])
         ra, rb = a.points @ rot.T, b.points @ rot.T
-        candidates, keys = _alignment_grid(ra, rb)
-        best, _, rows, bound_rows = lattice_argmin(
-            PointSet(ra), candidates, keys, PointSet(rb), L1, holds_optimum=True
-        )
-        t = candidates[best] @ np.array([[0.5, 0.5], [0.5, -0.5]]).T
+        grid = _alignment_lattice(ra, rb)
+        found = lattice_argmin(PointSet(ra), grid, PointSet(rb), L1, holds_optimum=True)
+        t = found.translation @ np.array([[0.5, 0.5], [0.5, -0.5]]).T
     else:
-        candidates, keys = _alignment_grid(a.points, b.points)
+        grid = _alignment_lattice(a.points, b.points)
         index = build_index(b, metric)
         # first minimum = lexicographically smallest t
-        best, _, rows, bound_rows = lattice_argmin(a, candidates, keys, b, metric, index, holds_optimum=True)
-        t = candidates[best]
+        found = lattice_argmin(a, grid, b, metric, index, holds_optimum=True)
+        t = found.translation
     return replace(
         chamfer_translated(a, t, b, metric, index=index),
         algorithm="exact-l1linf",
-        evaluations=int(len(candidates)),
+        evaluations=grid.size,
         extras={
-            "engine_rows": rows,
-            "engine_rows_full": len(candidates) * len(a),
-            "bound_rows": bound_rows,
+            "engine_rows": found.rows,
+            "engine_rows_full": grid.size * len(a),
+            "bound_rows": found.bound_rows,
         },
     )

@@ -23,10 +23,11 @@ import cdut.parallel
 import cdut.sweep1d
 from cdut import L1, L2, LINF, LocalNetConfig, PointSet, build_index, chamfer_many
 from cdut.approx import cdut_approx_v1
-from cdut.core import ArgminResult, LatticeArgmin, chamfer_argmin, lattice_argmin
+from cdut.core import ArgminResult, Lattice, LatticeArgmin, chamfer_argmin, lattice_argmin
 from cdut.instances import noisy_copy_instance, uniform_instance
 from cdut.localnet import cdut_localnet
-from cdut.sweep1d import _alignment_grid, cdut_exact_l1_linf
+from cdut.sweep1d import _alignment_lattice, cdut_exact_l1_linf
+from lattice_oracles import alignment_grid, first_positions, lattice_cells, row_keys, scan_keys
 
 METRICS = {"l1": L1, "l2": L2, "linf": LINF}
 
@@ -275,25 +276,60 @@ def test_lattice_argmin_on_alignment_grids(seed, case, grid, repeats):
         rot = np.array([[1.0, 1.0], [1.0, -1.0]])
         pa, pb = pa @ rot.T, pb @ rot.T
     a, b = PointSet(pa), PointSet(pb)
-    ts, keys = _alignment_grid(pa, pb)
-    # repeated keys, later in the order, carry the same translation
+    ts, keys = alignment_grid(pa, pb)
+    # repeated keys, in rows after the grid's, carry the same translation
+    grid = _alignment_lattice(pa, pb)
     rng = np.random.default_rng(seed)
     extra = rng.integers(0, len(ts), repeats)
     ts, keys = np.concatenate([ts, ts[extra]]), np.concatenate([keys, keys[extra]])
+    tail = keys[len(keys) - repeats :]  # one row each
+    lattice = Lattice(
+        np.concatenate([grid.prefix, tail[:, :-1]]),
+        np.concatenate([grid.lo, tail[:, -1]]),
+        np.concatenate([grid.hi, tail[:, -1]]),
+        axes=grid.axes,
+    )
+    assert np.array_equal(row_keys(lattice), keys)
+    assert np.array_equal(scan_keys(lattice), keys[first_positions(keys)])
     values = chamfer_many(a, ts, b, L1)
     low = float(values.min())
     for upper in (math.inf, low, np.nextafter(low, -math.inf)):
         want = chamfer_argmin(a, ts, b, L1, upper=upper)
         for holds_optimum in (False, True):
-            got = lattice_argmin(a, ts, keys, b, L1, upper=upper, holds_optimum=holds_optimum)
-            assert (got.pos, bits(got.value)) == (want.pos, bits(want.value))
+            got = lattice_argmin(a, lattice, b, L1, upper=upper, holds_optimum=holds_optimum)
+            if want.pos < 0:
+                assert (got.translation, got.value) == (None, math.inf)
+            else:
+                assert got.translation.tobytes() == ts[want.pos].tobytes()
+                assert bits(got.value) == bits(want.value)
             assert got.rows <= len(ts) * len(a)
     rounding = cdut.core._rounding(a, ts)
     for side in (2, 4, 16):
-        which, centres, r = cdut.core._lattice_cells(ts, keys, side, L1)
+        members, which, centres, r = lattice_cells(lattice, side, L1)
+        assert np.array_equal(members, keys)
         assert np.all(L1.norms(ts - centres[which]) <= r[which] * (1.0 + 1e-12))
         floors = cdut.core._cell_floor(chamfer_many(a, centres, b, L1), r, len(a), rounding)
         assert np.all(values >= floors[which])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    d=st.integers(1, 3),
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    grid=st.booleans(),
+)
+def test_alignment_lattice_matches_the_array_build(seed, d, m, n, grid):
+    # integer sets repeat alignments, so the per-axis values are deduplicated
+    a, b = instance(seed, m, n, d, grid)
+    ts, keys = alignment_grid(a.points, b.points)
+    lattice = _alignment_lattice(a.points, b.points)
+    got = row_keys(lattice)
+    assert got.shape == keys.shape and got.tobytes() == keys.tobytes()
+    assert lattice.translations(got).tobytes() == ts.tobytes()
+    assert lattice.size == len(ts)
+    assert np.array_equal(scan_keys(lattice), keys)
 
 
 # -- callers: same report as a full-scan argmin --------------------------------
@@ -310,9 +346,12 @@ def reference_argmin(a, ts, b, metric=L2, index=None, upper=math.inf) -> ArgminR
     return ArgminResult(pos, float(values[pos]), full)
 
 
-def reference_lattice_argmin(a, ts, keys, b, metric=L2, index=None, upper=math.inf, holds_optimum=False):
+def reference_lattice_argmin(a, lattice, b, metric=L2, index=None, upper=math.inf, holds_optimum=False):
+    # every key of every row, repeats included: a repeat never beats its
+    # first copy, so the first minimum is the scan's
+    ts = lattice.translations(row_keys(lattice))
     pos, value, rows = reference_argmin(a, ts, b, metric, index, upper)
-    return LatticeArgmin(pos, value, rows, 0)
+    return LatticeArgmin(ts[pos] if pos >= 0 else None, value, rows, 0)
 
 
 def v1(a, b, metric):
@@ -368,3 +407,62 @@ def test_callers_match_full_scan_reference(monkeypatch, module, solve):
     assert {k: v for k, v in got.extras.items() if k not in drop} == {
         k: v for k, v in want.extras.items() if k not in drop
     }
+
+
+# -- the lattice budget ---------------------------------------------------------
+
+
+def budget_checks(monkeypatch, solve):
+    """Every (phase, work) that ``solve`` holds to the lattice budget."""
+    seen, check = [], cdut.core._check_budget
+
+    def recording(phase, work):
+        seen.append((phase, work))
+        check(phase, work)
+
+    with monkeypatch.context() as mp:
+        for module in (cdut.core, cdut.localnet, cdut.sweep1d):
+            mp.setattr(module, "_check_budget", recording)
+        solve()
+    return seen
+
+
+LATTICE_CASES = [c for c in CASES if not c[0].startswith("approx")]
+
+
+@pytest.mark.parametrize("solve", [c[2] for c in LATTICE_CASES], ids=[c[0] for c in LATTICE_CASES])
+def test_each_lattice_phase_is_held_to_the_budget(monkeypatch, solve):
+    want = solve()
+    checks = budget_checks(monkeypatch, solve)
+    phases = [phase for phase, _ in checks]
+    # the builder's rows, one cell level or two, and the members built
+    assert phases[0] in ("local net rows", "alignment grid rows")
+    assert phases[-1] == "lattice members" and "lattice cells of side 4" in phases
+    for _, work in checks:
+        # the first phase that builds more than the limit refuses the solve
+        limit = work - 1
+        phase, over = next((phase, w) for phase, w in checks if w > limit)
+        monkeypatch.setattr(cdut.core, "_LATTICE_BUDGET", limit)
+        with pytest.raises(ValueError, match=f"{phase} would build {over}, over the lattice budget {limit}"):
+            solve()
+    monkeypatch.setattr(cdut.core, "_LATTICE_BUDGET", max(work for _, work in checks))
+    got = solve()
+    assert bits(got.value) == bits(want.value)
+    assert np.array_equal(got.translation, want.translation)
+    assert got.extras == want.extras
+
+
+@pytest.mark.parametrize("algorithm,metric", [("localnet", "l2"), ("exact-l1linf", "l1"), ("exact-l1linf", "linf")])
+def test_cli_exits_2_over_the_lattice_budget(monkeypatch, capsys, tmp_path, algorithm, metric):
+    from cdut.cli import main as cli_main
+    from cdut.io import write_instance
+
+    a, b = uniform_instance(6, 6, 2, 3)
+    write_instance(tmp_path / "a.txt", a)
+    write_instance(tmp_path / "b.txt", b)
+    argv = ["compute", algorithm, str(tmp_path / "a.txt"), str(tmp_path / "b.txt"), "--metric", metric]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cdut.core, "_LATTICE_BUDGET", 5)
+    assert cli_main(argv) == 2
+    assert "over the lattice budget 5" in capsys.readouterr().err

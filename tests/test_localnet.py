@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cdut.core
 from cdut import (
     L1,
     L2,
@@ -21,16 +22,16 @@ from cdut import (
 from cdut.instances import noisy_copy_instance, translated_copy_instance, uniform_instance
 from cdut.core import (
     _cell_floor,
-    _lattice_cells,
     _rounding,
-    _unique_rows,
+    _row_order,
     anchor_count,
     chamfer_argmin,
     difference_candidates,
     lattice_argmin,
     sample_anchors,
 )
-from cdut.localnet import _net_phase
+from cdut.localnet import _net_lattice
+from lattice_oracles import first_positions, lattice_cells, listed, net_phase, row_keys, scan_keys
 
 REL = 1e-9
 
@@ -68,12 +69,20 @@ def covering_radius(net, centers, radius, metric, count=200, seed=0):
     return float(dists.max())
 
 
+def built_net(dim, metric, candidates, radius, rho, union):
+    """The production net, ``_net_lattice``, as every point and key of its
+    rows, repeats included."""
+    lattice = _net_lattice(dim, metric, candidates, radius, rho, union)
+    keys = row_keys(lattice)
+    return lattice.translations(keys), keys
+
+
 class TestBuildNet:
-    """The production net builder, ``_net_phase``, in plain and union mode."""
+    """The production net builder, ``_net_lattice``, in plain and union mode."""
 
     def test_1d_grid_matches_hand_enumeration(self):
         for union in (False, True):
-            net, _ = _net_phase(1, L2, np.zeros((1, 1)), radius=1.0, rho=0.5, union=union)
+            net, _ = built_net(1, L2, np.zeros((1, 1)), radius=1.0, rho=0.5, union=union)
             assert sorted(net.ravel().tolist()) == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
     @pytest.mark.parametrize("metric", [L1, L2, LINF])
@@ -87,27 +96,27 @@ class TestBuildNet:
             centers = rng.uniform(-3.0, 3.0, size=(1, d)) * radius
             centers = np.concatenate([centers, centers + radius / 2.0, centers + 5.0 * radius])
             for union in (False, True):
-                net, _ = _net_phase(d, metric, centers, radius, rho, union)
+                net, _ = built_net(d, metric, centers, radius, rho, union)
                 worst = covering_radius(net, centers, radius, metric, seed=d)
                 assert worst <= rho * (1.0 + 1e-9), (ratio, union, worst / rho)
 
     def test_tight_net_still_covers(self):
         centers = np.array([[0.5, 0.5]])
         for union in (False, True):
-            net, _ = _net_phase(2, L2, centers, radius=0.3, rho=0.3, union=union)
+            net, _ = built_net(2, L2, centers, radius=0.3, rho=0.3, union=union)
             assert covering_radius(net, centers, 0.3, L2, count=1000, seed=2) <= 0.3 + 1e-12
 
     def test_size_bound(self):
-        net, _ = _net_phase(2, L2, np.zeros((1, 2)), radius=1.0, rho=0.25, union=False)
+        lattice = _net_lattice(2, L2, np.zeros((1, 2)), radius=1.0, rho=0.25, union=False)
         bound = (2 * int(np.ceil(1.0 * np.sqrt(2) / 0.25)) + 1) ** 2
-        assert len(net) <= bound
+        assert lattice.size == len(row_keys(lattice)) <= bound
 
     def test_union_is_the_sorted_distinct_plain_net(self):
         rng = np.random.default_rng(4)
         for d in (1, 2, 3):
             centers = rng.uniform(-2.0, 2.0, size=(6, d))
-            plain, plain_idx = _net_phase(d, L2, centers, radius=1.0, rho=0.3, union=False)
-            union, union_idx = _net_phase(d, L2, centers, radius=1.0, rho=0.3, union=True)
+            plain, plain_idx = built_net(d, L2, centers, radius=1.0, rho=0.3, union=False)
+            union, union_idx = built_net(d, L2, centers, radius=1.0, rho=0.3, union=True)
             assert np.array_equal(union_idx, np.unique(plain_idx, axis=0))
             step = _grid_step(L2, 0.3, d)
             assert plain.tobytes() == (plain_idx.astype(np.float64) * step).tobytes()
@@ -119,21 +128,33 @@ class TestBuildNet:
             # wide indices at d = 6 would overflow a packed int64 key
             idx = rng.integers(-(2**40), 2**40, size=(300, d))
             idx = np.concatenate([idx, idx[rng.integers(0, 300, 200)], rng.integers(-3, 3, (200, d))])
-            rows, rank = _unique_rows(idx)
-            want, inverse = np.unique(idx, axis=0, return_inverse=True)
+            order, new = _row_order(idx)
+            rows = idx[order[new]]
+            rank = np.empty(len(idx), dtype=np.int64)
+            rank[order] = np.cumsum(new) - 1
+            want, first, inverse = np.unique(idx, axis=0, return_index=True, return_inverse=True)
             assert np.array_equal(rows, want)
             assert np.array_equal(rank, inverse.ravel())
             assert np.array_equal(rows[rank], idx)
+            # stable: each distinct row's first position comes first
+            assert np.array_equal(order[new], first)
 
-    def test_guards(self):
+    def test_guards(self, monkeypatch):
         with pytest.raises(ValueError, match="dimension"):
-            _net_phase(7, L2, np.zeros((1, 7)), radius=1.0, rho=0.5, union=False)
-        with pytest.raises(ValueError, match="budget"):
-            _net_phase(2, L2, np.zeros((1, 2)), radius=1.0, rho=1e-3, union=False)
+            _net_lattice(7, L2, np.zeros((1, 7)), radius=1.0, rho=0.5, union=False)
+        # 2.8e7 rows of 2.8e7 keys, refused before any row is built
+        with pytest.raises(ValueError, match="local net rows would build 28284271, over the lattice budget"):
+            _net_lattice(2, L2, np.zeros((1, 2)), radius=1.0, rho=1e-7, union=False)
+        # a box of 17 x 17 keys has 17 rows: the rows count, not the keys
+        monkeypatch.setattr(cdut.core, "_LATTICE_BUDGET", 16)
+        with pytest.raises(ValueError, match="budget 16"):
+            _net_lattice(2, LINF, np.zeros((1, 2)), radius=1.0, rho=0.125, union=False)
+        monkeypatch.setattr(cdut.core, "_LATTICE_BUDGET", 17)
+        assert _net_lattice(2, LINF, np.zeros((1, 2)), radius=1.0, rho=0.125, union=False).size == 17 * 17
 
 
 def per_ball_net(dim, metric, candidates, radius, rho, union):
-    """The net built one ball at a time, as ``_net_phase`` did with a loop."""
+    """The net built one ball at a time, as the array build did with a loop."""
     step = _grid_step(metric, rho, dim)
     blocks = [np.empty((0, dim), dtype=np.int64)]
     for center in candidates:
@@ -161,7 +182,7 @@ def per_ball_net(dim, metric, candidates, radius, rho, union):
     union=st.booleans(),
 )
 def test_net_phase_matches_per_ball_loop(seed, d, balls, exponent, ratio, repeat, metric_name, union):
-    # balls of differing lattice widths share one offset box; every row,
+    # balls of differing lattice widths; every key of the lattice's rows,
     # its order and its float bits must match the per-ball build
     metric = {"l1": L1, "l2": L2, "linf": LINF}[metric_name]
     per_side = 2.0 * ratio * {"l1": d, "l2": math.sqrt(d), "linf": 1.0}[metric_name] + 2.0
@@ -172,10 +193,47 @@ def test_net_phase_matches_per_ball_loop(seed, d, balls, exponent, ratio, repeat
     if repeat:
         centers = centers[rng.integers(0, balls, balls)]
     rho = float(rng.uniform(0.05, 1.0)) * scale
-    net, idx = _net_phase(d, metric, centers, ratio * rho, rho, union)
+    net, idx = built_net(d, metric, centers, ratio * rho, rho, union)
     want_net, want_idx = per_ball_net(d, metric, centers, ratio * rho, rho, union)
     assert idx.tobytes() == want_idx.tobytes() and idx.shape == want_idx.shape
     assert net.tobytes() == want_net.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    d=st.integers(1, 3),
+    balls=st.integers(1, 12),
+    metric_name=st.sampled_from(["l1", "l2", "linf"]),
+    union=st.booleans(),
+    on_lattice=st.booleans(),
+)
+def test_net_lattice_matches_the_array_build(seed, d, balls, metric_name, union, on_lattice):
+    # overlapping balls around the origin repeat keys across balls, at
+    # negative and positive keys; on the lattice, each centre is a lattice
+    # point and the radius a whole number of steps, so ball boundaries
+    # pass through lattice points
+    metric = {"l1": L1, "l2": L2, "linf": LINF}[metric_name]
+    rng = np.random.default_rng(seed)
+    rho = float(rng.uniform(0.05, 1.0))
+    step = rho / float(metric.norms(np.ones(d)))
+    if on_lattice:
+        centres = rng.integers(-6, 6, (balls, d)) * step
+        radius = int(rng.integers(1, 6)) * step
+    else:
+        centres = rng.uniform(-3.0, 3.0, (balls, d)) * rho
+        radius = float(rng.uniform(0.3, 3.0)) * rho
+    net, idx = net_phase(d, metric, centres, radius, rho, union)
+    lattice = _net_lattice(d, metric, centres, radius, rho, union)
+    keys = row_keys(lattice)
+    # every key of the listing, repeats and order included, and its bits
+    assert keys.shape == idx.shape and keys.tobytes() == idx.tobytes()
+    assert lattice.translations(keys).tobytes() == net.tobytes()
+    assert lattice.size == len(net)
+    # the scan meets each key once, where the listing first holds it
+    assert np.array_equal(scan_keys(lattice), idx[first_positions(idx)])
+    if union:
+        assert np.array_equal(scan_keys(lattice), idx)
 
 
 class TestConfig:
@@ -314,6 +372,13 @@ def bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
+def same_winner(t, value, ts, want) -> bool:
+    """Whether a lattice scan's winner is ``chamfer_argmin``'s over ``ts``."""
+    if want.pos < 0:
+        return t is None and value == math.inf
+    return t.tobytes() == ts[want.pos].tobytes() and bits(value) == bits(want.value)
+
+
 def full_scan_localnet(a, b, config, seed, metric):
     """``cdut_localnet`` by scoring every candidate and every net point in full."""
     anchors = sample_anchors(len(a), anchor_count(config.gamma, config.delta), seed)
@@ -327,7 +392,7 @@ def full_scan_localnet(a, b, config, seed, metric):
     if u == 0.0:
         net = np.empty((0, a.dim))
     else:
-        net, _ = _net_phase(a.dim, metric, candidates, radius, rho, config.union_mode)
+        net, _ = net_phase(a.dim, metric, candidates, radius, rho, config.union_mode)
     t = candidates[u_pos]
     if len(net):
         net_values = chamfer_many(a, net, b, metric)
@@ -398,10 +463,12 @@ class TestPrunedNet:
             values = chamfer_many(a, net, b, metric)
             fine = len(np.unique(idx // 4, axis=0)) * len(a)
             coarse = len(np.unique(idx // 16, axis=0)) * len(a)
+            lattice = listed(idx, step=step)
+            assert np.array_equal(scan_keys(lattice), idx[first_positions(idx)])
             for u in (float(values.min()), float(np.median(values)), np.nextafter(values.min(), 0.0)):
                 want = chamfer_argmin(a, net, b, metric, upper=u)
-                pos, value, rows, bound_rows = lattice_argmin(a, net, idx, b, metric, upper=u)
-                assert (pos, bits(value)) == (want.pos, bits(want.value))
+                t, value, rows, bound_rows = lattice_argmin(a, lattice, b, metric, upper=u)
+                assert same_winner(t, value, net, want)
                 assert rows <= len(np.unique(idx, axis=0)) * len(a)
                 if reach == 6:
                     # one coarse cell per axis: only the fine level scores centres
@@ -419,8 +486,9 @@ class TestPrunedNet:
         net = idx.astype(np.float64) * 0.25
         want = chamfer_argmin(a, net, b, L2, upper=0.5)
         assert want.value == 0.0
-        pos, value, _, _ = lattice_argmin(a, net, idx, b, L2, upper=0.5)
-        assert (pos, value) == (want.pos, want.value)
+        t, value, _, _ = lattice_argmin(a, listed(idx, step=0.25), b, L2, upper=0.5)
+        assert same_winner(t, value, net, want)
+        assert t[0] == (1.0 if reverse else -1.0)
 
 
 def bound_case(seed, d, m, scale, tight):
@@ -458,8 +526,9 @@ def bound_case(seed, d, m, scale, tight):
 def test_cell_floor_bounds_every_member(seed, d, m, exponent, tight, metric_name):
     metric = {"l1": L1, "l2": L2, "linf": LINF}[metric_name]
     a, b, idx, step = bound_case(seed, d, m, 10.0**exponent, tight)
+    keys, which, centres, r = lattice_cells(listed(idx, step=step), 4, metric)
+    assert np.array_equal(keys, idx)
     net = idx.astype(np.float64) * step
-    which, centres, r = _lattice_cells(net, idx, 4, metric)
     assert r == pytest.approx(np.full(2**d, 1.5 * step * {1.0: d, 2.0: math.sqrt(d), math.inf: 1.0}[metric.p]))
     # every member lies within r of its centre
     assert np.all(metric.norms(net - centres[which]) <= r[which] * (1.0 + 1e-12))

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdut import L1, L2, PointSet, SeparationError, build_index, chamfer_many, decide_cdut
@@ -59,6 +59,18 @@ ABOVE = {
 
 @settings(max_examples=80, deadline=None)
 @given(pair=pairs(), seed=st.integers(0, 1000))
+# m = 1: every match is an exact zero, but the lowest swept value falls on a
+# match whose computed value is 8.9e-16
+@example(
+    pair=(
+        PointSet([[2.3772875278053203]]),
+        PointSet(
+            [[3.7512110087328523], [-1.6849443193514873], [-5.1454192974765185],
+             [-6.839159410085063], [0.8222168740237272], [-7.962139462418798]]
+        ),
+    ),
+    seed=0,
+)
 def test_approximations_never_go_below_the_exact_value(pair, seed):
     # every lp metric agrees at d = 1; at d = 2 the exact solver needs l1
     a, b = pair
