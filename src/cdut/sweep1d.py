@@ -83,7 +83,6 @@ from .core import (
     PointSet,
     _check_budget,
     _check_same_dim,
-    _POOL_ROWS,
     _PRUNE_SLACK,
     _QUERY_ROWS,
     _rounding,
@@ -304,10 +303,9 @@ def _exact_near_ties(a: PointSet, b: PointSet, index: NearestIndex, runs, roundi
 
     Swept values drift from exact ones within the rounding slack, so every
     match whose swept value lies that close to the lowest goes, in
-    ascending t, to ``chamfer_argmin``, or to one ``chamfer_many`` call
-    below ``_POOL_ROWS`` query rows; both return the first minimum.
-    Returns None when that scan would take more query rows than the larger
-    of ``events`` and ``_QUERY_ROWS``.
+    ascending t, to ``chamfer_argmin``, which returns the first minimum; a
+    lone near tie wins without a query.  Returns None when that scan would
+    take more query rows than the larger of ``events`` and ``_QUERY_ROWS``.
     """
     is_match = [n_match > 0 for _, _, n_match, _ in runs]
     low = min(float(values.min(where=match, initial=math.inf)) for (_, values, _, _), match in zip(runs, is_match))
@@ -317,9 +315,8 @@ def _exact_near_ties(a: PointSet, b: PointSet, index: NearestIndex, runs, roundi
         # the slack grows with the coordinates' magnitude; far from the
         # origin it can admit most matches
         return None
-    if near.size * len(a) < _POOL_ROWS:
-        # a scan this small costs less in one call than in argmin's stages
-        return near[np.argmin(chamfer_many(a, near, b, index=index))]
+    if near.size == 1:
+        return near[0]
     return near[chamfer_argmin(a, near, b, index=index).pos]
 
 
@@ -416,8 +413,9 @@ def cdut_exact_l1_linf(a: PointSet, b: PointSet, metric: Metric) -> ChamferRepor
     win.  ``evaluations`` counts the whole grid; the extras count the query
     rows scored at grid points (``engine_rows``) and at cell centres
     (``bound_rows``).  The grid has up to (mn)^d points, so the dimension
-    is capped, and its rows, cell pieces and built points are held to the
-    lattice budget (``ValueError`` beyond it).
+    is capped, and its rows, cell pieces and built points, counted
+    together while held at once, are held to the lattice budget
+    (``ValueError`` beyond it).
 
     linf: in 2D, rotating coordinates by 45 degrees turns the problem into
     an l1 instance, which is then solved the same way; in 1D the metrics

@@ -108,10 +108,11 @@ def test_matches_full_scan(seed, m, n, d, count, metric, backend, shape, stages)
     # floors at or below each computed value, some of them exact
     floors = values - np.random.default_rng(seed).choice([0.0, 1.0, 1e9], len(values))
     for workers in (None, "2"):
-        # no row floor, so that even these small stages go to the pool and
-        # the column floor runs before every stage but the first
-        with threads(workers), mock.patch.object(cdut.core, "_ARGMIN_STAGES", stages), mock.patch.object(
-            cdut.core, "_POOL_ROWS", 0
+        # no row floors, so that these small scans run in stages, the stages
+        # go to the pool, and the column floor runs before every stage but
+        # the first
+        with threads(workers), mock.patch.multiple(
+            cdut.core, _ARGMIN_STAGES=stages, _POOL_ROWS=0, _STAGED_ROWS=0
         ):
             for upper in (math.inf, value):
                 for given_floors in (None, floors):
@@ -129,6 +130,7 @@ def test_column_floor_keeps_a_tie_it_bounds_exactly(monkeypatch):
     ts = np.array([[0.0], [-9.0]])
     assert chamfer_many(a, ts, b).tolist() == [36.0, 36.0]
     monkeypatch.setattr(cdut.core, "_POOL_ROWS", 0)
+    monkeypatch.setattr(cdut.core, "_STAGED_ROWS", 0)
     for backend in ("brute", "sorted"):
         got = chamfer_argmin(a, ts, b, index=build_index(b, L2, backend))
         assert (got.pos, got.value) == (0, 36.0)
@@ -142,7 +144,8 @@ def test_column_floor_drops_candidates_the_partial_sums_keep():
 
 
 @pytest.mark.parametrize("backend", ["brute", "kdtree"])
-def test_duplicated_optimum_first_copy_wins(backend):
+def test_duplicated_optimum_first_copy_wins(monkeypatch, backend):
+    monkeypatch.setattr(cdut.core, "_STAGED_ROWS", 0)
     a, b = instance(3, 24, 20, 2, grid=True)
     ts = translations(3, a, b, 30)
     best = ts[full_scan(a, ts, b, L1)[0]]
@@ -154,9 +157,10 @@ def test_duplicated_optimum_first_copy_wins(backend):
 
 
 @pytest.mark.parametrize("backend", ["brute", "kdtree"])
-def test_tie_goes_to_first_position_when_a_later_one_leads(backend):
+def test_tie_goes_to_first_position_when_a_later_one_leads(monkeypatch, backend):
     # both translations cost 5; the second has the smaller first-stage sum,
     # so it is completed first and sets the bound the first one must meet
+    monkeypatch.setattr(cdut.core, "_STAGED_ROWS", 0)
     a, b = PointSet([[5.0], [0.0]]), PointSet([[0.0], [10.0]])
     ts = np.array([[0.0], [-5.0]])
     assert chamfer_many(a, ts, b).tolist() == [5.0, 5.0]
@@ -165,7 +169,7 @@ def test_tie_goes_to_first_position_when_a_later_one_leads(backend):
 
 
 @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
-def test_upper_bound(metric):
+def test_upper_bound(monkeypatch, metric):
     a, b = instance(5, 30, 25, 2, grid=False)
     ts = translations(5, a, b, 40)
     pos, value = full_scan(a, ts, b, METRICS[metric])
@@ -175,6 +179,36 @@ def test_upper_bound(metric):
     got = chamfer_argmin(a, ts, b, METRICS[metric], upper=below)
     assert (got.pos, got.value) == (-1, math.inf)
     assert got.rows <= len(ts) * len(a)
+    for staged in (0, math.inf):
+        # in stages the bound drops candidates; in one stage it drops the winner
+        monkeypatch.setattr(cdut.core, "_STAGED_ROWS", staged)
+        assert chamfer_argmin(a, ts, b, METRICS[metric], upper=value).pos == pos
+        assert chamfer_argmin(a, ts, b, METRICS[metric], upper=below).pos == -1
+
+
+def test_small_scans_run_in_one_stage(monkeypatch):
+    a, b = instance(4, 30, 25, 2, grid=False)
+    ts = translations(4, a, b, 40)
+    pos, value = full_scan(a, ts, b, L2)
+    calls = []
+    many = cdut.core.chamfer_many
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return many(*args, **kwargs)
+
+    monkeypatch.setattr(cdut.core, "chamfer_many", counting)
+    rows = len(ts) * len(a)
+    monkeypatch.setattr(cdut.core, "_STAGED_ROWS", rows + 1)
+    got = chamfer_argmin(a, ts, b)
+    assert (got.pos, bits(got.value)) == (pos, bits(value))
+    assert len(calls) == 1 and got.rows == rows
+    # at the threshold the scan runs in stages and prunes
+    calls.clear()
+    monkeypatch.setattr(cdut.core, "_STAGED_ROWS", rows)
+    got = chamfer_argmin(a, ts, b)
+    assert (got.pos, bits(got.value)) == (pos, bits(value))
+    assert len(calls) > 1 and got.rows < rows
 
 
 def _record_query_rows(monkeypatch):
@@ -293,16 +327,18 @@ def test_lattice_argmin_on_alignment_grids(seed, case, grid, repeats):
     assert np.array_equal(scan_keys(lattice), keys[first_positions(keys)])
     values = chamfer_many(a, ts, b, L1)
     low = float(values.min())
-    for upper in (math.inf, low, np.nextafter(low, -math.inf)):
-        want = chamfer_argmin(a, ts, b, L1, upper=upper)
-        for holds_optimum in (False, True):
-            got = lattice_argmin(a, lattice, b, L1, upper=upper, holds_optimum=holds_optimum)
-            if want.pos < 0:
-                assert (got.translation, got.value) == (None, math.inf)
-            else:
-                assert got.translation.tobytes() == ts[want.pos].tobytes()
-                assert bits(got.value) == bits(want.value)
-            assert got.rows <= len(ts) * len(a)
+    # in stages, so that the members' floors drop candidates as before
+    with mock.patch.object(cdut.core, "_STAGED_ROWS", 0):
+        for upper in (math.inf, low, np.nextafter(low, -math.inf)):
+            want = chamfer_argmin(a, ts, b, L1, upper=upper)
+            for holds_optimum in (False, True):
+                got = lattice_argmin(a, lattice, b, L1, upper=upper, holds_optimum=holds_optimum)
+                if want.pos < 0:
+                    assert (got.translation, got.value) == (None, math.inf)
+                else:
+                    assert got.translation.tobytes() == ts[want.pos].tobytes()
+                    assert bits(got.value) == bits(want.value)
+                assert got.rows <= len(ts) * len(a)
     rounding = cdut.core._rounding(a, ts)
     for side in (2, 4, 16):
         members, which, centres, r = lattice_cells(lattice, side, L1)
@@ -330,6 +366,19 @@ def test_alignment_lattice_matches_the_array_build(seed, d, m, n, grid):
     assert lattice.translations(got).tobytes() == ts.tobytes()
     assert lattice.size == len(ts)
     assert np.array_equal(scan_keys(lattice), keys)
+
+
+def test_lattice_refuses_rows_and_keys_it_cannot_hold():
+    axes = (np.arange(3.0), np.arange(4.0))
+    Lattice(np.array([[0], [2]]), np.array([0, 3]), np.array([3, 3]), axes=axes)
+    Lattice(np.array([[-5]]), np.array([-7]), np.array([-7]), step=0.5)
+    with pytest.raises(ValueError, match="lo > hi"):
+        Lattice(np.array([[0], [1]]), np.array([0, 2]), np.array([3, 1]), step=0.5)
+    for prefix, lo, hi in (([[3]], [0], [1]), ([[-1]], [0], [1]), ([[0]], [-1], [1]), ([[0]], [0], [4])):
+        with pytest.raises(ValueError, match="outside its axis"):
+            Lattice(np.array(prefix), np.array(lo), np.array(hi), axes=axes)
+    with pytest.raises(ValueError, match="as many axes"):
+        Lattice(np.array([[0]]), np.array([0]), np.array([1]), axes=axes[:1])
 
 
 # -- callers: same report as a full-scan argmin --------------------------------
@@ -413,12 +462,12 @@ def test_callers_match_full_scan_reference(monkeypatch, module, solve):
 
 
 def budget_checks(monkeypatch, solve):
-    """Every (phase, work) that ``solve`` holds to the lattice budget."""
+    """Every (phase, held) that ``solve`` holds to the lattice budget."""
     seen, check = [], cdut.core._check_budget
 
-    def recording(phase, work):
-        seen.append((phase, work))
-        check(phase, work)
+    def recording(phase, held):
+        seen.append((phase, held))
+        check(phase, held)
 
     with monkeypatch.context() as mp:
         for module in (cdut.core, cdut.localnet, cdut.sweep1d):
@@ -438,14 +487,17 @@ def test_each_lattice_phase_is_held_to_the_budget(monkeypatch, solve):
     # the builder's rows, one cell level or two, and the members built
     assert phases[0] in ("local net rows", "alignment grid rows")
     assert phases[-1] == "lattice members" and "lattice cells of side 4" in phases
-    for _, work in checks:
-        # the first phase that builds more than the limit refuses the solve
-        limit = work - 1
-        phase, over = next((phase, w) for phase, w in checks if w > limit)
+    # the scan's phases count the builder's rows, which they hold throughout
+    assert all(held >= checks[0][1] for _, held in checks[1:])
+    for _, held in checks:
+        # the first phase that holds more than the limit refuses the solve
+        limit = held - 1
+        phase, over = next((phase, h) for phase, h in checks if h > limit)
         monkeypatch.setattr(cdut.core, "_LATTICE_BUDGET", limit)
-        with pytest.raises(ValueError, match=f"{phase} would build {over}, over the lattice budget {limit}"):
+        message = f"{phase} would hold {over} rows, pieces and keys, over the lattice budget {limit}"
+        with pytest.raises(ValueError, match=message):
             solve()
-    monkeypatch.setattr(cdut.core, "_LATTICE_BUDGET", max(work for _, work in checks))
+    monkeypatch.setattr(cdut.core, "_LATTICE_BUDGET", max(held for _, held in checks))
     got = solve()
     assert bits(got.value) == bits(want.value)
     assert np.array_equal(got.translation, want.translation)

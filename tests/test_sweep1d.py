@@ -286,6 +286,19 @@ class TestWindowedSweep:
         assert report.evaluations == ts.size
         assert report.extras == {"events_full": 2 * 12 * 12 - 12, "windows": 1, "windows_swept": 1}
 
+    def test_a_lone_near_tie_wins_without_a_scan(self, monkeypatch):
+        scanned = []
+        scan = cdut.sweep1d.chamfer_argmin
+
+        def counting(*args, **kwargs):
+            scanned.append(1)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(cdut.sweep1d, "chamfer_argmin", counting)
+        a, b = uniform_instance(5, 7, 1, 0)
+        assert cdut_exact_1d(a, b).translation[0] == first_exact_minimum(a, b)
+        assert not scanned
+
     def test_far_from_the_origin_the_one_shot_sweep_decides(self, monkeypatch):
         # near 1e12 the rounding slack admits every match to the exact scan;
         # past its row cap the one-shot sweep picks the winner instead
