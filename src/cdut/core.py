@@ -506,6 +506,14 @@ def chamfer_argmin(
     the bound by more than ``_PRUNE_SLACK``: the same rounding slack that
     ``lattice_argmin``'s cell floors allow for.
 
+    A staged scan that is given no ``floors`` makes its own, ``_box_floor``:
+    every point of B lies in B's bounding box, so no term is below the
+    distance from its query to the box.  Before the first stage, the
+    candidate with the lowest box floor is scored in full and seeds the
+    bound, so every candidate whose floor clears it leaves before any query.
+    When every box floor is the same, as when A + t stays inside the box for
+    every t, none can clear the bound and no candidate is seeded.
+
     ``upper`` pre-seeds the bound: only a value <= ``upper`` can win, and if
     none does the result is ``(-1, inf)``.  ``floors``, when given, holds a
     lower bound on each candidate's computed value, and a candidate is also
@@ -517,7 +525,9 @@ def chamfer_argmin(
     if index is None:
         index = build_index(b, metric)
     total, m = len(ts), len(a)
-    if 0 < total * m < _STAGED_ROWS:
+    if total == 0:
+        return ArgminResult(-1, math.inf, 0)
+    if total * m < _STAGED_ROWS:
         values = chamfer_many(a, ts, b, metric, index)
         first = int(np.argmin(values))
         if values[first] > upper:
@@ -527,29 +537,37 @@ def chamfer_argmin(
     # ``total`` stands for "no winner yet": it sorts after every real position
     best_val, best_pos = float(upper), total
     alive, partial = np.arange(total), np.zeros(total)
-    floor = None if floors is None else np.asarray(floors, dtype=np.float64)
-    stored = []  # distances of the alive candidates, one array per stage
+    slack = 2.0 * _rounding(a, ts)
     rows = 0
+    if floors is None:
+        floor = _box_floor(a, ts, b, metric, slack)
+        seed = int(np.argmin(floor))
+        # the bound that a seed sets is at least the seed's floor, so only a
+        # higher floor can clear it
+        if floor[seed] < floor.max():
+            value = float(chamfer_many(a, ts[seed][None], b, metric, index)[0])
+            rows += m
+            best_val, best_pos = min((best_val, best_pos), (value, seed))
+            floor[seed] = math.inf  # it leaves the pool at the first prune
+    else:
+        floor = np.asarray(floors, dtype=np.float64)
+    stored = []  # distances of the alive candidates, one array per stage
     seen = 0  # columns of A folded into the column floor's ``near`` and ``gap``
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         bar = best_val * (1.0 + _PRUNE_SLACK)
-        keep = partial <= bar
-        if floor is not None:
-            keep &= floor <= best_val
+        keep = (partial <= bar) & (floor <= best_val)
         if lo and alive.size * (hi - lo) >= _POOL_ROWS:
             # the column floor costs no query, but its numpy calls repay
             # themselves only before a stage this large
             if not seen:
                 # each unscanned column's nearest scanned column, and their distance
                 near, gap = np.zeros(m, dtype=np.int64), np.full(m, math.inf)
-                slack = 2.0 * _rounding(a, ts)
             _fold_scanned(a.points, seen, lo, near, gap, metric)
             seen = lo
             terms = np.hstack(stored)[np.ix_(keep, near[lo:])] - gap[lo:]
             keep[keep] = partial[keep] + np.maximum(terms, 0.0).sum(axis=1) - slack <= bar
         if not keep.all():
-            alive, partial = alive[keep], partial[keep]
-            floor = None if floor is None else floor[keep]
+            alive, partial, floor = alive[keep], partial[keep], floor[keep]
             stored = [dist[keep] for dist in stored]
         if alive.size == 0:
             break
@@ -749,6 +767,39 @@ def _rounding(a: PointSet, ts: np.ndarray) -> float:
     roundings per term with room to spare.
     """
     return _PRUNE_SLACK * len(a) * float(np.abs(a.points).max() + np.abs(ts).max())
+
+
+def _box_floor(a: PointSet, ts: np.ndarray, b: PointSet, metric: Metric, slack: float) -> np.ndarray:
+    """Lowest computed Chamfer value that each translation in ``ts`` can have,
+    from B's bounding box [lo, hi]; ``slack`` is twice ``_rounding``.
+
+    Every point of B lies in the box, so d(a_k + t, B) is at least the
+    distance from a_k + t to it, whose coordinates are the gaps g_ki between
+    a_ki + t_i and [lo_i, hi_i].  Axis i's gaps sum over k to S_i(t), read
+    for every translation at once off A's sorted coordinates and their
+    prefix sums.  The l1 distance is the sum of the gaps, so its floor is
+    the sum of the S_i.  The linf distance is at least each gap, so its
+    floor is the largest S_i.  The l2 distance is at least each gap and at
+    least their sum over sqrt(d), so its floor is the larger of the largest
+    S_i and their sum over sqrt(d).
+    """
+    m, d = a.points.shape
+    lo, hi = b.points.min(axis=0), b.points.max(axis=0)
+    sums = np.empty((len(ts), d))  # S_i(t), one column per axis
+    for i in range(d):
+        x = np.sort(a.points[:, i])
+        prefix = np.concatenate([[0.0], np.cumsum(x)])
+        low, high = lo[i] - ts[:, i], hi[i] - ts[:, i]
+        below = np.searchsorted(x, low)  # how many a_ki + t_i lie below lo_i
+        above = np.searchsorted(x, high, side="right")  # the first above hi_i
+        sums[:, i] = below * low - prefix[below] + (prefix[m] - prefix[above]) - (m - above) * high
+    if metric.p == 1.0:
+        box = sums.sum(axis=1)
+    elif metric.p == 2.0:
+        box = np.maximum(sums.max(axis=1), sums.sum(axis=1) / math.sqrt(d))
+    else:
+        box = sums.max(axis=1)
+    return box - _PRUNE_SLACK * box - slack
 
 
 def _cell_floor(values: np.ndarray, r: np.ndarray, m: int, rounding: float) -> np.ndarray:

@@ -45,10 +45,14 @@ def instance(seed: int, m: int, n: int, d: int, grid: bool):
 
 
 def translations(seed: int, a: PointSet, b: PointSet, count: int) -> np.ndarray:
-    """Difference vectors b - a plus random shifts, with some rows repeated."""
+    """Difference vectors b - a plus random shifts, near and far, with some
+    rows repeated.  A far shift moves A by 30 along some axes, which puts
+    most of A outside B's bounding box, so that the box floor prunes."""
     rng = np.random.default_rng(seed + 1)
     diffs = (b.points[None, :, :] - a.points[:, None, :]).reshape(-1, a.dim)
-    ts = np.concatenate([diffs[rng.integers(0, len(diffs), count)], rng.uniform(-3, 3, (count, a.dim))])
+    near = rng.uniform(-3, 3, (count, a.dim))
+    far = near + rng.choice([-30.0, 0.0, 30.0], (count, a.dim))
+    ts = np.concatenate([diffs[rng.integers(0, len(diffs), count)], near, far])
     return ts[rng.integers(0, len(ts), 2 * count)]
 
 
@@ -136,11 +140,100 @@ def test_column_floor_keeps_a_tie_it_bounds_exactly(monkeypatch):
         assert (got.pos, got.value) == (0, 36.0)
 
 
-def test_column_floor_drops_candidates_the_partial_sums_keep():
-    # partial sums alone drop too few here: they query 41% of the rows
+def test_column_floor_drops_candidates_the_partial_sums_keep(monkeypatch):
+    # partial sums alone drop too few here: they query 41% of the rows; the
+    # box floors are taken away, so that the column floor prunes alone
+    monkeypatch.setattr(cdut.core, "_box_floor", lambda a, ts, *rest: np.full(len(ts), -math.inf))
     a, b = uniform_instance(120, 120, 2, 1)
     got = cdut_approx_v1(a, b, 0.5, seed=1)
     assert got.extras["engine_rows"] <= 0.30 * got.extras["engine_rows_full"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(1, 30),
+    n=st.integers(1, 30),
+    d=st.integers(1, 4),
+    metric=st.sampled_from(sorted(METRICS)),
+    grid=st.booleans(),
+    offset=st.one_of(st.sampled_from([0.0, 1e12, -1e12]), st.floats(-1e12, 1e12)),
+    both=st.booleans(),
+    reach=st.sampled_from([3.0, 30.0, 1e4, 1e9]),
+)
+def test_box_floor_never_exceeds_the_value(seed, m, n, d, metric, grid, offset, both, reach):
+    # B alone, or both sets, moved by up to 1e12: the queries then round at
+    # that scale, which the floor's slack must cover; far translations put
+    # most of A outside B's box, where the floor is tightest
+    a, b = instance(seed, m, n, d, grid)
+    b = PointSet(b.points + offset)
+    if both:
+        a = PointSet(a.points + offset)
+    rng = np.random.default_rng(seed)
+    ts = translations(seed, a, b, 20)
+    ts = np.concatenate([ts, ts + rng.uniform(-reach, reach, ts.shape)])
+    if grid:
+        ts = np.round(ts)
+    values = chamfer_many(a, ts, b, METRICS[metric])
+    floors = cdut.core._box_floor(a, ts, b, METRICS[metric], 2.0 * cdut.core._rounding(a, ts))
+    assert np.all(floors <= values)
+
+
+def test_box_floor_keeps_a_tie_it_seeds_out_of_order(monkeypatch):
+    # B is one point, so under l1 the box floor is each value, up to its
+    # rounding and slack.  Both translations cost 10, but the later one's
+    # floor rounds lower: it is seeded first and sets the bound that the
+    # first position must still meet
+    a, b = PointSet([[0.0], [10.0]]), PointSet([[0.0]])
+    ts = np.array([[-0.1], [-6.4]])
+    assert chamfer_many(a, ts, b, L1).tolist() == [10.0, 10.0]
+    floors = cdut.core._box_floor(a, ts, b, L1, 2.0 * cdut.core._rounding(a, ts))
+    assert floors[1] < floors[0] <= 10.0
+    assert np.allclose(floors, 10.0, rtol=1e-8, atol=0.0)
+    monkeypatch.setattr(cdut.core, "_STAGED_ROWS", 0)
+    for backend in ("brute", "sorted"):
+        got = chamfer_argmin(a, ts, b, L1, index=build_index(b, L1, backend))
+        assert (got.pos, got.value) == (0, 10.0)
+
+
+def test_equal_box_floors_seed_no_candidate(monkeypatch):
+    # B's box holds A + t for every t, so every box floor is the same; the
+    # scan then makes the calls and queries of one given no useful floors
+    monkeypatch.setattr(cdut.core, "_STAGED_ROWS", 0)
+    a, b = instance(6, 20, 30, 2, grid=False)
+    b = PointSet(np.concatenate([b.points, [[-100.0, -100.0], [100.0, 100.0]]]))
+    ts = np.random.default_rng(6).uniform(-3, 3, (40, 2))
+    floors = cdut.core._box_floor(a, ts, b, L2, 2.0 * cdut.core._rounding(a, ts))
+    assert np.all(floors == floors[0])
+    pos, value = full_scan(a, ts, b, L2)
+    calls = []
+    many = cdut.core.chamfer_many
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return many(*args, **kwargs)
+
+    monkeypatch.setattr(cdut.core, "chamfer_many", counting)
+    runs = []
+    for given in (None, np.full(len(ts), -math.inf)):
+        calls.clear()
+        got = chamfer_argmin(a, ts, b, L2, floors=given)
+        assert (got.pos, bits(got.value)) == (pos, bits(value))
+        runs.append((len(calls), got.rows))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("family, share", [("uniform", 0.20), ("noisy-copy", 0.15)])
+def test_box_floor_drops_candidates_before_any_query(family, share):
+    # with partial sums and column floors alone, 27% (uniform) and 22%
+    # (noisy-copy) of the rows are queried; the box floors leave 16% and 11%
+    if family == "uniform":
+        a, b = uniform_instance(120, 120, 2, 1)
+    else:
+        p = noisy_copy_instance(120, 2, 1)
+        a, b = p.a, p.b
+    got = cdut_approx_v1(a, b, 0.5, seed=1)
+    assert got.extras["engine_rows"] <= share * got.extras["engine_rows_full"]
 
 
 @pytest.mark.parametrize("backend", ["brute", "kdtree"])
@@ -184,6 +277,17 @@ def test_upper_bound(monkeypatch, metric):
         monkeypatch.setattr(cdut.core, "_STAGED_ROWS", staged)
         assert chamfer_argmin(a, ts, b, METRICS[metric], upper=value).pos == pos
         assert chamfer_argmin(a, ts, b, METRICS[metric], upper=below).pos == -1
+
+
+def test_empty_scans_have_no_winner(monkeypatch):
+    a, b = instance(12, 8, 8, 2, grid=False)
+    for staged in (0, math.inf):
+        monkeypatch.setattr(cdut.core, "_STAGED_ROWS", staged)
+        for floors in (None, np.empty(0)):
+            assert chamfer_argmin(a, np.empty((0, 2)), b, floors=floors) == (-1, math.inf, 0)
+    # a bound below every cell floor leaves the lattice scan no member
+    lattice = _alignment_lattice(a.points, b.points)
+    assert lattice_argmin(a, lattice, b, L1, upper=-1.0)[:3] == (None, math.inf, 0)
 
 
 def test_small_scans_run_in_one_stage(monkeypatch):
