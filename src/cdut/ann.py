@@ -34,6 +34,8 @@ _MAX_HASHES = 40
 _MAX_TABLES = 160
 # bucket width as a multiple of the scale's radius
 _WIDTH_FACTOR = 4.0
+# the index of a member that is not at its run's nearest distance
+_NO_INDEX = np.iinfo(np.int64).max
 
 
 def _phi(x: float) -> float:
@@ -52,6 +54,21 @@ def _collision_prob(family: str, s: float) -> float:
     # coordinate sampling: a pair within distance r collides on one
     # quantized coordinate with probability at least 1 - r/w
     return max(1e-9, 1.0 - 1.0 / s)
+
+
+def _norms_in_place(metric: Metric, v: np.ndarray) -> np.ndarray:
+    """``metric.norms(v)`` for a C-contiguous 2D block, overwriting ``v``.
+
+    Squares and absolute values are taken in place, so the row sums and
+    maxima see the same values, in the same layout, that ``norms`` sums.
+    """
+    if metric.p == 2.0:
+        v *= v
+        return np.sqrt(np.sum(v, axis=-1))
+    np.abs(v, out=v)
+    if metric.p == 1.0:
+        return np.sum(v, axis=-1)
+    return np.max(v, axis=-1)
 
 
 def _family_for(metric: Metric) -> str:
@@ -82,7 +99,11 @@ class _Table:
         )
 
     def hash_points(self, pts: np.ndarray) -> np.ndarray:
-        codes = np.floor((pts @ self.proj + self.offsets) / self.width).astype(np.int64)
+        # floor((pts @ proj + offsets) / width), each step in place
+        x = pts @ self.proj
+        x += self.offsets
+        x /= self.width
+        codes = np.floor(x, out=x).astype(np.int64)
         # uint64 arithmetic wraps mod 2^64, so the ids do not depend on the summation order
         return codes.view(np.uint64) @ self.combiner
 
@@ -92,13 +113,12 @@ class _Table:
         hit = np.flatnonzero(self.bucket_ids[pos] == qids)
         return hit, pos[hit]
 
-    def members(self, hit: np.ndarray, bucket: np.ndarray):
-        """Ragged bucket expansion: (each hit position once per member, member indices into B)."""
+    def members(self, bucket: np.ndarray) -> np.ndarray:
+        """Ragged bucket expansion: the indices into B of each bucket's members, bucket by bucket."""
         c = self.bucket_size[bucket]
-        rep = np.repeat(hit, c)
         ends = np.cumsum(c)
         flat = np.arange(ends[-1]) - np.repeat(ends - c, c) + np.repeat(self.bucket_start[bucket], c)
-        return rep, self.order[flat]
+        return self.order[flat]
 
 
 class _Scale:
@@ -126,32 +146,45 @@ class ScaleLadder:
         and its bucket ids their bits.  The members are then gathered over
         tiles of query rows holding at most ``_TILE_ENTRIES`` coordinates;
         a row whose bucket alone is larger has its members split.  Each
-        tile keeps the smallest (distance, index) pair per row, so the
-        result is the one an untiled probe gives.
+        row's members lie in one contiguous run of a tile, so a segment
+        minimum over the runs gives its nearest distance and a second one,
+        over the members at that distance, the lowest index.  Each tile
+        keeps the smallest (distance, index) pair per row, so the result is
+        the one an untiled probe gives.
         """
         hit, bucket = table.lookup(table.hash_points(q[rows]))
         if hit.size == 0:
             return
         limit = _tile_rows(q.shape[1])
-        ends = np.cumsum(table.bucket_size[bucket])
+        sizes = table.bucket_size[bucket]
+        ends = np.cumsum(sizes)
         lo = 0
         while lo < hit.size:
             start = int(ends[lo - 1]) if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, start + limit, side="right")))
-            rep, cand = table.members(hit[lo:hi], bucket[lo:hi])
-            for s in range(0, rep.size, limit):
-                self._keep_nearest(q, rows, rep[s : s + limit], cand[s : s + limit], best_d, best_i)
+            cand = table.members(bucket[lo:hi])
+            qrows = rows[hit[lo:hi]]
+            if cand.size <= limit:
+                self._fold_runs(q, qrows, sizes[lo:hi], cand, best_d, best_i)
+            else:
+                # one row's bucket, folded in pieces
+                for s in range(0, cand.size, limit):
+                    piece = cand[s : s + limit]
+                    self._fold_runs(q, qrows, [piece.size], piece, best_d, best_i)
             lo = hi
 
-    def _keep_nearest(self, q, rows, rep, cand, best_d, best_i) -> None:
-        """Lower each row's best (distance, index) to its nearest member in one block."""
-        d = self.metric.norms(q[rows[rep]] - self.source.points[cand])
-        order = np.lexsort((cand, d, rep))
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = rep[order][1:] != rep[order][:-1]
-        sel = order[first]
-        qrows = rows[rep[sel]]
-        dd, ii = d[sel], cand[sel]
+    def _fold_runs(self, q, qrows, counts, cand, best_d, best_i) -> None:
+        """Lower each query row's best (distance, index) to its nearest member in one block.
+
+        ``cand`` holds the members of ``qrows`` in order, as runs of
+        ``counts`` members, none empty.
+        """
+        block = q[np.repeat(qrows, counts)]
+        block -= self.source.points[cand]
+        d = _norms_in_place(self.metric, block)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        dd = np.minimum.reduceat(d, starts)
+        ii = np.minimum.reduceat(np.where(d == np.repeat(dd, counts), cand, _NO_INDEX), starts)
         better = (dd < best_d[qrows]) | ((dd == best_d[qrows]) & (ii < best_i[qrows]))
         qrows, dd, ii = qrows[better], dd[better], ii[better]
         best_d[qrows] = dd
@@ -203,14 +236,21 @@ def _build_scale(points, radius, family, n, c, miss_prob, rng) -> _Scale:
 
 
 def _has_close_bucket_pair(scale: _Scale, points: np.ndarray, metric: Metric, cutoff: float) -> bool:
-    """Whether any table puts two distinct points in one bucket within cutoff."""
+    """Whether any table puts two distinct points in one bucket within cutoff.
+
+    Each bucket's pairs are measured in blocks of its rows, each block's
+    difference tensor holding at most ``_TILE_ENTRIES`` entries (a single
+    row may hold more), and the scan stops at the first close pair.
+    """
     for table in scale.tables:
         shared = table.bucket_size > 1
         for start, size in zip(table.bucket_start[shared], table.bucket_size[shared]):
             members = points[table.order[start : start + size]]
-            diffs = metric.norms(members[:, None, :] - members[None, :, :])
-            if np.any((diffs > 0.0) & (diffs <= cutoff)):
-                return True
+            step = _tile_rows(members.size)
+            for lo in range(0, size, step):
+                diffs = metric.norms(members[lo : lo + step, None, :] - members[None, :, :])
+                if np.any((diffs > 0.0) & (diffs <= cutoff)):
+                    return True
     return False
 
 

@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cdut.ann
 from cdut import L1, L2, LINF, PointSet, build_index, build_ladder
-from cdut.ann import _family_for, _has_close_bucket_pair, _Scale, _Table
+from cdut.ann import _family_for, _has_close_bucket_pair, _norms_in_place, _Scale, _Table
 from cdut.instances import uniform_instance
 
 
@@ -92,6 +96,58 @@ def old_has_close_bucket_pair(scale, points, metric, cutoff):
     return False
 
 
+def lexsort_keep_nearest(ladder, q, rows, rep, cand, best_d, best_i):
+    d = ladder.metric.norms(q[rows[rep]] - ladder.source.points[cand])
+    order = np.lexsort((cand, d, rep))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = rep[order][1:] != rep[order][:-1]
+    sel = order[first]
+    qrows = rows[rep[sel]]
+    dd, ii = d[sel], cand[sel]
+    better = (dd < best_d[qrows]) | ((dd == best_d[qrows]) & (ii < best_i[qrows]))
+    qrows, dd, ii = qrows[better], dd[better], ii[better]
+    best_d[qrows] = dd
+    best_i[qrows] = ii
+
+
+def lexsort_probe_table(ladder, table, q, rows, best_d, best_i):
+    hit, bucket = table.lookup(old_hash(table, q[rows]))
+    if hit.size == 0:
+        return
+    limit = cdut.core._tile_rows(q.shape[1])
+    ends = np.cumsum(table.bucket_size[bucket])
+    lo = 0
+    while lo < hit.size:
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + limit, side="right")))
+        rep, cand = np.repeat(hit[lo:hi], table.bucket_size[bucket[lo:hi]]), table.members(bucket[lo:hi])
+        for s in range(0, rep.size, limit):
+            lexsort_keep_nearest(ladder, q, rows, rep[s : s + limit], cand[s : s + limit], best_d, best_i)
+        lo = hi
+
+
+def lexsort_query_batch(ladder, queries):
+    """The ladder walk that sorts each block's members by (row, distance, index)."""
+    q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
+    best_d = np.full(len(q), np.inf)
+    best_i = np.full(len(q), -1, dtype=np.int64)
+    active = np.arange(len(q))
+    for scale in ladder.scales:
+        if active.size == 0:
+            break
+        cutoff = ladder.c * scale.radius
+        for table in scale.tables:
+            lexsort_probe_table(ladder, table, q, active, best_d, best_i)
+            active = active[best_d[active] > cutoff]
+            if active.size == 0:
+                break
+    if active.size:
+        d, i = build_index(ladder.source, ladder.metric).query_many(q[active])
+        best_d[active] = d
+        best_i[active] = i
+    return best_d, best_i
+
+
 class TestTable:
     """Bucket ids and lookups against the per-column sum and two-sided search."""
 
@@ -112,8 +168,8 @@ class TestTable:
             want, (hit, bucket) = old_candidates(sorted_ids, table.order, qids), table.lookup(qids)
             assert (want[0] is None) == (hit.size == 0)
             if hit.size:
-                got = table.members(hit, bucket)
-                assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+                assert np.array_equal(want[0], np.repeat(hit, table.bucket_size[bucket]))
+                assert np.array_equal(want[1], table.members(bucket))
 
     def test_close_pair_scan_matches_the_run_length_loop(self):
         for seed in range(6):
@@ -131,9 +187,34 @@ class TestTable:
         assert _has_close_bucket_pair(_Scale(2.5, [table]), pair, L2, 1.0)
         assert not _has_close_bucket_pair(_Scale(2.5, [table]), pair, L2, 0.05)
 
+    @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    def test_close_pair_scan_is_tiled(self, monkeypatch, metric):
+        rng = np.random.default_rng(29)
+        b = PointSet(rng.integers(-3, 4, size=(40, 3)).astype(np.float64))
+        ladder = build_ladder(b, c=2.0, seed=29, metric=metric)
+        # the top scale puts more than one tile's rows in one bucket
+        biggest = max(t.bucket_size.max() for t in ladder.scales[-1].tables)
+        assert biggest * biggest * 3 > 48
+        monkeypatch.setattr(cdut.core, "_TILE_ENTRIES", 48)
+        blocks = []
+        for scale in ladder.scales:
+            for cutoff in (0.5, 1.0, 2.0 * scale.radius):
+                recording = RecordingMetric(metric)
+                got = _has_close_bucket_pair(scale, b.points, recording, cutoff)
+                assert got == old_has_close_bucket_pair(scale, b.points, metric, cutoff)
+                # one row is wider than a tile only when the bucket is
+                assert all(rows * s * d <= max(48, s * d) for rows, s, d in recording.shapes)
+                blocks += recording.shapes
+        assert any(rows < s for rows, s, _ in blocks)  # some bucket took more than one block
+        # a close pair in the first rows of a bucket ends the scan there
+        recording = RecordingMetric(metric)
+        top = ladder.scales[-1]
+        assert _has_close_bucket_pair(top, b.points, recording, 2.0 * top.radius)
+        assert len(recording.shapes) == 1
+
 
 class RecordingMetric:
-    """The ladder's metric, recording the shape of every array it measures."""
+    """A metric recording the shape of every array it measures."""
 
     def __init__(self, metric):
         self.metric, self.shapes = metric, []
@@ -143,6 +224,18 @@ class RecordingMetric:
         return self.metric.norms(vectors)
 
 
+def record_probe_blocks(monkeypatch):
+    """The shapes of the member blocks that the ladder probe measures."""
+    shapes = []
+
+    def recording(metric, v):
+        shapes.append(v.shape)
+        return _norms_in_place(metric, v)
+
+    monkeypatch.setattr(cdut.ann, "_norms_in_place", recording)
+    return shapes
+
+
 class TestTiledProbe:
     @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
     def test_tiles_give_the_untiled_answer(self, monkeypatch, metric):
@@ -150,21 +243,42 @@ class TestTiledProbe:
         b = PointSet(rng.uniform(0, 1, size=(80, 6)))
         queries = rng.uniform(-0.2, 1.2, size=(120, 6))
         ladder = build_ladder(b, c=2.0, seed=53, metric=metric)
-        untiled = RecordingMetric(metric)
-        ladder.metric = untiled
+        untiled = record_probe_blocks(monkeypatch)
         want = ladder.query_batch(queries)
-        assert max(rows * d for rows, d in untiled.shapes) > 48  # the default cap did not tile
+        assert max(rows * d for rows, d in untiled) > 48  # the default cap did not tile
         monkeypatch.setattr(cdut.core, "_TILE_ENTRIES", 48)
-        tiled = RecordingMetric(metric)
-        ladder.metric = tiled
+        tiled = record_probe_blocks(monkeypatch)
         got = ladder.query_batch(queries)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert max(rows * d for rows, d in tiled.shapes) <= 48
-        assert len(tiled.shapes) > len(untiled.shapes)
+        assert max(rows * d for rows, d in tiled) <= 48
+        assert len(tiled) > len(untiled)
         # coarse scales put more than 8 members in one bucket, so one row's
         # members are split between blocks
         assert max(t.bucket_size.max() for s in ladder.scales for t in s.tables) > 8
-        assert sum(rows for rows, _ in tiled.shapes) == sum(rows for rows, _ in untiled.shapes)
+        assert sum(rows for rows, _ in tiled) == sum(rows for rows, _ in untiled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 40),
+    d=st.integers(1, 8),
+    metric=st.sampled_from([L1, L2, LINF]),
+    c=st.sampled_from([1.5, 2.0, 3.0]),
+    tile=st.sampled_from([cdut.core._TILE_ENTRIES, 48, 7]),
+)
+def test_probe_matches_the_lexsort_walk(seed, n, d, metric, c, tile):
+    rng = np.random.default_rng(seed)
+    # an integer grid, with some points of B repeated, so that many members
+    # of one bucket tie on distance
+    b = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+    b = PointSet(np.vstack([b, b[rng.integers(0, n, size=n // 2)]]))
+    queries = np.vstack([b.points[:5], rng.integers(-5, 6, size=(30, d)).astype(np.float64)])
+    ladder = build_ladder(b, c=c, seed=seed % 1000, metric=metric)
+    with mock.patch.object(cdut.core, "_TILE_ENTRIES", tile):
+        got = ladder.query_batch(queries)
+        want = lexsort_query_batch(ladder, queries)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestQuery:
