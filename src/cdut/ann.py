@@ -36,6 +36,8 @@ _MAX_TABLES = 160
 _WIDTH_FACTOR = 4.0
 # the index of a member that is not at its run's nearest distance
 _NO_INDEX = np.iinfo(np.int64).max
+# a table's presence screen has 2^(bit length of its bucket count + this) slots
+_SCREEN_BITS = 4
 
 
 def _phi(x: float) -> float:
@@ -97,6 +99,12 @@ class _Table:
         self.bucket_ids, self.bucket_start, self.bucket_size = np.unique(
             ids[self.order], return_index=True, return_counts=True
         )
+        # a presence screen over the top bits of the bucket ids, 16 to 32
+        # slots per bucket: a query id whose slot is clear is in no bucket
+        bits = self.bucket_ids.size.bit_length() + _SCREEN_BITS
+        self._shift = np.uint64(64 - bits)
+        self._screen = np.zeros(1 << bits, dtype=bool)
+        self._screen[self._slots(self.bucket_ids)] = True
 
     def hash_points(self, pts: np.ndarray) -> np.ndarray:
         # floor((pts @ proj + offsets) / width), each step in place
@@ -107,11 +115,20 @@ class _Table:
         # uint64 arithmetic wraps mod 2^64, so the ids do not depend on the summation order
         return codes.view(np.uint64) @ self.combiner
 
+    def _slots(self, ids: np.ndarray) -> np.ndarray:
+        # the shift clears the sign bit, so the int64 view is the slot number
+        return (ids >> self._shift).view(np.int64)
+
     def lookup(self, qids: np.ndarray):
-        """Positions of the query ids that some point of B shares, and their buckets."""
-        pos = np.minimum(np.searchsorted(self.bucket_ids, qids), self.bucket_ids.size - 1)
-        hit = np.flatnonzero(self.bucket_ids[pos] == qids)
-        return hit, pos[hit]
+        """Positions of the query ids that some point of B shares, and their buckets.
+
+        Only the ids whose screen slot is set are searched for.
+        """
+        maybe = np.flatnonzero(self._screen[self._slots(qids)])
+        ids = qids[maybe]
+        pos = np.minimum(np.searchsorted(self.bucket_ids, ids), self.bucket_ids.size - 1)
+        found = self.bucket_ids[pos] == ids
+        return maybe[found], pos[found]
 
     def members(self, bucket: np.ndarray) -> np.ndarray:
         """Ragged bucket expansion: the indices into B of each bucket's members, bucket by bucket."""
@@ -152,7 +169,11 @@ class ScaleLadder:
         keeps the smallest (distance, index) pair per row, so the result is
         the one an untiled probe gives.
         """
-        hit, bucket = table.lookup(table.hash_points(q[rows]))
+        # ``rows`` increase, so while none has retired they are all of q; the
+        # gathered rows are freed before the folds
+        hit, bucket = table.lookup(
+            table.hash_points(q if rows.size == len(q) else np.take(q, rows, axis=0))
+        )
         if hit.size == 0:
             return
         limit = _tile_rows(q.shape[1])
@@ -179,7 +200,7 @@ class ScaleLadder:
         ``cand`` holds the members of ``qrows`` in order, as runs of
         ``counts`` members, none empty.
         """
-        block = q[np.repeat(qrows, counts)]
+        block = np.take(q, np.repeat(qrows, counts), axis=0)
         block -= self.source.points[cand]
         d = _norms_in_place(self.metric, block)
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -270,17 +291,19 @@ def build_ladder(
     distinct points share a bucket within c * R, below which any query has
     at most one candidate anyway.
     """
-    if not c > 1.0:
-        raise ValueError("approximation factor c must exceed 1")
+    if not 1.0 < c < math.inf:
+        raise ValueError("approximation factor c must exceed 1 and be finite")
     if not 0.0 < miss_prob < 1.0:
         raise ValueError("miss_prob must lie in (0, 1)")
+    if U is None:
+        U = bbox_diameter(b, metric)
+    if not math.isfinite(U):
+        raise ValueError("U must be finite")
     family = _family_for(metric)
     pts = b.points
     n = len(b)
-    distinct = np.unique(pts, axis=0)
-    if U is None:
-        U = bbox_diameter(b, metric)
-    if distinct.shape[0] < 2 or U <= 0.0:
+    # whether B holds two distinct points (-0.0 == 0.0; a PointSet holds no NaN)
+    if not np.any(pts != pts[0]) or U <= 0.0:
         return ScaleLadder(b, metric, c, [])
     rng = np.random.default_rng(seed)
     scales: list[_Scale] = []

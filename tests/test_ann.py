@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdut.ann
-from cdut import L1, L2, LINF, PointSet, build_index, build_ladder
+from cdut import L1, L2, LINF, PointSet, build_index, build_ladder, cdut_approx_v2
 from cdut.ann import _family_for, _has_close_bucket_pair, _norms_in_place, _Scale, _Table
 from cdut.instances import uniform_instance
 
@@ -59,6 +59,22 @@ class TestBuild:
             build_ladder(b, c=1.0)
         with pytest.raises(ValueError, match="miss_prob"):
             build_ladder(b, c=2.0, miss_prob=1.5)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="c must exceed"):
+                build_ladder(b, c=bad)
+            with pytest.raises(ValueError, match="c must exceed"):
+                cdut_approx_v2(b, b, 0.5, bad)
+            with pytest.raises(ValueError, match="U must be finite"):
+                build_ladder(b, c=2.0, U=bad)
+
+    def test_copies_of_one_point_build_no_scales(self):
+        # one copy is written with -0.0, which equals 0.0
+        b = PointSet(np.array([[0.0, 2.0], [-0.0, 2.0], [0.0, 2.0]]))
+        assert np.signbit(b.points[1, 0])
+        ladder = build_ladder(b, c=2.0, U=5.0, seed=0)
+        assert ladder.scales == []
+        dist, idx = ladder.query_batch([[0.0, 2.0]])
+        assert (dist[0], idx[0]) == (0.0, 0)
 
 
 def old_hash(table, pts):
@@ -126,8 +142,60 @@ def lexsort_probe_table(ladder, table, q, rows, best_d, best_i):
         lo = hi
 
 
+def full_search_lookup(table, qids):
+    """The lookup with no presence screen: every query id is searched for."""
+    pos = np.minimum(np.searchsorted(table.bucket_ids, qids), table.bucket_ids.size - 1)
+    hit = np.flatnonzero(table.bucket_ids[pos] == qids)
+    return hit, pos[hit]
+
+
+def fancy_fold_runs(ladder, q, qrows, counts, cand, best_d, best_i):
+    block = q[np.repeat(qrows, counts)]
+    block -= ladder.source.points[cand]
+    d = _norms_in_place(ladder.metric, block)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    dd = np.minimum.reduceat(d, starts)
+    ii = np.minimum.reduceat(np.where(d == np.repeat(dd, counts), cand, cdut.ann._NO_INDEX), starts)
+    better = (dd < best_d[qrows]) | ((dd == best_d[qrows]) & (ii < best_i[qrows]))
+    qrows, dd, ii = qrows[better], dd[better], ii[better]
+    best_d[qrows] = dd
+    best_i[qrows] = ii
+
+
+def fancy_probe_table(ladder, table, q, rows, best_d, best_i):
+    """The segment-minimum probe that gathers ``q[rows]`` and searches every id."""
+    hit, bucket = full_search_lookup(table, table.hash_points(q[rows]))
+    if hit.size == 0:
+        return
+    limit = cdut.core._tile_rows(q.shape[1])
+    sizes = table.bucket_size[bucket]
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < hit.size:
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + limit, side="right")))
+        cand = table.members(bucket[lo:hi])
+        qrows = rows[hit[lo:hi]]
+        if cand.size <= limit:
+            fancy_fold_runs(ladder, q, qrows, sizes[lo:hi], cand, best_d, best_i)
+        else:
+            for s in range(0, cand.size, limit):
+                piece = cand[s : s + limit]
+                fancy_fold_runs(ladder, q, qrows, [piece.size], piece, best_d, best_i)
+        lo = hi
+
+
 def lexsort_query_batch(ladder, queries):
     """The ladder walk that sorts each block's members by (row, distance, index)."""
+    return reference_walk(ladder, queries, lexsort_probe_table)
+
+
+def fancy_query_batch(ladder, queries):
+    """The ladder walk with fancy-index gathers and no presence screen."""
+    return reference_walk(ladder, queries, fancy_probe_table)
+
+
+def reference_walk(ladder, queries, probe_table):
     q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
     best_d = np.full(len(q), np.inf)
     best_i = np.full(len(q), -1, dtype=np.int64)
@@ -137,7 +205,7 @@ def lexsort_query_batch(ladder, queries):
             break
         cutoff = ladder.c * scale.radius
         for table in scale.tables:
-            lexsort_probe_table(ladder, table, q, active, best_d, best_i)
+            probe_table(ladder, table, q, active, best_d, best_i)
             active = active[best_d[active] > cutoff]
             if active.size == 0:
                 break
@@ -258,8 +326,17 @@ class TestTiledProbe:
         assert sum(rows for rows, _ in tiled) == sum(rows for rows, _ in untiled)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+def grid_ladder(seed, n, d, metric, c):
+    """A ladder over an integer grid, with some points of B repeated so that
+    many members of one bucket tie on distance, and queries for it."""
+    rng = np.random.default_rng(seed)
+    b = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+    b = PointSet(np.vstack([b, b[rng.integers(0, n, size=n // 2)]]))
+    queries = np.vstack([b.points[:5], rng.integers(-5, 6, size=(30, d)).astype(np.float64)])
+    return build_ladder(b, c=c, seed=seed % 1000, metric=metric), queries
+
+
+walk_cases = given(
     seed=st.integers(0, 2**31 - 1),
     n=st.integers(2, 40),
     d=st.integers(1, 8),
@@ -267,18 +344,92 @@ class TestTiledProbe:
     c=st.sampled_from([1.5, 2.0, 3.0]),
     tile=st.sampled_from([cdut.core._TILE_ENTRIES, 48, 7]),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@walk_cases
 def test_probe_matches_the_lexsort_walk(seed, n, d, metric, c, tile):
-    rng = np.random.default_rng(seed)
-    # an integer grid, with some points of B repeated, so that many members
-    # of one bucket tie on distance
-    b = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
-    b = PointSet(np.vstack([b, b[rng.integers(0, n, size=n // 2)]]))
-    queries = np.vstack([b.points[:5], rng.integers(-5, 6, size=(30, d)).astype(np.float64)])
-    ladder = build_ladder(b, c=c, seed=seed % 1000, metric=metric)
+    ladder, queries = grid_ladder(seed, n, d, metric, c)
     with mock.patch.object(cdut.core, "_TILE_ENTRIES", tile):
         got = ladder.query_batch(queries)
         want = lexsort_query_batch(ladder, queries)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=60, deadline=None)
+@walk_cases
+def test_walk_matches_the_fancy_gather_walk(seed, n, d, metric, c, tile):
+    ladder, queries = grid_ladder(seed, n, d, metric, c)
+    with mock.patch.object(cdut.core, "_TILE_ENTRIES", tile):
+        got = ladder.query_batch(queries)
+        want = fancy_query_batch(ladder, queries)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def record_hash_inputs(monkeypatch):
+    """(table, shape, strides, bytes) of every array that a table hashes."""
+    seen = []
+    hash_points = _Table.hash_points
+
+    def recording(table, pts):
+        seen.append((id(table), pts.shape, pts.strides, pts.tobytes()))
+        return hash_points(table, pts)
+
+    monkeypatch.setattr(_Table, "hash_points", recording)
+    return seen
+
+
+@pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+def test_each_table_hashes_the_fancy_gather_rows(monkeypatch, metric):
+    retired_mid_scale = False
+    for seed in range(12):
+        ladder, queries = grid_ladder(seed, 30, 1 + seed % 8, metric, (1.5, 2.0, 3.0)[seed % 3])
+        seen = record_hash_inputs(monkeypatch)
+        ladder.query_batch(queries)
+        got = list(seen)
+        seen.clear()
+        fancy_query_batch(ladder, queries)
+        assert got == seen
+        rows = {key: shape[0] for key, shape, _, _ in got}
+        for scale in ladder.scales:
+            hashed = [rows[id(t)] for t in scale.tables if id(t) in rows]
+            retired_mid_scale |= len(set(hashed)) > 1
+    assert retired_mid_scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 60),
+    d=st.integers(1, 6),
+    family=st.sampled_from(["gaussian", "cauchy", "coord"]),
+    k=st.integers(1, 6),
+    width=st.sampled_from([0.5, 1.0, 3.0]),
+)
+def test_screened_lookup_matches_the_full_search(seed, n, d, family, k, width):
+    rng = np.random.default_rng(seed)
+    b = rng.integers(-4, 5, size=(n, d)).astype(np.float64)
+    table = _Table(b, width, family, k, rng)
+    ids = table.bucket_ids
+    top = np.uint64(2**64 - 1)
+    shift = table._shift
+    # ids in a bucket's screen slot but not the bucket's own: the low bit
+    # flipped, and the first and last ids of the slot
+    first = (ids >> shift) << shift
+    last = first | ((np.uint64(1) << shift) - np.uint64(1))
+    # ids below and above every bucket id
+    outside = [np.uint64(0), top]
+    if ids[0] > 0:
+        outside.append(ids[0] - np.uint64(1))
+    if ids[-1] < top:
+        outside.append(ids[-1] + np.uint64(1))
+    random = rng.integers(0, top, size=40, dtype=np.uint64, endpoint=True)
+    qids = np.concatenate([ids, ids ^ np.uint64(1), first, last, np.array(outside, dtype=np.uint64), random])
+    qids = qids[rng.permutation(qids.size)]
+    assert np.any(table._screen[table._slots(qids)] & ~np.isin(qids, ids))
+    got, want = table.lookup(qids), full_search_lookup(table, qids)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
 
 
 class TestQuery:

@@ -148,6 +148,14 @@ class TestCompute:
         assert code == 2 and text == ""
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("c", ["inf", "nan"])
+    def test_non_finite_c_exits_2(self, capsys, tmp_path, c):
+        out = tmp_path / "uni"
+        run(capsys, ["gen", "uniform", "--out", str(out), "--m", "6", "--n", "6", "--seed", "2"])
+        code, text, err = run(capsys, ["compute", "approx-v2", f"{out}_a.txt", f"{out}_b.txt", "--c", c])
+        assert code == 2 and text == ""
+        assert err.count("\n") == 1 and "c must exceed" in err
+
 
 class TestDimensionMismatch:
     # A and B of different dimension: every solver and decide refuse them
