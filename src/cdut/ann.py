@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import L2, Metric, PointSet, _tile_rows, bbox_diameter, build_index
+from .core import L2, Metric, PointSet, _cross_norms, _held_tables, _tile_rows, bbox_diameter, build_index
 
 __all__ = ["ScaleLadder", "build_ladder"]
 
@@ -260,16 +260,17 @@ def _has_close_bucket_pair(scale: _Scale, points: np.ndarray, metric: Metric, cu
     """Whether any table puts two distinct points in one bucket within cutoff.
 
     Each bucket's pairs are measured in blocks of its rows, each block's
-    difference tensor holding at most ``_TILE_ENTRIES`` entries (a single
-    row may hold more), and the scan stops at the first close pair.
+    distance tables holding at most ``_TILE_ENTRIES`` entries together (a
+    single row may hold more), and the scan stops at the first close pair.
     """
+    held = _held_tables(points.shape[1])
     for table in scale.tables:
         shared = table.bucket_size > 1
         for start, size in zip(table.bucket_start[shared], table.bucket_size[shared]):
             members = points[table.order[start : start + size]]
-            step = _tile_rows(members.size)
+            step = _tile_rows(size * held)
             for lo in range(0, size, step):
-                diffs = metric.norms(members[lo : lo + step, None, :] - members[None, :, :])
+                diffs = _cross_norms(metric, members[lo : lo + step], members)
                 if np.any((diffs > 0.0) & (diffs <= cutoff)):
                     return True
     return False

@@ -161,14 +161,90 @@ class ChamferReport:
 
 # float64 entries in the largest temporary of one tile of any phase
 _TILE_ENTRIES = 1 << 22
-# the same for the kd-tree's brute tie pass, whose rows come in bulk when B
-# is large: tiles this small keep its temporaries in cache
-_TIE_TILE_ENTRIES = 1 << 16
+# the same for a brute scan's live tables together, which it re-reads for
+# every group of axes: tiles this small stay in a core's cache
+_BRUTE_ENTRIES = 1 << 16
 
 
 def _tile_rows(width: int) -> int:
     """Rows of ``width`` entries that one tile holds: at least one."""
     return max(1, _TILE_ENTRIES // width)
+
+
+# numpy's pairwise summation, which ``Metric.norms`` runs along each row:
+# fewer terms than _LANES add in sequence, up to _BLOCK terms add into
+# _LANES interleaved accumulators, and longer runs split in two
+_LANES = 8
+_BLOCK = 128
+
+
+def _split(terms: int) -> int:
+    """Terms in the first half of a run that numpy's pairwise sum splits."""
+    half = terms // 2
+    return half - half % _LANES
+
+
+def _held_tables(d: int) -> int:
+    """(rows, n) tables that ``_cross_norms`` holds at once at dimension d.
+
+    A run of fewer than ``_LANES`` terms holds its terms and their sum.  A
+    longer one holds its lanes and the next group of terms, or, with no
+    second group, its lanes and their first pair sums.  A split keeps its
+    first half's sum while the second, never shorter, half runs.
+    """
+    held = 0
+    while d > _BLOCK:
+        d -= _split(d)
+        held += 1
+    if d < _LANES:
+        return held + d + (d > 1)
+    return held + _LANES + (_LANES if d >= 2 * _LANES else _LANES // 2)
+
+
+def _cross_norms(metric: Metric, q: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``metric.norms(q[:, None, :] - pts[None, :, :])``, bit for bit.
+
+    No (rows, n, d) tensor is made.  The differences come in (rows, n)
+    tables, one per axis and up to ``_LANES`` axes per call, squared or
+    made absolute in place, and fold into the result in numpy's pairwise
+    order, so every row sum rounds as ``norms``'s does.  linf folds them by
+    ``maximum``, which is exact in any order.  At most ``_held_tables(d)``
+    tables are alive at once.  No call writes to one view of an array
+    while reading another view of it: on small tables numpy's overlap
+    check for that costs more than the arithmetic.
+    """
+    q_axes, p_axes = np.ascontiguousarray(q.T), np.ascontiguousarray(pts.T)
+    fold = np.maximum if metric.p == math.inf else np.add
+
+    def terms(lo: int, hi: int) -> np.ndarray:
+        diff = np.subtract(q_axes[lo:hi, :, None], p_axes[lo:hi, None, :])
+        return np.multiply(diff, diff, out=diff) if metric.p == 2.0 else np.abs(diff, out=diff)
+
+    def fold_in(total: np.ndarray, tables) -> np.ndarray:
+        for table in tables:
+            fold(total, table, out=total)
+        return total
+
+    def pairwise(lo: int, hi: int) -> np.ndarray:
+        count = hi - lo
+        if count > _BLOCK:
+            mid = lo + _split(count)
+            total = pairwise(lo, mid)
+            return fold(total, pairwise(mid, hi), out=total)
+        if count < _LANES:
+            block = terms(lo, hi)
+            return block[0] if count == 1 else fold_in(fold(block[0], block[1]), block[2:])
+        lanes = terms(lo, lo + _LANES)
+        tail = hi - count % _LANES
+        for start in range(lo + _LANES, tail, _LANES):
+            fold(lanes, terms(start, start + _LANES), out=lanes)
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in turn
+        while len(lanes) > 2:
+            lanes = fold(lanes[0::2], lanes[1::2])
+        return fold_in(fold(lanes[0], lanes[1]), terms(tail, hi) if tail < hi else ())
+
+    out = pairwise(0, q.shape[1])
+    return np.sqrt(out, out=out) if metric.p == 2.0 else out
 
 
 class NearestIndex:
@@ -178,15 +254,19 @@ class NearestIndex:
     searches the sorted coordinates of a one-dimensional set.  All return
     identical (distance, index) answers: distances are recomputed with the
     metric's own arithmetic and ties resolve to the lowest index in B.
-    'auto' takes 'brute' below 16 points, else 'sorted' at d = 1 and
-    'kdtree' above.  scipy is loaded on the first kd-tree build.
+    'auto' takes 'brute' below 32 points at d < 8 and below 16 points at
+    d >= 8, else 'sorted' at d = 1 and 'kdtree' above.  scipy is loaded on
+    the first kd-tree build.
     """
 
     def __init__(self, source: PointSet, metric: Metric = L2, backend: str = "auto"):
         if backend not in ("auto", "brute", "kdtree", "sorted"):
             raise ValueError(f"unknown backend {backend!r}")
         if backend == "auto":
-            backend = "brute" if len(source) < 16 else "sorted" if source.dim == 1 else "kdtree"
+            # measured at 4,000 query rows (README): brute wins below about
+            # 32 points while d < 8, and the tree is level from 8-16 points on
+            small = len(source) < (32 if source.dim < 8 else 16)
+            backend = "brute" if small else "sorted" if source.dim == 1 else "kdtree"
         if backend == "sorted" and source.dim != 1:
             raise ValueError(f"backend 'sorted' needs d = 1, got d = {source.dim}")
         self.source = source
@@ -225,14 +305,14 @@ class NearestIndex:
     # -- internals ----------------------------------------------------------
 
     def _distance_matrix(self, q: np.ndarray) -> np.ndarray:
-        return self.metric.norms(q[:, None, :] - self.source.points[None, :, :])
+        return _cross_norms(self.metric, q, self.source.points)
 
     def _brute(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = len(self.source)
         out_d = np.empty(len(q), dtype=np.float64)
         out_i = np.empty(len(q), dtype=np.int64)
-        # the (rows, n, d) difference tensor is the largest temporary
-        chunk = _tile_rows(n * self.source.dim)
+        # the kernel's live tables are the largest temporaries
+        chunk = max(1, min(_TILE_ENTRIES, _BRUTE_ENTRIES) // (n * _held_tables(self.source.dim)))
         for start in range(0, len(q), chunk):
             stop = min(len(q), start + chunk)
             dmat = self._distance_matrix(q[start:stop])
@@ -276,12 +356,10 @@ class NearestIndex:
         idx[swap] = pair_idx[swap, 1]
         if normalize_ties:
             # two nearest at one distance: the lowest index among all of them
-            # comes from a brute pass over those rows, in cache-sized tiles
-            tied = np.flatnonzero(d0 == d1)
-            step = max(1, _TIE_TILE_ENTRIES // (len(self.source) * self.source.dim))
-            for start in range(0, tied.size, step):
-                rows = tied[start : start + step]
-                dist[rows], idx[rows] = self._brute(q[rows])
+            # comes from one brute pass over those rows
+            tied = d0 == d1
+            if np.any(tied):
+                dist[tied], idx[tied] = self._brute(q[tied])
         return dist, idx
 
 

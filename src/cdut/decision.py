@@ -32,6 +32,8 @@ from .core import (
     Metric,
     PointSet,
     _check_same_dim,
+    _cross_norms,
+    _held_tables,
     _tile_rows,
     build_index,
     difference_candidates,
@@ -95,15 +97,19 @@ class DecisionResult:
 def _min_pairwise(points: np.ndarray, metric: Metric) -> float:
     """Smallest distance between two rows of ``points``; inf below two rows.
 
-    Each pair (i, j), i < j, is measured as ``points[j] - points[i]``, in
-    blocks of ``_tile_rows(n * d)`` rows of i.
+    The rows of a block are measured against every row from the block's
+    first on, skipping only each row against itself, so duplicate rows
+    give 0.  Rounding is symmetric, ``x - y`` is exactly ``-(y - x)``, so a
+    pair's distance does not depend on which of its rows comes first.  Each
+    block's distance tables hold at most ``_TILE_ENTRIES`` entries together.
     """
     n, d = points.shape
-    step = _tile_rows(n * d)
+    step = _tile_rows(n * _held_tables(d))
     best = math.inf
     for lo in range(0, n - 1, step):
-        i, j = np.triu_indices(min(step, n - 1 - lo), k=1, m=n - lo)
-        best = min(best, float(metric.norms(points[lo + j] - points[lo + i]).min()))
+        dist = _cross_norms(metric, points[lo : lo + step], points[lo:])
+        np.fill_diagonal(dist, math.inf)
+        best = min(best, float(dist.min()))
     return best
 
 

@@ -262,34 +262,36 @@ class TestTable:
         ladder = build_ladder(b, c=2.0, seed=29, metric=metric)
         # the top scale puts more than one tile's rows in one bucket
         biggest = max(t.bucket_size.max() for t in ladder.scales[-1].tables)
-        assert biggest * biggest * 3 > 48
+        held = cdut.core._held_tables(3)
+        assert biggest * biggest * held > 48
         monkeypatch.setattr(cdut.core, "_TILE_ENTRIES", 48)
-        blocks = []
+        blocks = record_close_pair_blocks(monkeypatch)
         for scale in ladder.scales:
             for cutoff in (0.5, 1.0, 2.0 * scale.radius):
-                recording = RecordingMetric(metric)
-                got = _has_close_bucket_pair(scale, b.points, recording, cutoff)
+                start = len(blocks)
+                got = _has_close_bucket_pair(scale, b.points, metric, cutoff)
                 assert got == old_has_close_bucket_pair(scale, b.points, metric, cutoff)
                 # one row is wider than a tile only when the bucket is
-                assert all(rows * s * d <= max(48, s * d) for rows, s, d in recording.shapes)
-                blocks += recording.shapes
-        assert any(rows < s for rows, s, _ in blocks)  # some bucket took more than one block
+                assert all(rows * s * held <= max(48, s * held) for rows, s in blocks[start:])
+        assert any(rows < s for rows, s in blocks)  # some bucket took more than one block
         # a close pair in the first rows of a bucket ends the scan there
-        recording = RecordingMetric(metric)
+        del blocks[:]
         top = ladder.scales[-1]
-        assert _has_close_bucket_pair(top, b.points, recording, 2.0 * top.radius)
-        assert len(recording.shapes) == 1
+        assert _has_close_bucket_pair(top, b.points, metric, 2.0 * top.radius)
+        assert len(blocks) == 1
 
 
-class RecordingMetric:
-    """A metric recording the shape of every array it measures."""
+def record_close_pair_blocks(monkeypatch):
+    """The (rows, bucket size) of every block that the close-pair check measures."""
+    shapes = []
 
-    def __init__(self, metric):
-        self.metric, self.shapes = metric, []
+    def recording(metric, rows, members):
+        shapes.append((len(rows), len(members)))
+        return cross_norms(metric, rows, members)
 
-    def norms(self, vectors):
-        self.shapes.append(vectors.shape)
-        return self.metric.norms(vectors)
+    cross_norms = cdut.ann._cross_norms
+    monkeypatch.setattr(cdut.ann, "_cross_norms", recording)
+    return shapes
 
 
 def record_probe_blocks(monkeypatch):

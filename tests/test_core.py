@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,8 +141,8 @@ class TestNearestIndex:
             assert kd.value == br.value
             assert np.array_equal(kd.assignment, br.assignment)
 
-    def test_brute_chunks_cap_the_difference_tensor(self, monkeypatch):
-        # every chunk's (rows, n, d) tensor stays under the cap, d included
+    def test_brute_chunks_cap_the_kernel_tables(self, monkeypatch):
+        # every chunk's live (rows, n) tables stay under the cap together
         cap = 1 << 10
         monkeypatch.setattr(cdut.core, "_TILE_ENTRIES", cap)
         rng = np.random.default_rng(3)
@@ -157,12 +158,30 @@ class TestNearestIndex:
 
         monkeypatch.setattr(index, "_distance_matrix", recording)
         dist, idx = index.query_many(queries)
+        held = cdut.core._held_tables(b.dim)
         assert len(shapes) > 1 and sum(rows for rows, _ in shapes) == len(queries)
-        assert all(rows * len(b) * b.dim <= cap for rows, _ in shapes)
+        assert all(rows * len(b) * held <= cap for rows, _ in shapes)
         # integer grids tie often: chunking keeps the first minimum
         ref = L1.norms(queries[:, None, :] - b.points[None, :, :])
         assert np.array_equal(idx, np.argmin(ref, axis=1))
         assert np.array_equal(dist, ref.min(axis=1))
+
+    @pytest.mark.parametrize("d", [1, 3, 7, 8, 15, 16, 64, 129, 300])
+    def test_held_tables_count_the_kernels_live_entries(self, d):
+        # tracemalloc sees numpy's buffers: the kernel's peak is its held
+        # tables, plus its transposed inputs and numpy's fixed ufunc buffers
+        rng = np.random.default_rng(d)
+        q, p = rng.standard_normal((1000, d)), rng.standard_normal((40, d))
+        table = 8 * len(q) * len(p)
+        for metric in (L1, L2, LINF):
+            tracemalloc.start()
+            try:
+                cdut.core._cross_norms(metric, q, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = cdut.core._held_tables(d) * table
+            assert held <= peak <= held + q.nbytes + p.nbytes + table // 2
 
     def test_tie_normalization_with_duplicates(self):
         b = pts([[1.0], [1.0], [3.0], [3.0]])
@@ -181,13 +200,18 @@ class TestNearestIndex:
             build_index(pts([[0.0, 1.0]]), backend="sorted")
 
     def test_auto_backend_fits_the_input(self):
+        # brute below 32 points while d < 8, below 16 from d = 8 on
         line = PointSet(np.arange(40.0))
         assert build_index(line).backend == "sorted"
-        assert build_index(PointSet(np.arange(16.0))).backend == "sorted"
-        assert build_index(PointSet(np.zeros((15, 1)))).backend == "brute"
+        assert build_index(PointSet(np.arange(32.0))).backend == "sorted"
+        assert build_index(PointSet(np.zeros((31, 1)))).backend == "brute"
         assert build_index(PointSet(np.zeros((3, 1)))).backend == "brute"
-        assert build_index(PointSet(np.zeros((16, 2)))).backend == "kdtree"
-        assert build_index(PointSet(np.zeros((15, 2)))).backend == "brute"
+        for d in (2, 7):
+            assert build_index(PointSet(np.zeros((32, d)))).backend == "kdtree"
+            assert build_index(PointSet(np.zeros((31, d)))).backend == "brute"
+        for d in (8, 16):
+            assert build_index(PointSet(np.zeros((16, d)))).backend == "kdtree"
+            assert build_index(PointSet(np.zeros((15, d)))).backend == "brute"
 
     def test_sorted_settles_ties_that_rounding_makes(self):
         # far from B, q - 0.5 and q - 1.0 round to the same float, so the
@@ -223,8 +247,8 @@ class TestNearestIndex:
 @st.composite
 def tie_heavy(draw):
     """An integer grid B with repeated points, and queries on the grid or at its midpoints."""
-    d = draw(st.integers(1, 5))
-    n = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    d = draw(st.integers(1, 9))
+    n = draw(st.one_of(st.just(1), st.integers(1, 64)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     span = draw(st.integers(1, 3))
     b = rng.integers(-span, span + 1, size=(n, d)).astype(np.float64)
@@ -249,6 +273,35 @@ def test_backends_agree_on_tie_heavy_grids(case, metric):
                 assert np.array_equal(idx, want_i)
 
 
+@st.composite
+def kernel_inputs(draw):
+    """Queries and points whose axes span 1e-3 to 1e12, so that any other
+    summation order rounds some row sum differently; some coordinates are
+    signed zeros and some sets sit 1e12 from the origin."""
+    d = draw(st.one_of(st.integers(1, 20), st.sampled_from([64, 128, 300])))
+    rows = draw(st.one_of(st.just(1), st.integers(1, 9)))
+    n = draw(st.one_of(st.just(1), st.integers(1, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3, 12, size=d)
+    q, p = rng.standard_normal((rows, d)) * scale, rng.standard_normal((n, d)) * scale
+    for side in (q, p):
+        side[rng.random(side.shape) < 0.1] = 0.0
+        side[rng.random(side.shape) < 0.1] = -0.0
+    # an offset of 0 is skipped: adding it would turn -0.0 into 0.0
+    for side, offset in ((q, draw(st.sampled_from([0.0, 1e12, -1e12]))), (p, draw(st.sampled_from([0.0, 1e12])))):
+        if offset:
+            side += offset
+    return q, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=kernel_inputs(), metric=st.sampled_from([L1, L2, LINF]))
+def test_kernel_is_bit_identical_to_norms(case, metric):
+    q, p = case
+    want = metric.norms(q[:, None, :] - p[None, :, :])
+    assert cdut.core._cross_norms(metric, q, p).tobytes() == want.tobytes()
+
+
 def test_scipy_loads_only_for_a_kdtree():
     # a fresh interpreter: this one has loaded scipy already
     code = """
@@ -260,7 +313,7 @@ cdut.cdut_exact_1d(*uniform_instance(50, 50, 1, 0))
 cdut.cdut_approx_v1(*uniform_instance(12, 12, 2, 0), 0.5)
 loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
 assert not loaded, loaded
-a, b = uniform_instance(20, 20, 2, 0)
+a, b = uniform_instance(40, 40, 2, 0)
 assert cdut.build_index(b).backend == "kdtree"
 report = cdut.cdut_approx_v1(a, b, 0.5)
 brute = cdut.chamfer_translated(a, report.translation, b, index=cdut.build_index(b, backend="brute"))
