@@ -98,8 +98,6 @@ def cdut_approx_v2(
     Chamfer cost at its translation.
     """
     _check_epsilon(epsilon)
-    if not 1.0 < c < math.inf:
-        raise ValueError("approximation factor c must exceed 1 and be finite")
     _check_same_dim(a, b)
     anchors = sample_anchors(len(a), anchor_count(epsilon, delta), seed)
     ladder = build_ladder(

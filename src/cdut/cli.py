@@ -11,13 +11,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .approx import DEFAULT_DELTA, cdut_approx_v1, cdut_approx_v2
+from .approx import cdut_approx_v1, cdut_approx_v2
 from .core import ChamferReport, Metric, PointSet
 from .decision import SeparationError, decide_cdut
 from .gadgets import combine_gadgets, ov_pair
@@ -41,49 +40,29 @@ EXIT_INVALID = 2
 EXIT_NO = 3
 
 
-@dataclass
-class RunRecord:
+def _record(report: ChamferReport, metric: Metric, wall_ms: float) -> dict:
     """One reproducible run: inputs, result, and cost counters."""
-
-    algorithm: str
-    value: float
-    translation: list[float]
-    metric: str
-    seed: Optional[int] = None
-    epsilon: Optional[float] = None
-    c: Optional[float] = None
-    wall_ms: float = 0.0
-    evaluations: Optional[int] = None
-    extras: Optional[dict] = None
-
-    def to_kv(self) -> str:
-        parts = [f"algorithm={self.algorithm}", f"value={self.value!r}"]
-        parts.append("translation=" + ",".join(repr(v) for v in self.translation))
-        parts.append(f"metric={self.metric}")
-        for key in ("seed", "epsilon", "c", "evaluations"):
-            val = getattr(self, key)
-            if val is not None:
-                parts.append(f"{key}={val}")
-        parts.append(f"wall_ms={self.wall_ms:.3f}")
-        return " ".join(parts)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+    return {
+        "algorithm": report.algorithm,
+        "value": float(report.value),
+        "translation": [float(v) for v in np.atleast_1d(report.translation)],
+        "metric": metric.name,
+        "seed": report.seed,
+        "epsilon": report.epsilon,
+        "c": report.c,
+        "wall_ms": wall_ms,
+        "evaluations": report.evaluations,
+        "extras": report.extras,
+    }
 
 
-def _record_from_report(report: ChamferReport, metric: Metric, wall_ms: float) -> RunRecord:
-    return RunRecord(
-        algorithm=report.algorithm,
-        value=float(report.value),
-        translation=[float(v) for v in np.atleast_1d(report.translation)],
-        metric=metric.name,
-        seed=report.seed,
-        epsilon=report.epsilon,
-        c=report.c,
-        wall_ms=wall_ms,
-        evaluations=report.evaluations,
-        extras=report.extras,
-    )
+def _kv(record: dict) -> str:
+    parts = [f"algorithm={record['algorithm']}", f"value={record['value']!r}"]
+    parts.append("translation=" + ",".join(repr(v) for v in record["translation"]))
+    parts.append(f"metric={record['metric']}")
+    parts += [f"{key}={record[key]}" for key in ("seed", "epsilon", "c", "evaluations") if record[key] is not None]
+    parts.append(f"wall_ms={record['wall_ms']:.3f}")
+    return " ".join(parts)
 
 
 def _load_pair(args) -> tuple[PointSet, PointSet, Metric]:
@@ -109,12 +88,13 @@ class SolveOptions(NamedTuple):
     resolution: Optional[float] = None
 
 
+def _given_delta(opts: SolveOptions) -> dict:
+    # a solver keeps its own default delta unless --delta is given
+    return {} if opts.delta is None else {"delta": opts.delta}
+
+
 def _localnet(a: PointSet, b: PointSet, metric: Metric, opts: SolveOptions) -> ChamferReport:
-    config = LocalNetConfig(
-        epsilon=opts.epsilon,
-        delta=0.1 if opts.delta is None else opts.delta,
-        union_mode=opts.union_net,
-    )
+    config = LocalNetConfig(epsilon=opts.epsilon, union_mode=opts.union_net, **_given_delta(opts))
     return cdut_localnet(a, b, config, seed=opts.seed, metric=metric)
 
 
@@ -123,19 +103,15 @@ def _oracle_grid(a: PointSet, b: PointSet, metric: Metric, opts: SolveOptions) -
     return oracle_cdut_grid(a, b, spec=spec, metric=metric)
 
 
-def _approx_delta(opts: SolveOptions) -> float:
-    return DEFAULT_DELTA if opts.delta is None else opts.delta
-
-
 # algorithm name -> solver; ``compute`` and ``bench`` both run algorithms from here
 SOLVERS: dict[str, Callable[[PointSet, PointSet, Metric, SolveOptions], ChamferReport]] = {
     "exact1d": lambda a, b, metric, opts: cdut_exact_1d(a, b),
     "exact-l1linf": lambda a, b, metric, opts: cdut_exact_l1_linf(a, b, metric),
     "approx-v1": lambda a, b, metric, opts: cdut_approx_v1(
-        a, b, opts.epsilon, seed=opts.seed, delta=_approx_delta(opts), metric=metric
+        a, b, opts.epsilon, seed=opts.seed, metric=metric, **_given_delta(opts)
     ),
     "approx-v2": lambda a, b, metric, opts: cdut_approx_v2(
-        a, b, opts.epsilon, opts.c, seed=opts.seed, delta=_approx_delta(opts), metric=metric
+        a, b, opts.epsilon, opts.c, seed=opts.seed, metric=metric, **_given_delta(opts)
     ),
     "localnet": _localnet,
     "oracle-1d": lambda a, b, metric, opts: oracle_cdut_1d(a, b),
@@ -144,14 +120,18 @@ SOLVERS: dict[str, Callable[[PointSet, PointSet, Metric, SolveOptions], ChamferR
 ALGORITHMS = tuple(SOLVERS)
 
 
+def _solve(algorithm: str, a: PointSet, b: PointSet, metric: Metric, opts: SolveOptions) -> dict:
+    """Run one registry algorithm and return its timed record."""
+    start = time.perf_counter()
+    report = SOLVERS[algorithm](a, b, metric, opts)
+    return _record(report, metric, (time.perf_counter() - start) * 1000.0)
+
+
 def cmd_compute(args) -> int:
     a, b, metric = _load_pair(args)
     opts = SolveOptions(args.epsilon, args.c, args.delta, args.seed, args.union_net, args.resolution)
-    start = time.perf_counter()
-    report = SOLVERS[args.algorithm](a, b, metric, opts)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    record = _record_from_report(report, metric, wall_ms)
-    print(record.to_json() if args.json else record.to_kv())
+    record = _solve(args.algorithm, a, b, metric, opts)
+    print(json.dumps(record, sort_keys=True) if args.json else _kv(record))
     return EXIT_OK
 
 
@@ -239,15 +219,17 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bench_instance(family: str, size: int, dim: int, seed: int):
-    if family == "uniform":
-        return uniform_instance(size, size, dim, seed)
-    if family == "clustered":
-        return clustered_instance(size, size, dim, seed)
-    if family == "translated-copy":
-        planted = noisy_copy_instance(size, dim, seed, noise=0.25)
-        return planted.a, planted.b
-    raise ValueError(f"unknown bench family {family!r}")
+def _noisy_copy(size: int, dim: int, seed: int) -> tuple[PointSet, PointSet]:
+    planted = noisy_copy_instance(size, dim, seed, noise=0.25)
+    return planted.a, planted.b
+
+
+# bench family -> (size, dim, seed) -> (A, B), both of ``size`` points
+_BENCH_FAMILIES = {
+    "uniform": lambda size, dim, seed: uniform_instance(size, size, dim, seed),
+    "clustered": lambda size, dim, seed: clustered_instance(size, size, dim, seed),
+    "noisy-copy": _noisy_copy,
+}
 
 
 def cmd_bench(args) -> int:
@@ -261,46 +243,28 @@ def cmd_bench(args) -> int:
     for size in sizes:
         for rep in range(args.reps):
             seed = args.seed + 1000 * rep + size
-            a, b = _bench_instance(args.family, size, args.dim, seed)
+            a, b = _BENCH_FAMILIES[args.family](size, args.dim, seed)
             baseline = None
             if args.dim == 1 and size * size <= 10_000:
                 baseline = oracle_cdut_1d(a, b).value
             opts = SolveOptions(args.epsilon, args.c, args.delta, seed=seed)
             for algo in algos:
-                row = {
-                    "algorithm": algo,
-                    "family": args.family,
-                    "size": size,
-                    "rep": rep,
-                    "seed": seed,
-                    "value": None,
-                    "oracle": baseline,
-                    "ratio": None,
-                    "wall_ms": None,
-                    "error": None,
-                }
-                start = time.perf_counter()
+                # bench's own keys; they win over the record's where both have one
+                keys = dict(family=args.family, size=size, rep=rep, seed=seed, oracle=baseline, ratio=None, error=None)
                 try:
-                    report = SOLVERS[algo](a, b, metric, opts)
+                    record = _solve(algo, a, b, metric, opts)
                 except ValueError as exc:
-                    row["error"] = str(exc)
-                    rows.append(row)
+                    rows.append({"algorithm": algo, **keys, "error": str(exc)})
                     continue
-                row["wall_ms"] = (time.perf_counter() - start) * 1000.0
-                row["value"] = report.value
+                value = record["value"]
                 if baseline is not None:
-                    row["ratio"] = (
-                        report.value / baseline
-                        if baseline > 0
-                        else (1.0 if report.value == 0 else float("inf"))
-                    )
-                rows.append(row)
+                    keys["ratio"] = value / baseline if baseline > 0 else (1.0 if value == 0 else float("inf"))
+                rows.append({**record, **keys})
     if args.json:
         for row in rows:
             print(json.dumps(row, sort_keys=True))
     else:
-        header = f"{'algorithm':<14}{'size':>6}{'rep':>5}{'value':>16}{'ratio':>10}{'wall_ms':>12}"
-        print(header)
+        print(f"{'algorithm':<14}{'size':>6}{'rep':>5}{'value':>16}{'ratio':>10}{'wall_ms':>12}")
         for row in rows:
             if row["error"] is not None:
                 print(f"{row['algorithm']:<14}{row['size']:>6}{row['rep']:>5}  error: {row['error']}")
@@ -361,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="time algorithms against the 1D oracle")
     bench.add_argument("--algos", default="exact1d,oracle-1d")
-    bench.add_argument("--family", choices=("uniform", "clustered", "translated-copy"), default="uniform")
+    bench.add_argument("--family", choices=tuple(_BENCH_FAMILIES), default="uniform")
     bench.add_argument("--sizes", default="50,100")
     bench.add_argument("--reps", type=int, default=1)
     bench.add_argument("--dim", type=int, default=1)

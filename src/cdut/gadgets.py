@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import L2, Metric, PointSet
+from .core import L2, PointSet
 
 __all__ = ["GadgetInstance", "gadget_a", "gadget_b", "gadget_width", "ov_pair", "combine_gadgets"]
 
@@ -84,10 +84,8 @@ def ov_pair(x: Sequence[int], y: Sequence[int]) -> GadgetInstance:
     )
 
 
-def combine_gadgets(
-    pairs: Sequence[tuple[PointSet, PointSet]], metric: Metric = L2
-) -> tuple[PointSet, PointSet]:
-    """Concatenate instances along axis 0 with block gaps of 10 n diameter.
+def combine_gadgets(pairs: Sequence[tuple[PointSet, PointSet]]) -> tuple[PointSet, PointSet]:
+    """Concatenate instances along axis 0 with block gaps of 10 n L2-diameter.
 
     The gaps dwarf any within-block cost, so the combined optimum equals
     the best single translation applied to every pair simultaneously.
@@ -100,7 +98,7 @@ def combine_gadgets(
     dim = dims.pop()
     everything = np.concatenate([ps.points for pair in pairs for ps in pair], axis=0)
     span = everything.max(axis=0) - everything.min(axis=0)
-    diameter = float(metric.norms(span))
+    diameter = float(L2.norms(span))
     total = sum(len(ps) for pair in pairs for ps in pair)
     gap = 10.0 * total * diameter
     rows_a, rows_b = [], []

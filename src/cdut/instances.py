@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PointSet
+from .core import PointSet, as_translation
 
 __all__ = [
     "PlantedInstance",
@@ -63,7 +63,7 @@ def translated_copy_instance(m: int, d: int, seed: int, shift=None) -> PlantedIn
     if shift is None:
         shift = _snap(rng.uniform(-20.0, 20.0, size=d))
     else:
-        shift = np.atleast_1d(np.asarray(shift, dtype=np.float64))
+        shift = as_translation(shift, d)
     a = PointSet(base)
     b = PointSet(base + shift)
     return PlantedInstance(a=a, b=b, shift=shift, meta={"kind": "translated-copy"})
@@ -85,7 +85,7 @@ def noisy_copy_instance(
     if shift is None:
         shift = rng.uniform(-20.0, 20.0, size=d)
     else:
-        shift = np.atleast_1d(np.asarray(shift, dtype=np.float64))
+        shift = as_translation(shift, d)
     jitter = rng.uniform(-noise, noise, size=(m, d))
     return PlantedInstance(
         a=PointSet(base),

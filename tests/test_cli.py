@@ -19,7 +19,7 @@ from cdut import (
     oracle_cdut_grid,
 )
 from cdut.cli import ALGORITHMS, SOLVERS, SolveOptions, main
-from cdut.instances import uniform_instance
+from cdut.instances import noisy_copy_instance, uniform_instance
 from cdut.io import InstanceParseError, read_instance, write_instance
 
 
@@ -227,9 +227,19 @@ class TestRegistry:
             assert code == 0, name
             record = json.loads(text)
             report = call(a, b)
-            assert record["algorithm"] == report.algorithm
+            assert record.pop("wall_ms") >= 0.0
+            assert record == {
+                "algorithm": report.algorithm,
+                "value": float(report.value),
+                "translation": [float(v) for v in np.atleast_1d(report.translation)],
+                "metric": "l1",
+                "seed": report.seed,
+                "epsilon": report.epsilon,
+                "c": report.c,
+                "evaluations": report.evaluations,
+                "extras": report.extras,
+            }, name
             assert repr(record["value"]) == repr(float(report.value)), name
-            assert record["translation"] == [float(v) for v in np.atleast_1d(report.translation)], name
 
     def test_bench_rows_match_compute(self, capsys, tmp_path):
         size, seed = 8, 8  # bench seeds rep 0 of size s with --seed + s
@@ -249,7 +259,10 @@ class TestRegistry:
                 assert code == 2, row
                 continue
             assert code == 0, row
-            assert repr(json.loads(text)["value"]) == repr(row["value"]), row
+            record = json.loads(text)
+            assert repr(record["value"]) == repr(row["value"]), row
+            for key in set(record) - {"wall_ms", "seed", "algorithm"}:
+                assert row[key] == record[key], (key, row)
 
 
 class TestDecideCommand:
@@ -357,6 +370,14 @@ class TestGen:
         assert "m = 40 exceeds n = 12" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("dim,shift", [("3", ["5"]), ("2", ["5", "6", "7"])])
+    def test_translated_copy_shift_of_another_length_exits_2(self, capsys, tmp_path, dim, shift):
+        argv = ["gen", "translated-copy", "--out", str(tmp_path / "t"), "--dim", dim, "--shift", *shift]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert f"expected ({dim},)" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_combined_gadget_generation(self, capsys, tmp_path):
         out = tmp_path / "comb"
         code, _, _ = run(
@@ -399,6 +420,22 @@ class TestBench:
         code, text, _ = run(capsys, ["bench", "--algos", "exact1d", "--sizes", "10", "--reps", "1"])
         assert code == 0
         assert "algorithm" in text and "exact1d" in text
+
+    def test_noisy_copy_rows_solve_the_noisy_copy_sets(self, capsys):
+        argv = ["bench", "--algos", "exact1d", "--family", "noisy-copy", "--sizes", "8,12", "--json"]
+        code, text, _ = run(capsys, argv)
+        assert code == 0
+        for row in map(json.loads, text.strip().splitlines()):
+            assert row["family"] == "noisy-copy"
+            inst = noisy_copy_instance(row["size"], 1, row["seed"], noise=0.25)
+            report = cdut_exact_1d(inst.a, inst.b)
+            assert repr(row["value"]) == repr(float(report.value))
+            assert row["translation"] == [float(report.translation[0])]
+
+    def test_translated_copy_family_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--family", "translated-copy"])
+        assert exc.value.code == 2
 
     def test_unknown_algorithm_rejected(self, capsys):
         code, _, err = run(capsys, ["bench", "--algos", "quantum", "--sizes", "10"])

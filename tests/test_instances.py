@@ -52,3 +52,16 @@ class TestSeparatedPlanted:
             separated_planted_instance(4, 16, 2, 1.0, 2.0, 0.25, "yes", seed=0)
         monkeypatch.setattr(cdut.instances, "_MAX_SITES", 16)
         assert len(separated_planted_instance(4, 16, 2, 1.0, 2.0, 0.25, "yes", seed=0).b) == 16
+
+
+@pytest.mark.parametrize("make", [cdut.instances.translated_copy_instance, cdut.instances.noisy_copy_instance])
+class TestGivenShift:
+    @pytest.mark.parametrize("d,shift", [(3, [5.0]), (2, [5.0, 6.0, 7.0]), (1, [[5.0]])])
+    def test_a_shift_of_another_length_is_refused(self, make, d, shift):
+        with pytest.raises(ValueError, match=f"translation has length .*, expected \\({d},\\)"):
+            make(6, d, 0, shift=shift)
+
+    def test_a_shift_of_length_d_is_planted(self, make):
+        inst = make(6, 2, 0, shift=[5, -6])
+        assert inst.shift.dtype == np.float64 and inst.shift.tolist() == [5.0, -6.0]
+        assert np.allclose(inst.b.points - inst.a.points, inst.shift, atol=0.5)
