@@ -64,7 +64,7 @@ def _norms_in_place(metric: Metric, v: np.ndarray) -> np.ndarray:
     Squares and absolute values are taken in place, so the row sums and
     maxima see the same values, in the same layout, that ``norms`` sums.
     """
-    if metric.p == 2.0:
+    if metric.p == 2.0 and v.shape[-1] > 1:
         v *= v
         return np.sqrt(np.sum(v, axis=-1))
     np.abs(v, out=v)

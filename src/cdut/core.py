@@ -68,16 +68,17 @@ class Metric:
         return {1.0: "l1", 2.0: "l2", math.inf: "linf"}[self.p]
 
     def norms(self, vectors: np.ndarray) -> np.ndarray:
-        """lp norms along the last axis."""
+        """lp norms along the last axis.
+
+        With one axis every lp norm is |x|, which l2 takes as it is:
+        squaring would round any |x| below about 1.5e-162 to 0.
+        """
         v = np.asarray(vectors, dtype=np.float64)
-        if self.p == 2.0:
+        if self.p == 2.0 and v.shape[-1] > 1:
             return np.sqrt(np.sum(v * v, axis=-1))
         if self.p == 1.0:
             return np.sum(np.abs(v), axis=-1)
         return np.max(np.abs(v), axis=-1)
-
-    def distance(self, x, y) -> float:
-        return float(self.norms(np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)))
 
 
 L1 = Metric(1.0)
@@ -215,10 +216,12 @@ def _cross_norms(metric: Metric, q: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """
     q_axes, p_axes = np.ascontiguousarray(q.T), np.ascontiguousarray(pts.T)
     fold = np.maximum if metric.p == math.inf else np.add
+    # one axis is |x| in every metric, as in ``norms``
+    square = metric.p == 2.0 and q.shape[1] > 1
 
     def terms(lo: int, hi: int) -> np.ndarray:
         diff = np.subtract(q_axes[lo:hi, :, None], p_axes[lo:hi, None, :])
-        return np.multiply(diff, diff, out=diff) if metric.p == 2.0 else np.abs(diff, out=diff)
+        return np.multiply(diff, diff, out=diff) if square else np.abs(diff, out=diff)
 
     def fold_in(total: np.ndarray, tables) -> np.ndarray:
         for table in tables:
@@ -244,7 +247,7 @@ def _cross_norms(metric: Metric, q: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return fold_in(fold(lanes[0], lanes[1]), terms(tail, hi) if tail < hi else ())
 
     out = pairwise(0, q.shape[1])
-    return np.sqrt(out, out=out) if metric.p == 2.0 else out
+    return np.sqrt(out, out=out) if square else out
 
 
 class NearestIndex:
@@ -300,7 +303,7 @@ class NearestIndex:
             return self._brute(q)
         if self.backend == "sorted":
             return self._sorted(q, normalize_ties)
-        return self._kdtree(q, normalize_ties)
+        return self._kdtree(q)
 
     # -- internals ----------------------------------------------------------
 
@@ -340,26 +343,31 @@ class NearestIndex:
                 dist[far], idx[far] = self._brute(q[far])
         return dist, idx
 
-    def _kdtree(self, q: np.ndarray, normalize_ties: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _kdtree(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = self.source.points
         if len(self.source) == 1:
             idx = np.zeros(len(q), dtype=np.int64)
             return self.metric.norms(q - pts[0]), idx
         _, pair_idx = self._tree.query(q, k=2, p=self.metric.p)
-        d0 = self.metric.norms(q - pts[pair_idx[:, 0]])
-        d1 = self.metric.norms(q - pts[pair_idx[:, 1]])
+        dist = self.metric.norms(q - pts[pair_idx[:, 0]])
+        runner_up = self.metric.norms(q - pts[pair_idx[:, 1]])
         idx = pair_idx[:, 0].astype(np.int64)
-        dist = np.minimum(d0, d1)
-        # the tree ranks by its own arithmetic; re-ranking with ours can flip
-        # the order at the last ulp
-        swap = d1 < d0
-        idx[swap] = pair_idx[swap, 1]
-        if normalize_ties:
-            # two nearest at one distance: the lowest index among all of them
-            # comes from one brute pass over those rows
-            tied = d0 == d1
-            if np.any(tied):
-                dist[tied], idx[tied] = self._brute(q[tied])
+        # The tree ranks by its own arithmetic, so in ours its two nearest
+        # can swap or tie, and a point past them can tie or beat them.  In
+        # either arithmetic a sum of d squared terms is off by a relative
+        # e = (d + 2) eps / 2 at most: one rounding for each difference,
+        # doubled by squaring, one for each square and d - 1 for the sum, in
+        # any order (l1 and linf round less, and a square root halves it
+        # and adds eps / 2).  A point past the two is then, in our
+        # arithmetic, at least the runner-up times (1 - e)^2 / (1 + e)^2,
+        # about 1 - 4e.  Every row whose runner-up does not clear the
+        # nearest by 4 times that band goes to one brute pass, which also
+        # settles the lowest index among tied points; on every other row the
+        # tree's nearest wins alone.  Squares that underflow are not covered.
+        band = 8.0 * (self.source.dim + 2) * np.finfo(np.float64).eps
+        near = runner_up <= dist * (1.0 + band)
+        if np.any(near):
+            dist[near], idx[near] = self._brute(q[near])
         return dist, idx
 
 

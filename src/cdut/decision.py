@@ -75,7 +75,6 @@ class SeparationCertificate:
 @dataclass(frozen=True)
 class MedianResult:
     point: np.ndarray
-    total_distance: float
     iterations: int
     converged: bool
 
@@ -183,8 +182,7 @@ def geometric_median(points, additive_accuracy: float) -> MedianResult:
         if step < additive_accuracy / 2.0:
             converged = True
             break
-    total = float(np.sum(np.sqrt(np.sum((p - x) ** 2, axis=-1))))
-    return MedianResult(point=x, total_distance=total, iterations=it, converged=converged)
+    return MedianResult(point=x, iterations=it, converged=converged)
 
 
 def total_distance(deltas: np.ndarray, point: np.ndarray, metric: Metric = L2) -> float:

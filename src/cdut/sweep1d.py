@@ -34,12 +34,13 @@ winner is picked exactly: every match whose swept value lies within the
 rounding slack of the lowest goes, in ascending t, to
 ``core.chamfer_argmin``, which returns the smallest t of lowest exact
 value.  Far from the origin that slack can admit most matches; when their
-exact scan would take more query rows than the one-shot sweep has events
-(and more than ``core._QUERY_ROWS``), the one-shot sweep decides instead.
-Memory is bounded by the largest run swept, which can still be all events,
-as at m = 1, where every window bounds to 0.  The one-pass sweep settles
-its near ties by the same exact scan: at m = 1 every match is an exact
-zero, yet the swept values can rank one of them above 0 by rounding.
+exact scan would take more query rows than there are events (and more
+than ``core._QUERY_ROWS``), the match of lowest swept value over the runs
+already swept wins, the smallest on ties, so no event is swept twice.
+Memory is bounded by the runs swept, which can still hold all events, as
+at m = 1, where every window bounds to 0.  The one-pass sweep settles its
+near ties by the same step: at m = 1 every match is an exact zero, yet the
+swept values can rank one of them above 0 by rounding.
 
 For the l1 metric the same kink structure holds per coordinate, so in d
 dimensions the optimum lies on the grid of per-dimension alignments
@@ -283,29 +284,21 @@ def _window_bounds(av: np.ndarray, bv: np.ndarray, lo: np.ndarray, hi: np.ndarra
         above = padded[right]
         gap = np.minimum(q_lo - padded[right - 1], above - q_hi)
         gap[above <= q_hi] = 0.0
-        # the index's own l2 arithmetic, which rounds a tiny gap to 0
-        np.multiply(gap, gap, out=gap)
-        np.sqrt(gap, out=gap)
         q_lo[:, order] = gap  # back in A's order, in a buffer no longer needed
         bounds[s : s + step] = q_lo.sum(axis=1)
     return bounds
 
 
-def _slack(a: PointSet, b: PointSet) -> float:
-    """``core._rounding`` over every match translation of A and B."""
-    av, bv = a.points[:, 0], b.points[:, 0]
-    return _rounding(a, np.array([bv.min() - av.max(), bv.max() - av.min()]))
-
-
 def _exact_near_ties(a: PointSet, b: PointSet, index: NearestIndex, runs, rounding: float, events: int):
     """The smallest match translation of lowest exact value among the
-    matches of swept ``runs``, each a ``sweep_curve`` result.
+    matches of swept ``runs``, each a ``sweep_curve`` result, in ascending t.
 
     Swept values drift from exact ones within the rounding slack, so every
     match whose swept value lies that close to the lowest goes, in
     ascending t, to ``chamfer_argmin``, which returns the first minimum; a
-    lone near tie wins without a query.  Returns None when that scan would
-    take more query rows than the larger of ``events`` and ``_QUERY_ROWS``.
+    lone near tie wins without a query.  When that scan would take more
+    query rows than the larger of ``events`` and ``_QUERY_ROWS``, the
+    match of lowest swept value wins instead, the smallest on ties.
     """
     is_match = [n_match > 0 for _, _, n_match, _ in runs]
     low = min(float(values.min(where=match, initial=math.inf)) for (_, values, _, _), match in zip(runs, is_match))
@@ -314,26 +307,21 @@ def _exact_near_ties(a: PointSet, b: PointSet, index: NearestIndex, runs, roundi
     if near.size * len(a) > max(events, _QUERY_ROWS):
         # the slack grows with the coordinates' magnitude; far from the
         # origin it can admit most matches
-        return None
+        return np.concatenate([ts[match & (values == low)] for (ts, values, _, _), match in zip(runs, is_match)])[0]
     if near.size == 1:
         return near[0]
     return near[chamfer_argmin(a, near, b, index=index).pos]
 
 
-def _windowed_argmin(a: PointSet, b: PointSet, index: NearestIndex, events: int, lo: np.ndarray, hi: np.ndarray):
-    """The smallest match translation of lowest exact value, sweeping only
-    the windows [lo, hi) whose lower bound can still win.
-
-    Returns the translation and the distinct event positions and windows
-    swept, or None when ``_exact_near_ties`` declines.
-    """
+def _windowed_runs(a: PointSet, b: PointSet, index: NearestIndex, rounding: float, lo: np.ndarray, hi: np.ndarray):
+    """``sweep_curve`` runs, in ascending t, over the windows [lo, hi)
+    whose lower bound can still win, and the number of windows swept."""
     av = a.points[:, 0]
     bv = np.sort(b.points[:, 0])
     bounds = _window_bounds(av, bv, lo, hi)
-    rounding = _slack(a, b)
     first = int(np.argmin(bounds))
     pieces = {first: sweep_curve(a, b, index, (lo[first], hi[first]))}
-    ts, values, n_match, _ = pieces[first]
+    _, values, n_match, _ = pieces[first]
     best = float(values[n_match > 0].min())
     live = bounds - rounding <= best * (1.0 + _PRUNE_SLACK)
     live[first] = False
@@ -341,11 +329,7 @@ def _windowed_argmin(a: PointSet, b: PointSet, index: NearestIndex, events: int,
     flips = np.flatnonzero(np.diff(np.concatenate([[False], live, [False]]).astype(np.int8)))
     for start, stop in zip(flips[::2], flips[1::2]):
         pieces[start] = sweep_curve(a, b, index, (lo[start], hi[stop - 1]))
-    runs = [pieces[key] for key in sorted(pieces)]
-    t = _exact_near_ties(a, b, index, runs, rounding, events)
-    if t is None:
-        return None
-    return t, sum(ts.size for ts, _, _, _ in runs), 1 + int(live.sum())
+    return [pieces[key] for key in sorted(pieces)], 1 + int(live.sum())
 
 
 def cdut_exact_1d(a: PointSet, b: PointSet) -> ChamferReport:
@@ -354,32 +338,26 @@ def cdut_exact_1d(a: PointSet, b: PointSet) -> ChamferReport:
     The returned translation is the smallest match translation b - a of
     lowest exact value; value and assignment are re-evaluated exactly
     there.  Only when the exact scan of the near ties declines (coordinates
-    far from the origin) does the one-shot sweep pick the match of lowest
-    swept value, the smallest on ties.  ``evaluations`` counts the distinct
-    event positions swept; the extras give all 2mn - m events
-    (``events_full``), the windows, and the windows swept.
+    far from the origin) does the match of lowest swept value win, the
+    smallest on ties.  ``evaluations`` counts the distinct event positions
+    swept; the extras give all 2mn - m events (``events_full``), the
+    windows, and the windows swept.
     """
     events = _event_count(a, b)
     index = build_index(b)
-    edges = found = None
-    if events > _WINDOW_EVENTS:
-        edges = _windows(a.points[:, 0], np.sort(b.points[:, 0]), events)
-    windows = 1 if edges is None else len(edges[0])
-    if edges is not None:
-        found = _windowed_argmin(a, b, index, events, *edges)
-    if found is None:
-        curve = sweep_curve(a, b, index)
-        t = _exact_near_ties(a, b, index, [curve], _slack(a, b), events)
-        if t is None:
-            ts, values, n_match, _ = curve
-            match_pos = np.flatnonzero(n_match > 0)
-            t = ts[match_pos[np.argmin(values[match_pos])]]
-        found = t, curve[0].size, windows
-    t, swept, windows_swept = found
+    av, bv = a.points[:, 0], np.sort(b.points[:, 0])
+    rounding = _rounding(a, np.array([bv[0] - av.max(), bv[-1] - av.min()]))
+    edges = _windows(av, bv, events) if events > _WINDOW_EVENTS else None
+    if edges is None:
+        runs, windows, windows_swept = [sweep_curve(a, b, index)], 1, 1
+    else:
+        runs, windows_swept = _windowed_runs(a, b, index, rounding, *edges)
+        windows = len(edges[0])
+    t = _exact_near_ties(a, b, index, runs, rounding, events)
     return replace(
         chamfer_translated(a, t, b, index=index),
         algorithm="exact1d",
-        evaluations=int(swept),
+        evaluations=sum(ts.size for ts, _, _, _ in runs),
         extras={"events_full": events, "windows": windows, "windows_swept": windows_swept},
     )
 

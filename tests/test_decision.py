@@ -171,22 +171,23 @@ class TestSeparation:
 
 class TestGeometricMedian:
     def test_square_symmetry_forces_center(self):
-        result = geometric_median(
-            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 1e-8
-        )
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        result = geometric_median(square, 1e-8)
         assert np.allclose(result.point, [0.5, 0.5], atol=1e-6)
-        assert result.total_distance == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-5)
+        assert total_distance(square, result.point) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-5)
         assert result.converged
 
     def test_1d_median_is_the_middle_point(self):
-        result = geometric_median(np.array([[0.0], [2.0], [10.0]]), 1e-8)
+        line = np.array([[0.0], [2.0], [10.0]])
+        result = geometric_median(line, 1e-8)
         assert result.point[0] == pytest.approx(2.0, abs=1e-7)
-        assert result.total_distance == pytest.approx(10.0, abs=1e-6)
+        assert total_distance(line, result.point) == pytest.approx(10.0, abs=1e-6)
 
     def test_single_point(self):
-        result = geometric_median(np.array([[3.0, 4.0]]), 1e-6)
+        point = np.array([[3.0, 4.0]])
+        result = geometric_median(point, 1e-6)
         assert np.array_equal(result.point, [3.0, 4.0])
-        assert result.total_distance == 0.0
+        assert total_distance(point, result.point) == 0.0
 
     def test_objective_matches_local_grid_search(self):
         rng = np.random.default_rng(12)
@@ -200,7 +201,7 @@ class TestGeometricMedian:
             objective = np.sum(
                 np.sqrt(np.sum((cloud[None, :, :] - probes[:, None, :]) ** 2, axis=-1)), axis=1
             )
-            assert result.total_distance <= objective.min() + accuracy + 1e-12
+            assert total_distance(cloud, result.point) <= objective.min() + accuracy + 1e-12
 
     def test_optimal_data_point_is_recognized(self):
         # the middle of three collinear points is the exact median

@@ -190,6 +190,8 @@ class TestSortedRunBuild:
     @example((pts1([0.5]), pts1([2.0, -1.0, 7.25])))
     @example((pts1([3.0, -2.0, 3.0]), pts1([1.5])))
     @example((pts1([1e12 + 0.1]), pts1([1e12 + 3.7])))
+    # subnormal gaps, which l2 would round to 0 by squaring
+    @example((pts1([0.0, 2.2e-311]), pts1([0.0, 2.2e-311])))
     def test_bit_identical_to_the_unique_build(self, sets):
         a, b = sets
         got, want = sweep_curve(a, b), reference_sweep(a, b)
@@ -223,6 +225,7 @@ class TestWindowedSweep:
     @example((pts1([43.70204565131297]), pts1([54.09146588319814, -82.19632336635216, -32.14179336935338,
                                                60.54214227335487, -47.157040982692855, 84.3572178469791,
                                                5.620922740486137, 1.1])), 8)
+    @example((pts1([0.0, 0.0, 6.6e-294]), pts1([0.0])), 8)
     def test_translation_is_the_first_exact_minimum(self, sets, window):
         a, b = sets
         m, n = len(a), len(b)
@@ -299,24 +302,31 @@ class TestWindowedSweep:
         assert cdut_exact_1d(a, b).translation[0] == first_exact_minimum(a, b)
         assert not scanned
 
-    def test_far_from_the_origin_the_one_shot_sweep_decides(self, monkeypatch):
+    def test_far_from_the_origin_the_lowest_swept_match_wins(self, monkeypatch):
         # near 1e12 the rounding slack admits every match to the exact scan;
-        # past its row cap the one-shot sweep picks the winner instead
+        # past its row cap the match of lowest swept value over the runs
+        # already swept wins instead, and no event is swept twice
         a, b = uniform_instance(20, 20, 1, 9)
         a, b = PointSet(a.points + 1e12), PointSet(b.points + 1e12)
         whole = cdut_exact_1d(a, b)
-        scanned = []
-        scan = cdut.sweep1d.chamfer_argmin
+        scanned, runs = [], []
+        scan, curve = cdut.sweep1d.chamfer_argmin, cdut.sweep1d.sweep_curve
 
         def counting(a, ts, b, **kwargs):
             scanned.append(len(ts))
             return scan(a, ts, b, **kwargs)
 
+        def sweeping(*args):
+            runs.append(curve(*args))
+            return runs[-1]
+
         monkeypatch.setattr(cdut.sweep1d, "chamfer_argmin", counting)
+        monkeypatch.setattr(cdut.sweep1d, "sweep_curve", sweeping)
         monkeypatch.setattr(cdut.sweep1d, "_WINDOW_EVENTS", 64)
         cdut_exact_1d(a, b)
         assert scanned and scanned[0] * len(a) > 2 * 20 * 20 - 20
         monkeypatch.setattr(cdut.sweep1d, "_QUERY_ROWS", 0)
+        runs.clear()
         report = cdut_exact_1d(a, b)
         assert len(scanned) == 1
         assert report.extras["windows"] > 1
@@ -324,6 +334,15 @@ class TestWindowedSweep:
         assert report.evaluations == whole.evaluations
         assert np.float64(report.value).tobytes() == np.float64(whole.value).tobytes()
         assert np.array_equal(report.translation, whole.translation)
+        # every swept position once, in ascending t across the runs
+        assert sum(ts.size for ts, _, _, _ in runs) == report.evaluations
+        runs.sort(key=lambda run: run[0][0])
+        ts = np.concatenate([ts for ts, _, _, _ in runs])
+        assert np.all(np.diff(ts) > 0)
+        # the match of lowest swept value, the first on ties
+        match = np.concatenate([n_match > 0 for _, _, n_match, _ in runs])
+        values = np.concatenate([values for _, values, _, _ in runs])
+        assert report.translation[0] == ts[match][np.argmin(values[match])]
 
     def test_bench_sized_solve_sweeps_few_windows(self, monkeypatch):
         a, b = uniform_instance(400, 400, 1, 8191)
