@@ -11,7 +11,6 @@ trading a factor c for query speed and never underestimating.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -65,9 +64,8 @@ def cdut_approx_v1(
     index = build_index(b, metric)
     best, _, rows = chamfer_argmin(a, candidates, b, metric, index)
     n = len(b)
-    return replace(
-        chamfer_translated(a, candidates[best], b, metric, index),
-        algorithm="approx-v1",
+    return chamfer_translated(
+        a, candidates[best], b, metric, index, "approx-v1",
         epsilon=epsilon,
         seed=seed,
         evaluations=int(len(candidates)),

@@ -1,8 +1,8 @@
 """Command-line frontend: compute, decide, gen, and bench subcommands.
 
 Exit codes: 0 success (or YES), 1 file/parse problems, 2 validation or
-precondition failures (including a violated separation assumption),
-3 NO from the decision procedure.
+precondition failures (including a violated separation assumption) and
+solves that run out of memory, 3 NO from the decision procedure.
 """
 
 from __future__ import annotations
@@ -346,8 +346,11 @@ def main(argv=None) -> int:
     except (InstanceParseError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
-    except (ValueError, SeparationError) as exc:
+    except ValueError as exc:  # SeparationError among them
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:
+        print("error: out of memory; try smaller inputs or a coarser setting", file=sys.stderr)
         return EXIT_INVALID
 
 

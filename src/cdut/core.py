@@ -11,7 +11,7 @@ is required to produce bit-identical assignments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -255,8 +255,9 @@ class NearestIndex:
 
     backend 'brute' scans all points, 'kdtree' wraps a k-d tree and 'sorted'
     searches the sorted coordinates of a one-dimensional set.  All return
-    identical (distance, index) answers: distances are recomputed with the
-    metric's own arithmetic and ties resolve to the lowest index in B.
+    identical (distance, index) answers on every query: distances are
+    recomputed with the metric's own arithmetic and ties resolve to the
+    lowest index in B.
     'auto' takes 'brute' below 32 points at d < 8 and below 16 points at
     d >= 8, else 'sorted' at d = 1 and 'kdtree' above.  scipy is loaded on
     the first kd-tree build.
@@ -288,21 +289,16 @@ class NearestIndex:
             values = np.concatenate([-pad, source.points[lowest], pad])
             self._runs = values, np.concatenate([[0, 0], lowest, [0, 0]])
 
-    def query_many(
-        self, queries: np.ndarray, normalize_ties: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact NN distance and index for each query row.
-
-        Without ``normalize_ties`` the distances are the same, but a query
-        with several nearest points may get any of them.
-        """
+    def query_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact NN distance for each query row, and the lowest index in B
+        at that distance."""
         q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
         if q.ndim != 2 or q.shape[1] != self.source.dim:
             raise ValueError(f"queries must have shape (*, {self.source.dim})")
         if self.backend == "brute":
             return self._brute(q)
         if self.backend == "sorted":
-            return self._sorted(q, normalize_ties)
+            return self._sorted(q)
         return self._kdtree(q)
 
     # -- internals ----------------------------------------------------------
@@ -324,7 +320,7 @@ class NearestIndex:
             out_d[start:stop] = dmat[np.arange(stop - start), idx]
         return out_d, out_i
 
-    def _sorted(self, q: np.ndarray, normalize_ties: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _sorted(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values, lowest = self._runs
         # two distinct values below each query and two at or above it; a
         # padding value is infinitely far
@@ -333,14 +329,13 @@ class NearestIndex:
         dist = dists.min(axis=1)
         hit = dists == dist[:, None]
         idx = np.where(hit, lowest[near], len(self.source)).min(axis=1)
-        if normalize_ties:
-            # a rounded difference is monotone in the value, so the two middle
-            # values hold the minimum; an outer one ties it only when rounding
-            # merges two differences, and then a farther value may tie too:
-            # one brute pass over those rows settles the lowest index
-            far = hit[:, 0] | hit[:, 3]
-            if np.any(far):
-                dist[far], idx[far] = self._brute(q[far])
+        # a rounded difference is monotone in the value, so the two middle
+        # values hold the minimum; an outer one ties it only when rounding
+        # merges two differences, and then a farther value may tie too: one
+        # brute pass over those rows settles the lowest index
+        far = hit[:, 0] | hit[:, 3]
+        if np.any(far):
+            dist[far], idx[far] = self._brute(q[far])
         return dist, idx
 
     def _kdtree(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,16 +382,7 @@ def chamfer(
     ``index``, when given, is an index over ``b`` in ``metric`` and is used
     instead of building one; ``build_index`` chooses its backend.
     """
-    _check_same_dim(a, b)
-    if index is None:
-        index = build_index(b, metric)
-    dists, idx = index.query_many(a.points)
-    return ChamferReport(
-        value=float(np.sum(dists)),
-        translation=np.zeros(a.dim),
-        assignment=idx,
-        algorithm="exact",
-    )
+    return chamfer_translated(a, np.zeros(a.dim), b, metric, index)
 
 
 def chamfer_translated(
@@ -405,11 +391,21 @@ def chamfer_translated(
     b: PointSet,
     metric: Metric = L2,
     index: Optional[NearestIndex] = None,
+    algorithm: str = "exact",
+    **fields,
 ) -> ChamferReport:
-    """Exact Chamfer distance of ``a`` shifted by ``t`` against ``b``."""
+    """Exact Chamfer distance of ``a`` shifted by ``t`` against ``b``.
+
+    Every solver whose value is an exact Chamfer sum finishes here: the
+    report carries ``algorithm`` and ``fields`` (``epsilon``, ``seed``,
+    ``evaluations``, ``extras``) as given.
+    """
     _check_same_dim(a, b)
     t = as_translation(t, a.dim)
-    return replace(chamfer(a.translated(t), b, metric, index), translation=t)
+    if index is None:
+        index = build_index(b, metric)
+    dists, idx = index.query_many(a.translated(t).points)
+    return ChamferReport(float(np.sum(dists)), t, idx, algorithm, **fields)
 
 
 def difference_candidates(a: PointSet, b: PointSet, anchors: np.ndarray) -> np.ndarray:
@@ -513,7 +509,7 @@ def _distances(cols: np.ndarray, ts: np.ndarray, index: NearestIndex) -> np.ndar
             for c0 in range(0, c, c_step):
                 cb = cols[c0 : c0 + c_step]
                 queries = (tb[:, None, :] + cb[None, :, :]).reshape(-1, d)
-                dd, _ = index.query_many(queries, normalize_ties=False)
+                dd, _ = index.query_many(queries)
                 dist[t0 : t0 + len(tb), c0 : c0 + len(cb)] = dd.reshape(len(tb), len(cb))
         return dist
 

@@ -33,7 +33,7 @@ of translations and agree on the minimum value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -207,9 +207,8 @@ def cdut_localnet(
         if found.value < u:
             best_t = found.translation
         net_size, net_rows, bound_rows = net.size, found.rows, found.bound_rows
-    return replace(
-        chamfer_translated(a, best_t, b, metric, index=index),
-        algorithm="localnet-union" if config.union_mode else "localnet",
+    return chamfer_translated(
+        a, best_t, b, metric, index, "localnet-union" if config.union_mode else "localnet",
         epsilon=config.epsilon,
         seed=seed,
         evaluations=net_size,

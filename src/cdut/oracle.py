@@ -10,7 +10,7 @@ approximation algorithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,9 +63,7 @@ def oracle_cdut_1d(a: PointSet, b: PointSet) -> ChamferReport:
     index = build_index(b)
     values = chamfer_many(a, cands.reshape(-1, 1), b, index=index)
     best = int(np.argmin(values))  # first minimum = smallest t
-    return replace(
-        chamfer_translated(a, cands[best], b, index=index), algorithm="oracle-1d", evaluations=int(cands.size)
-    )
+    return chamfer_translated(a, cands[best], b, index=index, algorithm="oracle-1d", evaluations=int(cands.size))
 
 
 def default_grid_spec(a: PointSet, b: PointSet, resolution: Optional[float] = None) -> GridSearchSpec:
@@ -109,9 +107,8 @@ def oracle_cdut_grid(
     index = build_index(b, metric)
     values = chamfer_many(a, grid, b, metric, index=index)
     best = int(np.argmin(values))
-    return replace(
-        chamfer_translated(a, grid[best], b, metric, index=index),
-        algorithm="oracle-grid",
+    return chamfer_translated(
+        a, grid[best], b, metric, index, "oracle-grid",
         evaluations=int(total),
         # m times the farthest a box point can be from the nearest grid node
         extras={"slack": len(a) * (g * float(metric.norms(np.ones(a.dim))) / 2.0)},

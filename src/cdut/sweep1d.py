@@ -70,7 +70,6 @@ reduction exists and linf requests are refused.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -354,9 +353,8 @@ def cdut_exact_1d(a: PointSet, b: PointSet) -> ChamferReport:
         runs, windows_swept = _windowed_runs(a, b, index, rounding, *edges)
         windows = len(edges[0])
     t = _exact_near_ties(a, b, index, runs, rounding, events)
-    return replace(
-        chamfer_translated(a, t, b, index=index),
-        algorithm="exact1d",
+    return chamfer_translated(
+        a, t, b, index=index, algorithm="exact1d",
         evaluations=sum(ts.size for ts, _, _, _ in runs),
         extras={"events_full": events, "windows": windows, "windows_swept": windows_swept},
     )
@@ -411,23 +409,21 @@ def cdut_exact_l1_linf(a: PointSet, b: PointSet, metric: Metric) -> ChamferRepor
             "exact linf search is limited to d <= 2; alignment candidates are "
             "not optimal for linf in higher dimension"
         )
-    index = None
-    if metric.p == math.inf and a.dim == 2:
-        # max(|x|, |y|) = (|x+y| + |x-y|) / 2: solve as l1 in rotated coords
+    rotated = metric.p == math.inf and a.dim == 2
+    if rotated:
+        # max(|x|, |y|) = (|x+y| + |x-y|) / 2: solve as l1 in rotated coords,
+        # then turn the winner back (rot @ rot = 2 I)
         rot = np.array([[1.0, 1.0], [1.0, -1.0]])
-        ra, rb = a.points @ rot.T, b.points @ rot.T
-        grid = _alignment_lattice(ra, rb)
-        found = lattice_argmin(PointSet(ra), grid, PointSet(rb), L1, holds_optimum=True)
-        t = found.translation @ np.array([[0.5, 0.5], [0.5, -0.5]]).T
+        fa, fb, frame_metric = PointSet(a.points @ rot.T), PointSet(b.points @ rot.T), L1
     else:
-        grid = _alignment_lattice(a.points, b.points)
-        index = build_index(b, metric)
-        # first minimum = lexicographically smallest t
-        found = lattice_argmin(a, grid, b, metric, index, holds_optimum=True)
-        t = found.translation
-    return replace(
-        chamfer_translated(a, t, b, metric, index=index),
-        algorithm="exact-l1linf",
+        fa, fb, frame_metric = a, b, metric
+    grid = _alignment_lattice(fa.points, fb.points)
+    index = build_index(fb, frame_metric)
+    # first minimum = lexicographically smallest t
+    found = lattice_argmin(fa, grid, fb, frame_metric, index, holds_optimum=True)
+    t = found.translation @ (rot / 2.0).T if rotated else found.translation
+    return chamfer_translated(
+        a, t, b, metric, None if rotated else index, "exact-l1linf",
         evaluations=grid.size,
         extras={
             "engine_rows": found.rows,

@@ -136,6 +136,18 @@ class TestCompute:
         assert code == 1
         assert "error" in err
 
+    def test_out_of_memory_exits_2(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "uni"
+        run(capsys, ["gen", "uniform", "--out", str(out), "--m", "6", "--n", "6", "--seed", "2"])
+
+        def exhausted(a, b, metric, opts):
+            raise MemoryError
+
+        monkeypatch.setitem(SOLVERS, "approx-v1", exhausted)
+        code, text, err = run(capsys, ["compute", "approx-v1", f"{out}_a.txt", f"{out}_b.txt"])
+        assert (code, text) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
     @pytest.mark.parametrize("algorithm", ["approx-v1", "approx-v2"])
     @pytest.mark.parametrize("epsilon", ["1.0", "0.0"])

@@ -268,16 +268,13 @@ def tie_heavy(draw, scaled=False):
 
 def assert_backends_agree(b, queries, metric):
     """kdtree and, at d = 1, sorted give brute's distances bit for bit, and
-    its indices when ties are normalised."""
+    its indices."""
     want_d, want_i = build_index(b, metric, "brute").query_many(queries)
     backends = ("kdtree", "sorted") if b.dim == 1 else ("kdtree",)
     for backend in backends:
-        index = build_index(b, metric, backend)
-        for normalize_ties in (True, False):
-            dist, idx = index.query_many(queries, normalize_ties)
-            assert dist.tobytes() == want_d.tobytes()
-            if normalize_ties:
-                assert np.array_equal(idx, want_i)
+        dist, idx = build_index(b, metric, backend).query_many(queries)
+        assert dist.tobytes() == want_d.tobytes()
+        assert np.array_equal(idx, want_i)
 
 
 @settings(max_examples=150, deadline=None)

@@ -469,9 +469,9 @@ class TestPrunedDecide:
         rows = []
         query = cdut.core.NearestIndex.query_many
 
-        def counting(self, queries, normalize_ties=True):
+        def counting(self, queries):
             rows.append(len(queries))
-            return query(self, queries, normalize_ties)
+            return query(self, queries)
 
         monkeypatch.setattr(cdut.core.NearestIndex, "query_many", counting)
         result = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=0)
