@@ -15,7 +15,7 @@ Hash families: quantized Gaussian projections for l2, Cauchy projections
 for l1, and quantized coordinate sampling for linf.  Widths, concatenation
 depth and table counts are sized from the family's collision probabilities
 so a single scale answers its (R, cR) near-neighbor question with
-probability at least 1 - miss_prob.
+probability at least 1 - ``_MISS_PROB`` = 0.9.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ _MAX_HASHES = 40
 _MAX_TABLES = 160
 # bucket width as a multiple of the scale's radius
 _WIDTH_FACTOR = 4.0
+# the chance that one scale misses a query's (R, cR) near neighbor
+_MISS_PROB = 0.1
 # the index of a member that is not at its run's nearest distance
 _NO_INDEX = np.iinfo(np.int64).max
 # a table's presence screen has 2^(bit length of its bucket count + this) slots
@@ -241,17 +243,17 @@ class ScaleLadder:
         return best_d, best_i
 
 
-def _scale_parameters(family: str, n: int, c: float, miss_prob: float):
+def _scale_parameters(family: str, n: int, c: float):
     p1 = _collision_prob(family, _WIDTH_FACTOR)
     p2 = _collision_prob(family, _WIDTH_FACTOR / c)
     k = max(1, min(_MAX_HASHES, math.ceil(math.log(max(n, 2)) / math.log(1.0 / p2))))
     hit = p1**k
-    tables = max(1, min(_MAX_TABLES, math.ceil(math.log(1.0 / miss_prob) / -math.log1p(-hit))))
+    tables = max(1, min(_MAX_TABLES, math.ceil(math.log(1.0 / _MISS_PROB) / -math.log1p(-hit))))
     return k, tables
 
 
-def _build_scale(points, radius, family, n, c, miss_prob, rng) -> _Scale:
-    k, tables = _scale_parameters(family, n, c, miss_prob)
+def _build_scale(points, radius, family, n, c, rng) -> _Scale:
+    k, tables = _scale_parameters(family, n, c)
     width = _WIDTH_FACTOR * radius
     return _Scale(radius, [_Table(points, width, family, k, rng) for _ in range(tables)])
 
@@ -282,7 +284,6 @@ def build_ladder(
     U: Optional[float] = None,
     seed: int = 0,
     metric: Metric = L2,
-    miss_prob: float = 0.1,
 ) -> ScaleLadder:
     """Build the multi-scale structure over ``b``.
 
@@ -290,12 +291,11 @@ def build_ladder(
     against a second set should pass diam(A) + diam(B).  Scales are grown
     downward from U and construction stops at the first scale where no two
     distinct points share a bucket within c * R, below which any query has
-    at most one candidate anyway.
+    at most one candidate anyway.  Each scale holds enough tables to miss a
+    query's (R, cR) near neighbor with probability at most ``_MISS_PROB``.
     """
     if not 1.0 < c < math.inf:
         raise ValueError("approximation factor c must exceed 1 and be finite")
-    if not 0.0 < miss_prob < 1.0:
-        raise ValueError("miss_prob must lie in (0, 1)")
     if U is None:
         U = bbox_diameter(b, metric)
     if not math.isfinite(U):
@@ -310,7 +310,7 @@ def build_ladder(
     scales: list[_Scale] = []
     radius = float(U)
     for _ in range(_MAX_SCALES):
-        scale = _build_scale(pts, radius, family, n, c, miss_prob, rng)
+        scale = _build_scale(pts, radius, family, n, c, rng)
         scales.append(scale)
         if not _has_close_bucket_pair(scale, pts, metric, c * radius):
             break

@@ -69,12 +69,13 @@ def _load_pair(args) -> tuple[PointSet, PointSet, Metric]:
     a, tag_a = read_instance(args.file_a)
     b, tag_b = read_instance(args.file_b)
     if args.metric is not None:
-        metric = Metric.from_name(args.metric)
-    elif tag_a or tag_b:
-        metric = Metric.from_name(tag_a or tag_b)
-    else:
-        metric = Metric()
-    return a, b, metric
+        return a, b, Metric.from_name(args.metric)
+    tagged = {Metric.from_name(tag) for tag in (tag_a, tag_b) if tag is not None}
+    if len(tagged) > 1:
+        raise ValueError(
+            f"{args.file_a} is tagged metric={tag_a} but {args.file_b} metric={tag_b}; pass --metric"
+        )
+    return a, b, tagged.pop() if tagged else Metric()
 
 
 class SolveOptions(NamedTuple):

@@ -303,9 +303,6 @@ class NearestIndex:
 
     # -- internals ----------------------------------------------------------
 
-    def _distance_matrix(self, q: np.ndarray) -> np.ndarray:
-        return _cross_norms(self.metric, q, self.source.points)
-
     def _brute(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = len(self.source)
         out_d = np.empty(len(q), dtype=np.float64)
@@ -314,7 +311,7 @@ class NearestIndex:
         chunk = max(1, min(_TILE_ENTRIES, _BRUTE_ENTRIES) // (n * _held_tables(self.source.dim)))
         for start in range(0, len(q), chunk):
             stop = min(len(q), start + chunk)
-            dmat = self._distance_matrix(q[start:stop])
+            dmat = _cross_norms(self.metric, q[start:stop], self.source.points)
             idx = np.argmin(dmat, axis=1)  # first minimum = lowest index
             out_i[start:stop] = idx
             out_d[start:stop] = dmat[np.arange(stop - start), idx]

@@ -31,6 +31,7 @@ from .core import (
     ChamferReport,
     Metric,
     PointSet,
+    _PRUNE_SLACK,
     _check_same_dim,
     _cross_norms,
     _held_tables,
@@ -50,6 +51,9 @@ __all__ = [
     "total_distance",
     "decide_cdut",
 ]
+
+# anchor draws from A; each gives n candidate translations
+_ANCHORS = 6
 
 
 class SeparationError(ValueError):
@@ -190,10 +194,6 @@ def total_distance(deltas: np.ndarray, point: np.ndarray, metric: Metric = L2) -
     return float(np.sum(metric.norms(np.asarray(deltas) - np.asarray(point))))
 
 
-# relative slack on _total_floors, far above the rounding of a floor or a total
-_FLOOR_SLACK = 1e-9
-
-
 def _total_floors(deltas: np.ndarray, metric: Metric = L2) -> np.ndarray:
     """Lower bounds on the total distance from each (k, d) set in ``deltas`` to any point.
 
@@ -212,7 +212,6 @@ def decide_cdut(
     epsilon: float,
     c: float,
     seed: int = 0,
-    anchors: int = 6,
     metric: Metric = L2,
 ) -> DecisionResult:
     """YES if CDuT(A,B) <= R, NO if it exceeds R(1 + eps); either in between.
@@ -221,7 +220,7 @@ def decide_cdut(
     A candidate whose difference vectors are too spread out to beat the best
     total so far skips its median, so answer, evidence and
     translations_tested are those of scoring every candidate in turn.  The
-    candidates are those of ``anchors`` draws from A, a repeated draw kept
+    candidates are those of ``_ANCHORS`` draws from A, a repeated draw kept
     once, so translations_tested counts distinct candidates.
     """
     _check_same_dim(a, b)
@@ -232,7 +231,7 @@ def decide_cdut(
     if not certificate.holds:
         raise SeparationError(certificate)
 
-    translations = difference_candidates(a, b, sample_anchors(m, max(1, anchors), seed))
+    translations = difference_candidates(a, b, sample_anchors(m, _ANCHORS, seed))
     index = build_index(b, metric)
 
     n = len(b)
@@ -247,7 +246,8 @@ def decide_cdut(
         _, nn_idx = index.query_many((cands[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim))
         nn_idx = nn_idx.reshape(n, m)
         deltas = b.points[nn_idx] - a.points
-        floors = _total_floors(deltas, metric) * (1.0 - _FLOOR_SLACK)
+        # relative slack far above the rounding of a floor or a total
+        floors = _total_floors(deltas, metric) * (1.0 - _PRUNE_SLACK)
         for i in range(n):
             # best_s > bound until the answer is YES, so a row whose floor
             # reaches best_s can neither answer YES nor beat the evidence

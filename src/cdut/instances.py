@@ -44,13 +44,14 @@ def uniform_instance(m: int, n: int, d: int, seed: int, low: float = -100.0, hig
     return a, b
 
 
-def clustered_instance(m: int, n: int, d: int, seed: int, clusters: int = 3, spread: float = 5.0):
+def clustered_instance(m: int, n: int, d: int, seed: int):
+    """Both sets drawn from three Gaussian blobs of spread 5."""
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(-100.0, 100.0, size=(clusters, d))
+    centers = rng.uniform(-100.0, 100.0, size=(3, d))
 
     def blob(count):
-        which = rng.integers(0, clusters, size=count)
-        return PointSet(centers[which] + rng.normal(scale=spread, size=(count, d)))
+        which = rng.integers(0, 3, size=count)
+        return PointSet(centers[which] + rng.normal(scale=5.0, size=(count, d)))
 
     return blob(m), blob(n)
 
@@ -75,13 +76,12 @@ def noisy_copy_instance(
     seed: int,
     shift=None,
     noise: float = 0.5,
-    box: float = 10.0,
 ) -> PlantedInstance:
-    """A tight cluster and its jittered translate: candidate translations
-    concentrate near the planted shift, which is the regime where the
-    union net pays off."""
+    """A tight cluster in [0, 10]^d and its jittered translate: candidate
+    translations concentrate near the planted shift, which is the regime
+    where the union net pays off."""
     rng = np.random.default_rng(seed)
-    base = rng.uniform(0.0, box, size=(m, d))
+    base = rng.uniform(0.0, 10.0, size=(m, d))
     if shift is None:
         shift = rng.uniform(-20.0, 20.0, size=d)
     else:
@@ -104,12 +104,11 @@ def separated_planted_instance(
     epsilon: float,
     kind: str,
     seed: int,
-    margin: float = 3.0,
 ) -> PlantedInstance:
     """A decision instance with a known answer.
 
     B sits on n sites of a side^d lattice (side = ceil(n^(1/d))), scaled
-    so the separation assumption holds with the given margin; a lattice of
+    so the separation assumption holds three times over; a lattice of
     more than ``_MAX_SITES`` sites is refused with ``ValueError``.  A is m
     of those sites pulled back by a shift and perturbed: for a YES instance the perturbations' norms sum to R/2, so
     the optimum is at most R/2.  For a NO instance the perturbations are
@@ -127,7 +126,7 @@ def separated_planted_instance(
     if side**d > _MAX_SITES:
         raise ValueError(f"a lattice of {side}^{d} sites exceeds the cap of {_MAX_SITES}")
     rng = np.random.default_rng(seed)
-    spacing = margin * (c + 1.0) * (1.0 + 2.0 / m) * radius
+    spacing = 3.0 * (c + 1.0) * (1.0 + 2.0 / m) * radius
     # n sites drawn from the side^d lattice, whose site j is j's digits in
     # base side, the last axis fastest
     digits = np.unravel_index(rng.permutation(side**d)[:n], (side,) * d)

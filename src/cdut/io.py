@@ -42,6 +42,8 @@ def _parse_header(path, line: str) -> tuple[int, int, Optional[str]]:
         if "=" not in token:
             raise InstanceParseError(path, 1, f"malformed header token {token!r}")
         key, value = token.split("=", 1)
+        if key in fields:
+            raise InstanceParseError(path, 1, f"header repeats the {key}= field")
         fields[key] = value
     try:
         d = int(fields["d"])
@@ -50,7 +52,13 @@ def _parse_header(path, line: str) -> tuple[int, int, Optional[str]]:
         raise InstanceParseError(path, 1, "header must contain integer d= and n= fields") from None
     if d < 1 or n < 1:
         raise InstanceParseError(path, 1, f"header requires d >= 1 and n >= 1, got d={d} n={n}")
-    return d, n, fields.get("metric")
+    tag = fields.get("metric")
+    if tag is not None:
+        try:
+            Metric.from_name(tag)
+        except ValueError as exc:
+            raise InstanceParseError(path, 1, str(exc)) from None
+    return d, n, tag
 
 
 def read_instance(path) -> tuple[PointSet, Optional[str]]:

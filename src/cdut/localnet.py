@@ -1,7 +1,7 @@
 """Local-net search: a (1 + eps)-approximation of CDuT.
 
 Sampled difference candidates give a coarse estimate u of the optimum.
-Some candidate provably lies within (1 + gamma) * u / m of an optimal
+Some candidate provably lies within (1 + eps) * u / m of an optimal
 translation, so covering a ball of that radius around every candidate with
 a net of spacing rho = eps * u / (3m) guarantees a net point whose Chamfer
 cost is within (1 + eps) of the optimum.  The reported value is an exact
@@ -34,7 +34,6 @@ of translations and agree on the minimum value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -66,22 +65,14 @@ _MAX_NET_DIM = 6
 @dataclass(frozen=True)
 class LocalNetConfig:
     epsilon: float
-    gamma: Optional[float] = None  # defaults to epsilon
     delta: float = 0.1
-    h: float = 3.0
     union_mode: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        gamma = self.epsilon if self.gamma is None else self.gamma
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if self.h < 2.0 + gamma:
-            raise ValueError(f"h must be at least 2 + gamma = {2.0 + gamma}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        object.__setattr__(self, "gamma", gamma)
 
 
 def _ball_lattice_ranges(center: np.ndarray, radius: float, step: float):
@@ -194,10 +185,10 @@ def cdut_localnet(
     _check_same_dim(a, b)
     index = build_index(b, metric)
     m = len(a)
-    candidates = difference_candidates(a, b, sample_anchors(m, anchor_count(config.gamma, config.delta), seed))
+    candidates = difference_candidates(a, b, sample_anchors(m, anchor_count(config.epsilon, config.delta), seed))
     u_pos, u, rows = chamfer_argmin(a, candidates, b, metric, index=index)
-    radius = (1.0 + config.gamma) * u / m
-    rho = config.epsilon * u / (config.h * m)
+    radius = (1.0 + config.epsilon) * u / m
+    rho = config.epsilon * u / (3.0 * m)
     best_t, net_size, net_rows, bound_rows = candidates[u_pos], 0, 0, 0
     # a zero-cost candidate is globally optimal and the net radii degenerate,
     # so no net is built and the candidate wins

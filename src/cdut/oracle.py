@@ -46,8 +46,10 @@ class GridSearchSpec:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=np.float64))
         if lo.shape != hi.shape or np.any(hi < lo):
             raise ValueError("grid box must satisfy lo <= hi per dimension")
-        if not self.resolution > 0:
-            raise ValueError("grid resolution must be positive")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("grid box bounds must be finite")
+        if not 0 < self.resolution < np.inf:
+            raise ValueError("grid resolution must be positive and finite")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -96,12 +98,11 @@ def oracle_cdut_grid(
     if spec.lo.shape[0] != a.dim:
         raise ValueError(f"grid box has dimension {spec.lo.shape[0]}, expected {a.dim}")
     g = spec.resolution
-    axes = [np.arange(lo, hi + g * 0.5, g) for lo, hi in zip(spec.lo, spec.hi)]
-    total = 1
-    for ax in axes:
-        total *= ax.size
+    # each axis's length as np.arange computes it, counted before any is built
+    total = np.prod(np.ceil((spec.hi + g * 0.5 - spec.lo) / g))
     if total > _GRID_BUDGET:
-        raise ValueError(f"grid has {total} points, over budget {_GRID_BUDGET}")
+        raise ValueError(f"grid has {total:.0f} points, over budget {_GRID_BUDGET}")
+    axes = [np.arange(lo, hi + g * 0.5, g) for lo, hi in zip(spec.lo, spec.hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
     index = build_index(b, metric)
@@ -109,7 +110,7 @@ def oracle_cdut_grid(
     best = int(np.argmin(values))
     return chamfer_translated(
         a, grid[best], b, metric, index, "oracle-grid",
-        evaluations=int(total),
+        evaluations=len(grid),
         # m times the farthest a box point can be from the nearest grid node
         extras={"slack": len(a) * (g * float(metric.norms(np.ones(a.dim))) / 2.0)},
     )

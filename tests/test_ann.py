@@ -57,8 +57,6 @@ class TestBuild:
         b = pts1([0.0, 1.0])
         with pytest.raises(ValueError, match="c must exceed"):
             build_ladder(b, c=1.0)
-        with pytest.raises(ValueError, match="miss_prob"):
-            build_ladder(b, c=2.0, miss_prob=1.5)
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="c must exceed"):
                 build_ladder(b, c=bad)
@@ -443,7 +441,7 @@ class TestQuery:
 
     def test_query_at_exactly_l_stays_within_factor(self):
         b = pts1([0.0, 10.0, 20.0, 30.0])
-        ladder = build_ladder(b, c=2.0, U=60.0, seed=3, miss_prob=1e-3)
+        ladder = build_ladder(b, c=2.0, U=60.0, seed=3)
         low = ladder.scales[0].radius
         assert low < 5.0
         # distance exactly the smallest radius from the unique nearest point

@@ -181,8 +181,7 @@ class TestVariantTwo:
             anchors = raw_draws(m, 0.5, seed)
             candidates = difference_candidates(a, b, anchors)
             ladder = build_ladder(
-                b, 2.0, U=bbox_diameter(a, metric) + bbox_diameter(b, metric), seed=seed,
-                metric=metric, miss_prob=0.1,
+                b, 2.0, U=bbox_diameter(a, metric) + bbox_diameter(b, metric), seed=seed, metric=metric
             )
             dists, idx = query(ladder, (candidates[:, None, :] + a.points[None, :, :]).reshape(-1, 3))
             sums = dists.reshape(len(candidates), m).sum(axis=1)

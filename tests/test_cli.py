@@ -136,6 +136,26 @@ class TestCompute:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("header", ["d=1 n=2 metric=l3", "d=1 n=2 metric=l1 metric=l2"])
+    def test_bad_metric_tag_is_a_file_error(self, capsys, tmp_path, header):
+        bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+        bad.write_text(header + "\n1.0\n2.0\n")
+        write_instance(good, PointSet(np.array([[0.0], [3.0]])))
+        code, _, err = run(capsys, ["compute", "exact1d", str(bad), str(good)])
+        assert code == 1
+        assert f"{bad}:1:" in err
+
+    def test_disagreeing_metric_tags_exit_2(self, capsys, tmp_path):
+        path_a, path_b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_instance(path_a, PointSet(np.array([[0.0], [1.0]])), Metric.from_name("l1"))
+        write_instance(path_b, PointSet(np.array([[0.0], [3.0]])), Metric.from_name("linf"))
+        code, _, err = run(capsys, ["compute", "exact1d", str(path_a), str(path_b)])
+        assert code == 2
+        assert "metric=l1" in err and "metric=linf" in err
+        code, text, _ = run(capsys, ["compute", "exact1d", str(path_a), str(path_b), "--metric", "l2", "--json"])
+        assert code == 0
+        assert json.loads(text)["metric"] == "l2"
+
     def test_out_of_memory_exits_2(self, capsys, tmp_path, monkeypatch):
         out = tmp_path / "uni"
         run(capsys, ["gen", "uniform", "--out", str(out), "--m", "6", "--n", "6", "--seed", "2"])

@@ -150,13 +150,13 @@ class TestNearestIndex:
         queries = rng.integers(-4, 5, size=(500, 3)).astype(np.float64)
         index = build_index(b, L1, "brute")
         shapes = []
-        full = index._distance_matrix
+        full = cdut.core._cross_norms
 
-        def recording(q):
+        def recording(metric, q, p):
             shapes.append(q.shape)
-            return full(q)
+            return full(metric, q, p)
 
-        monkeypatch.setattr(index, "_distance_matrix", recording)
+        monkeypatch.setattr(cdut.core, "_cross_norms", recording)
         dist, idx = index.query_many(queries)
         held = cdut.core._held_tables(b.dim)
         assert len(shapes) > 1 and sum(rows for rows, _ in shapes) == len(queries)

@@ -24,8 +24,8 @@ from cdut import (
     geometric_median,
     total_distance,
 )
-from cdut.core import difference_candidates
-from cdut.decision import _FLOOR_SLACK, _min_pairwise, _total_floors
+from cdut.core import _PRUNE_SLACK, difference_candidates
+from cdut.decision import _ANCHORS, _min_pairwise, _total_floors
 from cdut.instances import separated_planted_instance, uniform_instance
 
 REL = 1e-9
@@ -78,14 +78,14 @@ def verify_emd_equivalence(a, b, radius, epsilon, t_star):
     return int(np.unique(ds.assignment).size) == len(a)
 
 
-def reference_decide(a, b, radius, epsilon, c, seed=0, anchors=6, metric=L2):
+def reference_decide(a, b, radius, epsilon, c, seed=0, metric=L2):
     """decide_cdut as one median per candidate row, repeated anchors included.
 
     Returns (answer, evidence, translations_tested), where translations_tested
     counts the rows of distinct anchors up to the answer.
     """
     m = len(a)
-    anchor_idx = np.random.default_rng(seed).integers(0, m, size=max(1, anchors))
+    anchor_idx = np.random.default_rng(seed).integers(0, m, size=_ANCHORS)
     translations = difference_candidates(a, b, anchor_idx)
     queries = (translations[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
     nn_idx = build_index(b, metric).query_many(queries)[1].reshape(len(translations), m)
@@ -240,7 +240,7 @@ class TestTotalFloors:
         if jitter:
             deltas = deltas + rng.normal(scale=0.3, size=deltas.shape)
         deltas = deltas * scale
-        floor = float(_total_floors(deltas, metric)) * (1.0 - _FLOOR_SLACK)
+        floor = float(_total_floors(deltas, metric)) * (1.0 - _PRUNE_SLACK)
         probes = [
             geometric_median(deltas, 1e-9 * scale).point,
             deltas.mean(axis=0),
@@ -270,7 +270,7 @@ class TestTotalFloors:
             total = total_distance(deltas, geometric_median(deltas, 1e-9).point, metric)
             floor = float(_total_floors(deltas, metric))
             assert floor > total
-            assert floor * (1.0 - _FLOOR_SLACK) <= total
+            assert floor * (1.0 - _PRUNE_SLACK) <= total
 
     def test_single_vector_has_a_zero_floor(self):
         assert float(_total_floors(np.ones((1, 3)))) == 0.0
@@ -432,17 +432,17 @@ class TestPrunedDecide:
     def test_matches_per_candidate_reference(self, m, n, d, metric, monkeypatch):
         medians = recording_medians(monkeypatch)
         repeats = rows = computed = 0
-        for seed in range(3):
+        for seed in range(4):
             for answer in ("yes", "no"):
                 inst = separated_planted_instance(m, n, d, 1.0, 2.0, 0.25, answer, seed)
-                want = reference_decide(inst.a, inst.b, 1.0, 0.25, 2.0, seed=seed, anchors=8, metric=metric)
+                want = reference_decide(inst.a, inst.b, 1.0, 0.25, 2.0, seed=seed, metric=metric)
                 del medians[:]
-                result = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=seed, anchors=8, metric=metric)
+                result = decide_cdut(inst.a, inst.b, 1.0, 0.25, 2.0, seed=seed, metric=metric)
                 assert_same_decision(result, want)
                 assert result.median_iterations == sum(med.iterations for med in medians)
                 assert result.medians_nonconverged == sum(not med.converged for med in medians)
-                anchor_idx = np.random.default_rng(seed).integers(0, m, size=8)
-                repeats += 8 - np.unique(anchor_idx).size
+                anchor_idx = np.random.default_rng(seed).integers(0, m, size=_ANCHORS)
+                repeats += _ANCHORS - np.unique(anchor_idx).size
                 if result.answer == "NO":
                     rows += np.unique(anchor_idx).size * n
                     computed += len(medians)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,11 +91,28 @@ class TestGridOracle:
         with pytest.raises(ValueError, match="budget"):
             oracle_cdut_grid(a, b, spec=spec)
 
+    def test_budget_guard_allocates_nothing(self):
+        # the grid is counted before its axes are built
+        a, b = uniform_instance(4, 4, 2, 1)
+        spec = default_grid_spec(a, b, resolution=1e-4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                oracle_cdut_grid(a, b, spec=spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="lo <= hi"):
             GridSearchSpec(lo=[1.0], hi=[0.0], resolution=0.1)
-        with pytest.raises(ValueError, match="resolution"):
-            GridSearchSpec(lo=[0.0], hi=[1.0], resolution=0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="resolution"):
+                GridSearchSpec(lo=[0.0], hi=[1.0], resolution=bad)
+        for lo, hi in (([-math.inf], [1.0]), ([0.0], [math.inf]), ([math.nan], [1.0])):
+            with pytest.raises(ValueError, match="finite"):
+                GridSearchSpec(lo=lo, hi=hi, resolution=0.1)
 
     def test_default_spec_covers_all_difference_vectors(self):
         a, b = uniform_instance(5, 8, 2, 17)
