@@ -6,7 +6,8 @@ query of a batch walks the scales for the smallest radius at which some
 point of B lands in its bucket within c * R_i, recomputing every candidate
 distance exactly, so the reported distance is the true distance to a real
 point of B and can never underestimate the nearest-neighbor distance.  If
-every scale misses, the query falls back to an exact linear scan.  There is
+every scale misses, the query falls back to the exact index, which the
+ladder builds on the first such miss.  There is
 no separate exact table: a query equal to points of B shares every bucket
 with them, so the smallest scale answers it with distance 0 and the lowest
 such index, as the exact scan does when there are no scales.
@@ -154,7 +155,7 @@ class ScaleLadder:
         self.metric = metric
         self.c = c
         self.scales = scales
-        self._fallback = build_index(source, metric)
+        self._fallback = None  # the exact index, built when a query first misses every scale
 
     # -- queries -------------------------------------------------------------
 
@@ -237,6 +238,8 @@ class ScaleLadder:
                     break
         # queries that never met a scale's cutoff missed every scale: exact scan
         if active.size:
+            if self._fallback is None:
+                self._fallback = build_index(self.source, self.metric)
             d, i = self._fallback.query_many(q[active])
             best_d[active] = d
             best_i[active] = i

@@ -163,8 +163,14 @@ class ChamferReport:
 # float64 entries in the largest temporary of one tile of any phase
 _TILE_ENTRIES = 1 << 22
 # the same for a brute scan's live tables together, which it re-reads for
-# every group of axes: tiles this small stay in a core's cache
+# every group of axes, and for a screen's product table, which it re-reads:
+# tiles this small stay in a core's cache
 _BRUTE_ENTRIES = 1 << 16
+# a screened row whose (|q'| + max |p'|)^2 reaches this goes to brute: the
+# product's partial sums stay below a few times that, so none overflows
+_SCREEN_LIMIT = np.finfo(np.float64).max / 16
+# l2 sets of this many points or more take the kd-tree at d <= 3
+_TREE_POINTS = 100
 
 
 def _tile_rows(width: int) -> int:
@@ -250,37 +256,64 @@ def _cross_norms(metric: Metric, q: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out) if square else out
 
 
+def _auto_backend(n: int, d: int, metric: Metric) -> str:
+    """The backend that 'auto' takes for n points in d dimensions.
+
+    Measured (README): brute wins below 32 points while d < 8 and below 16
+    from d = 8 on, and at d = 1 the sorted index wins above that.  For l2
+    the screen wins above it, serially and on two threads, but a second
+    thread speeds it by a median 1.02x and the tree by 1.32x: at d <= 3
+    the two are level on two threads from about 100 points, and the tree
+    wins from 256.  l1 and linf take the tree.
+    """
+    if n < (32 if d < 8 else 16):
+        return "brute"
+    if d == 1:
+        return "sorted"
+    if metric.p == 2.0 and (d > 3 or n < _TREE_POINTS):
+        return "screen"
+    return "kdtree"
+
+
 class NearestIndex:
     """Exact nearest-neighbor index over a point set.
 
-    backend 'brute' scans all points, 'kdtree' wraps a k-d tree and 'sorted'
-    searches the sorted coordinates of a one-dimensional set.  All return
-    identical (distance, index) answers on every query: distances are
-    recomputed with the metric's own arithmetic and ties resolve to the
-    lowest index in B.
-    'auto' takes 'brute' below 32 points at d < 8 and below 16 points at
-    d >= 8, else 'sorted' at d = 1 and 'kdtree' above.  scipy is loaded on
-    the first kd-tree build.
+    backend 'brute' scans all points, 'screen' selects them by one matrix
+    product (l2, d >= 2), 'kdtree' wraps a k-d tree and 'sorted' searches
+    the sorted coordinates of a one-dimensional set.  All return identical
+    (distance, index) answers on every query: distances are recomputed with
+    the metric's own arithmetic and ties resolve to the lowest index in B.
+    'auto' takes the backend that ``_auto_backend`` names.  scipy is loaded
+    on the first kd-tree build.
     """
 
     def __init__(self, source: PointSet, metric: Metric = L2, backend: str = "auto"):
-        if backend not in ("auto", "brute", "kdtree", "sorted"):
+        if backend not in ("auto", "brute", "screen", "kdtree", "sorted"):
             raise ValueError(f"unknown backend {backend!r}")
         if backend == "auto":
-            # measured at 4,000 query rows (README): brute wins below about
-            # 32 points while d < 8, and the tree is level from 8-16 points on
-            small = len(source) < (32 if source.dim < 8 else 16)
-            backend = "brute" if small else "sorted" if source.dim == 1 else "kdtree"
+            backend = _auto_backend(len(source), source.dim, metric)
         if backend == "sorted" and source.dim != 1:
             raise ValueError(f"backend 'sorted' needs d = 1, got d = {source.dim}")
+        if backend == "screen" and (metric.p != 2.0 or source.dim < 2):
+            raise ValueError(f"backend 'screen' needs l2 at d >= 2, got {metric.name} at d = {source.dim}")
         self.source = source
         self.metric = metric
         self.backend = backend
-        self._tree = self._runs = None
+        self._tree = self._runs = self._lift = None
         if backend == "kdtree":
             from scipy.spatial import cKDTree
 
             self._tree = cKDTree(source.points)
+        elif backend == "screen":
+            # B centred on its mean, as the columns of one product: -2 p'
+            # above |p'|^2, so a centred query row with a 1 appended gives
+            # |p'|^2 - 2 q'.p' for every point at once
+            centre = source.points.mean(axis=0)
+            shifted = source.points - centre
+            lift = np.empty((source.dim + 1, len(source)))
+            np.multiply(shifted.T, -2.0, out=lift[:-1])
+            lift[-1] = np.einsum("ij,ij->i", shifted, shifted)
+            self._lift = centre, lift, math.sqrt(lift[-1].max())
         elif backend == "sorted":
             # the distinct values in order, each with the lowest index holding
             # it, padded by two infinite values on either side
@@ -299,6 +332,8 @@ class NearestIndex:
             return self._brute(q)
         if self.backend == "sorted":
             return self._sorted(q)
+        if self.backend == "screen":
+            return self._screen(q)
         return self._kdtree(q)
 
     # -- internals ----------------------------------------------------------
@@ -334,6 +369,57 @@ class NearestIndex:
         if np.any(far):
             dist[far], idx[far] = self._brute(q[far])
         return dist, idx
+
+    def _screen(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        centre, lift, reach = self._lift
+        n, d = len(self.source), self.source.dim
+        # Each row's screened values s_j = |p'_j|^2 - 2 q'.p'_j only select.
+        # Let u = eps / 2, eta = half the smallest subnormal (the most that
+        # a product rounded into the subnormals loses) and
+        # W = (|q'| + max |p'|)^2.  Three errors, each in the squared
+        # distance D_j = |q - p_j|^2:
+        # - the product: a dot product of k terms is off by k u times the
+        #   sum of its terms' magnitudes, plus k eta, in any order, blocked
+        #   or fused as BLAS likes; with |p'|^2's own error, s_j + |q'|^2 is
+        #   within (2d + 1) u W + 2d eta of |q' - p'_j|^2;
+        # - the centring: q' and p'_j round q - mu and p_j - mu by a
+        #   relative u per coordinate (a subtraction that underflows is
+        #   exact), moving |q' - p'_j| by u (|q - mu| + |p_j - mu|) at
+        #   most and its square by 2 u W;
+        # - brute's distance c_j: its differences, squares, sum and root put
+        #   c_j^2 within (d + 4) u D_j + d eta of D_j, and D_j <= W.
+        # Brute's answer k and any point tied with it have c_k <= c_j at
+        # the screen's minimum j, so chaining the three bounds from s_k to
+        # s_j gives s_k <= s_j + (6d + 14) u W + 6d eta, plus 2 u W for
+        # the threshold's roundings.  The band, (8d + 16) eps W + 16d eta, is
+        # over twice that; rounding W itself, with or without underflow,
+        # moves it by far less.  So a row with one point in its band has
+        # found brute's answer, and a row with more goes to one brute pass
+        # with the rows whose W nears overflow.  Centring on B's mean
+        # cancels an offset shared by A and B, such as 1e12.
+        slope = 8.0 * (d + 2) * np.finfo(np.float64).eps
+        floor = 8.0 * d * np.finfo(np.float64).smallest_subnormal
+        near = np.empty(len(q), dtype=np.int64)
+        alone = np.empty(len(q), dtype=bool)
+        chunk = max(1, _BRUTE_ENTRIES // n)
+        lifted = np.ones((min(chunk, len(q)), d + 1))
+        for start in range(0, len(q), chunk):
+            stop = min(len(q), start + chunk)
+            rows = lifted[: stop - start]
+            centred = np.subtract(q[start:stop], centre, out=rows[:, :d])
+            screened = rows @ lift
+            first = np.argmin(screened, axis=1)
+            w = np.sqrt(np.einsum("ij,ij->i", centred, centred)) + reach
+            w *= w
+            cut = screened[np.arange(stop - start), first] + (slope * w + floor)
+            inside = np.count_nonzero(screened <= cut[:, None], axis=1)
+            near[start:stop] = first
+            alone[start:stop] = (inside == 1) & (w < _SCREEN_LIMIT)
+        dist = self.metric.norms(q - self.source.points[near])
+        if not alone.all():
+            rest = ~alone
+            dist[rest], near[rest] = self._brute(q[rest])
+        return dist, near
 
     def _kdtree(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = self.source.points

@@ -68,8 +68,27 @@ def oracle_cdut_1d(a: PointSet, b: PointSet) -> ChamferReport:
     return chamfer_translated(a, cands[best], b, index=index, algorithm="oracle-1d", evaluations=int(cands.size))
 
 
+def _check_grid(spec: GridSearchSpec) -> None:
+    """Raise ``ValueError`` when the grid of ``spec`` has more than
+    ``_GRID_BUDGET`` points, each axis's length counted as ``np.arange``
+    computes it, before any axis is built."""
+    g = spec.resolution
+    total = np.prod(np.ceil((spec.hi + g * 0.5 - spec.lo) / g))
+    if total > _GRID_BUDGET:
+        raise ValueError(f"grid has {total:.0f} points, over budget {_GRID_BUDGET}")
+
+
 def default_grid_spec(a: PointSet, b: PointSet, resolution: Optional[float] = None) -> GridSearchSpec:
-    """Box around all difference vectors b - a, padded by a coarse OPT/m estimate."""
+    """Box around all difference vectors b - a, padded by a coarse OPT/m estimate.
+
+    With a ``resolution``, the grid of the unpadded box is counted before
+    any difference is scored.  Its per-axis ends are exactly
+    min(b) - max(a) and max(b) - min(a), as rounding is monotone, and the
+    padded box holds it, so an unpadded grid over budget is refused there.
+    """
+    if resolution is not None:
+        low, high = b.points.min(axis=0) - a.points.max(axis=0), b.points.max(axis=0) - a.points.min(axis=0)
+        _check_grid(GridSearchSpec(low, high, resolution))
     diffs = difference_candidates(a, b, np.arange(len(a)))
     estimate = float(np.min(chamfer_many(a, np.unique(diffs, axis=0), b)))
     pad = estimate / len(a) if estimate > 0 else 1e-9
@@ -97,11 +116,8 @@ def oracle_cdut_grid(
         spec = default_grid_spec(a, b)
     if spec.lo.shape[0] != a.dim:
         raise ValueError(f"grid box has dimension {spec.lo.shape[0]}, expected {a.dim}")
+    _check_grid(spec)
     g = spec.resolution
-    # each axis's length as np.arange computes it, counted before any is built
-    total = np.prod(np.ceil((spec.hi + g * 0.5 - spec.lo) / g))
-    if total > _GRID_BUDGET:
-        raise ValueError(f"grid has {total:.0f} points, over budget {_GRID_BUDGET}")
     axes = [np.arange(lo, hi + g * 0.5, g) for lo, hi in zip(spec.lo, spec.hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)

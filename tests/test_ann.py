@@ -492,15 +492,22 @@ class TestQuery:
             if first_true < len(hits):
                 assert dist <= ladder.c * ladder.scales[first_true].radius
 
-    def test_far_query_falls_back_to_exact_scan(self):
+    def test_far_query_falls_back_to_exact_scan(self, monkeypatch):
+        # the exact index is built on the first miss, once
+        builds = []
+        monkeypatch.setattr(cdut.ann, "build_index", lambda *args: builds.append(args) or build_index(*args))
         rng = np.random.default_rng(41)
         b = PointSet(rng.uniform(0, 1, size=(50, 4)))
         ladder = build_ladder(b, c=2.0, seed=41)
+        ladder.query_batch(b.points)
+        assert builds == []
         far = np.full((3, 4), 1e6) + rng.uniform(0, 1, size=(3, 4))
-        reported, idx = ladder.query_batch(far)
-        exact_d, exact_i = build_index(b).query_many(far)
-        assert np.array_equal(reported, exact_d)
-        assert np.array_equal(idx, exact_i)
+        for _ in range(2):
+            reported, idx = ladder.query_batch(far)
+            exact_d, exact_i = build_index(b).query_many(far)
+            assert np.array_equal(reported, exact_d)
+            assert np.array_equal(idx, exact_i)
+        assert len(builds) == 1
 
     def test_dimension_mismatch(self):
         ladder = build_ladder(pts1([0.0, 5.0]), c=2.0, seed=0)

@@ -201,17 +201,32 @@ class TestNearestIndex:
 
     def test_auto_backend_fits_the_input(self):
         # brute below 32 points while d < 8, below 16 from d = 8 on
-        line = PointSet(np.arange(40.0))
-        assert build_index(line).backend == "sorted"
+        assert build_index(PointSet(np.arange(40.0))).backend == "sorted"
         assert build_index(PointSet(np.arange(32.0))).backend == "sorted"
         assert build_index(PointSet(np.zeros((31, 1)))).backend == "brute"
         assert build_index(PointSet(np.zeros((3, 1)))).backend == "brute"
-        for d in (2, 7):
-            assert build_index(PointSet(np.zeros((32, d)))).backend == "kdtree"
-            assert build_index(PointSet(np.zeros((31, d)))).backend == "brute"
-        for d in (8, 16):
-            assert build_index(PointSet(np.zeros((16, d)))).backend == "kdtree"
-            assert build_index(PointSet(np.zeros((15, d)))).backend == "brute"
+        for metric in (L1, L2, LINF):
+            for d in (2, 7):
+                assert build_index(PointSet(np.zeros((31, d))), metric).backend == "brute"
+            for d in (8, 16):
+                assert build_index(PointSet(np.zeros((15, d))), metric).backend == "brute"
+        # above that, l1 and linf take the kd-tree, and l2 the screen but
+        # from 100 points at d <= 3, where it takes the kd-tree
+        for metric in (L1, LINF):
+            for d in (2, 7):
+                assert build_index(PointSet(np.zeros((32, d))), metric).backend == "kdtree"
+            for d in (8, 16):
+                assert build_index(PointSet(np.zeros((16, d))), metric).backend == "kdtree"
+        for d in (2, 3):
+            assert build_index(PointSet(np.zeros((32, d)))).backend == "screen"
+            assert build_index(PointSet(np.zeros((99, d)))).backend == "screen"
+            assert build_index(PointSet(np.zeros((100, d)))).backend == "kdtree"
+        for d in (4, 7):
+            assert build_index(PointSet(np.zeros((32, d)))).backend == "screen"
+            assert build_index(PointSet(np.zeros((400, d)))).backend == "screen"
+        for d in (8, 16, 64):
+            assert build_index(PointSet(np.zeros((16, d)))).backend == "screen"
+            assert build_index(PointSet(np.zeros((400, d)))).backend == "screen"
 
     def test_sorted_settles_ties_that_rounding_makes(self):
         # far from B, q - 0.5 and q - 1.0 round to the same float, so the
@@ -245,13 +260,15 @@ class TestNearestIndex:
 
 
 @st.composite
-def tie_heavy(draw, scaled=False):
+def tie_heavy(draw, scaled=False, tiny=False):
     """An integer grid B with repeated points, and queries on the grid or at
     its midpoints.  ``scaled`` multiplies both by a non-integer step and
     shifts them by up to 1e12: the tree's arithmetic and ours then round
     the distances differently, so a tie in one can be a near tie in the
-    other."""
-    d = draw(st.integers(1, 16 if scaled else 9))
+    other.  ``tiny`` scales them by a step near 1e-160 instead, so that
+    the squared distances fall among the subnormals."""
+    # the one backend that ``tiny`` tests, the screen, serves d >= 2 only
+    d = draw(st.integers(2 if tiny else 1, 16 if scaled or tiny else 9))
     n = draw(st.one_of(st.just(1), st.integers(1, 64)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     span = draw(st.integers(1, 3))
@@ -263,18 +280,23 @@ def tie_heavy(draw, scaled=False):
         step = draw(st.floats(1e-3, 1e3)) * (1.0 + 1.0 / 3.0)
         offset = draw(st.one_of(st.just(0.0), st.floats(-1e12, 1e12)))
         b, queries = b * step + offset, queries * step + offset
+    if tiny:
+        step = draw(st.floats(1e-163, 1e-157)) * (1.0 + 1.0 / 3.0)
+        b, queries = b * step, queries * step
     return PointSet(b), queries
 
 
-def assert_backends_agree(b, queries, metric):
-    """kdtree and, at d = 1, sorted give brute's distances bit for bit, and
-    its indices."""
+def assert_backends_agree(b, queries, metric, backends=("kdtree", "sorted", "screen")):
+    """Each of ``backends`` that serves B's dimension and ``metric`` (sorted
+    at d = 1, screen for l2 at d >= 2) gives brute's distances bit for bit,
+    and its indices."""
     want_d, want_i = build_index(b, metric, "brute").query_many(queries)
-    backends = ("kdtree", "sorted") if b.dim == 1 else ("kdtree",)
+    serves = {"kdtree": True, "sorted": b.dim == 1, "screen": metric == L2 and b.dim >= 2}
     for backend in backends:
-        dist, idx = build_index(b, metric, backend).query_many(queries)
-        assert dist.tobytes() == want_d.tobytes()
-        assert np.array_equal(idx, want_i)
+        if serves[backend]:
+            dist, idx = build_index(b, metric, backend).query_many(queries)
+            assert dist.tobytes() == want_d.tobytes()
+            assert np.array_equal(idx, want_i)
 
 
 @settings(max_examples=150, deadline=None)
@@ -287,6 +309,62 @@ def test_backends_agree_on_tie_heavy_grids(case, metric):
 @given(case=tie_heavy(scaled=True), metric=st.sampled_from([L1, L2, LINF]))
 def test_backends_agree_on_scaled_lattices(case, metric):
     assert_backends_agree(*case, metric)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tie_heavy(tiny=True))
+def test_screen_agrees_on_lattices_whose_squares_underflow(case):
+    # the kd-tree's band does not cover squares that underflow; the screen's does
+    assert_backends_agree(*case, L2, backends=("screen",))
+
+
+class TestScreen:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("d", [2, 3, 16, 64])
+    def test_matches_brute_through_the_engine(self, d, threads, monkeypatch):
+        # enough rows for the thread pool; repeated points and queries on
+        # them tie, and a 1e12 offset shared by A and B cancels in the centring
+        monkeypatch.setenv("CDUT_THREADS", threads)
+        rng = np.random.default_rng(d)
+        for offset in (0.0, 1e12):
+            b = rng.uniform(-100, 100, size=(40, d))
+            b[20:30] = b[:10]
+            a = np.concatenate([b[:20], rng.uniform(-100, 100, size=(20, d))])
+            a, b = PointSet(a + offset), PointSet(b + offset)
+            ts = np.concatenate([np.zeros((1, d)), rng.uniform(-5, 5, size=(120, d))])
+            want = chamfer_many(a, ts, b, L2, build_index(b, L2, "brute"), want_distances=True)
+            got = chamfer_many(a, ts, b, L2, build_index(b, L2, "screen"), want_distances=True)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            queries = (ts[:, None, :] + a.points[None, :, :]).reshape(-1, d)
+            assert_backends_agree(b, queries, L2, backends=("screen",))
+
+    def test_only_rows_with_two_points_in_the_band_go_to_brute(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        distinct = PointSet(rng.uniform(-10, 10, size=(30, 3)))
+        doubled = PointSet(np.repeat(distinct.points, 2, axis=0))
+        queries = rng.uniform(-12, 12, size=(200, 3))
+        for b, brute_rows in ((distinct, []), (doubled, [len(queries)])):
+            index = build_index(b, L2, "screen")
+            calls = []
+            brute = index._brute
+            monkeypatch.setattr(index, "_brute", lambda q: calls.append(len(q)) or brute(q))
+            dist, idx = index.query_many(queries)
+            want = build_index(b, L2, "brute").query_many(queries)
+            assert dist.tobytes() == want[0].tobytes() and np.array_equal(idx, want[1])
+            # every query's nearest point is doubled, so every row holds two
+            assert calls == brute_rows
+
+    def test_rows_near_overflow_go_to_brute(self):
+        b = pts([[0.0, 0.0], [1.0, 1.0], [3e153, 0.0]])
+        queries = np.array([[1e154, 1e154], [0.9, 0.9], [-1e200, 0.0]])
+        assert_backends_agree(b, queries, L2, backends=("screen",))
+
+    def test_needs_l2_and_two_axes(self):
+        with pytest.raises(ValueError, match="l2 at d >= 2"):
+            build_index(pts([[0.0, 1.0]]), L1, "screen")
+        with pytest.raises(ValueError, match="l2 at d >= 2"):
+            build_index(pts([[0.0], [1.0]]), L2, "screen")
 
 
 @st.composite
@@ -318,9 +396,16 @@ def test_kernel_is_bit_identical_to_norms(case, metric):
     assert cdut.core._cross_norms(metric, q, p).tobytes() == want.tobytes()
 
 
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter: this one has loaded scipy already."""
+    src = os.path.dirname(os.path.dirname(cdut.core.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_scipy_loads_only_for_a_kdtree():
-    # a fresh interpreter: this one has loaded scipy already
-    code = """
+    run_fresh("""
 import sys
 import cdut
 from cdut.instances import uniform_instance
@@ -329,7 +414,7 @@ cdut.cdut_exact_1d(*uniform_instance(50, 50, 1, 0))
 cdut.cdut_approx_v1(*uniform_instance(12, 12, 2, 0), 0.5)
 loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
 assert not loaded, loaded
-a, b = uniform_instance(40, 40, 2, 0)
+a, b = uniform_instance(40, 120, 2, 0)
 assert cdut.build_index(b).backend == "kdtree"
 report = cdut.cdut_approx_v1(a, b, 0.5)
 brute = cdut.chamfer_translated(a, report.translation, b, index=cdut.build_index(b, backend="brute"))
@@ -341,11 +426,26 @@ except ValueError:
     pass
 else:
     raise AssertionError("a 2-D set got a sorted index")
-"""
-    src = os.path.dirname(os.path.dirname(cdut.core.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+""")
+
+
+def test_approx_v2_and_decide_load_no_scipy():
+    # the ladder builds its exact fallback only on a miss, and l2 sets of
+    # this size take the screen
+    run_fresh("""
+import sys
+import cdut
+from cdut.instances import separated_planted_instance, uniform_instance
+
+cdut.cdut_approx_v2(*uniform_instance(24, 24, 16, 0), 0.5, 2.0)
+for d in (2, 16):
+    for kind in ("yes", "no"):
+        p = separated_planted_instance(16, 32, d, 1.0, 2.0, 0.25, kind, d)
+        assert cdut.build_index(p.b).backend == "screen"
+        assert cdut.decide_cdut(p.a, p.b, 1.0, 0.25, 2.0, seed=d).answer == kind.upper()
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert not loaded, loaded
+""")
 
 
 class TestInvariants:

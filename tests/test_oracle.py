@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cdut import L1, L2, LINF, PointSet, cdut_exact_1d, gadget_a, gadget_b, oracle_cdut_1d, oracle_cdut_grid
+import cdut.oracle
 from cdut.oracle import GridSearchSpec, default_grid_spec
 from cdut.instances import uniform_instance
 
@@ -94,7 +95,8 @@ class TestGridOracle:
     def test_budget_guard_allocates_nothing(self):
         # the grid is counted before its axes are built
         a, b = uniform_instance(4, 4, 2, 1)
-        spec = default_grid_spec(a, b, resolution=1e-4)
+        low, high = b.points.min(axis=0) - a.points.max(axis=0), b.points.max(axis=0) - a.points.min(axis=0)
+        spec = GridSearchSpec(lo=low - 1.0, hi=high + 1.0, resolution=1e-4)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="budget"):
@@ -103,6 +105,25 @@ class TestGridOracle:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_default_spec_refuses_before_scoring(self, monkeypatch):
+        # the unpadded box's grid is counted first: no difference is scored
+        monkeypatch.setattr(cdut.oracle, "chamfer_many", None)
+        a, b = uniform_instance(300, 300, 2, 2)
+        with pytest.raises(ValueError, match="budget"):
+            default_grid_spec(a, b, resolution=1e-4)
+        with pytest.raises(ValueError, match="resolution"):
+            default_grid_spec(a, b, resolution=0.0)
+
+    def test_unpadded_box_ends_are_exact(self):
+        # the padded box holds the unpadded one, ends exactly min(b) - max(a)
+        # and max(b) - min(a)
+        a, b = uniform_instance(30, 40, 2, 3)
+        spec = default_grid_spec(a, b, resolution=0.5)
+        diffs = (b.points[None, :, :] - a.points[:, None, :]).reshape(-1, 2)
+        assert np.array_equal(diffs.min(axis=0), b.points.min(axis=0) - a.points.max(axis=0))
+        assert np.array_equal(diffs.max(axis=0), b.points.max(axis=0) - a.points.min(axis=0))
+        assert np.all(spec.lo < diffs.min(axis=0)) and np.all(spec.hi > diffs.max(axis=0))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="lo <= hi"):
