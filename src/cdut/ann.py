@@ -12,6 +12,12 @@ no separate exact table: a query equal to points of B shares every bucket
 with them, so the smallest scale answers it with distance 0 and the lowest
 such index, as the exact scan does when there are no scales.
 
+Building a ladder draws every table's random projection, offsets and
+combiner, scale by scale, but hashes and buckets B in a table only when
+the build's close-pair check or a query first reaches it.  Most queries
+retire at a low scale, so many of the upper scales' tables are never
+bucketed.
+
 Hash families: quantized Gaussian projections for l2, Cauchy projections
 for l1, and quantized coordinate sampling for linf.  Widths, concatenation
 depth and table counts are sized from the family's collision probabilities
@@ -26,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import L2, Metric, PointSet, _cross_norms, _held_tables, _tile_rows, bbox_diameter, build_index
+from .core import L2, Metric, PointSet, _nearest_in_runs, _runs, _tile_rows, bbox_diameter, build_index
 
 __all__ = ["ScaleLadder", "build_ladder"]
 
@@ -37,8 +43,6 @@ _MAX_TABLES = 160
 _WIDTH_FACTOR = 4.0
 # the chance that one scale misses a query's (R, cR) near neighbor
 _MISS_PROB = 0.1
-# the index of a member that is not at its run's nearest distance
-_NO_INDEX = np.iinfo(np.int64).max
 # a table's presence screen has 2^(bit length of its bucket count + this) slots
 _SCREEN_BITS = 4
 
@@ -61,27 +65,63 @@ def _collision_prob(family: str, s: float) -> float:
     return max(1e-9, 1.0 - 1.0 / s)
 
 
-def _norms_in_place(metric: Metric, v: np.ndarray) -> np.ndarray:
-    """``metric.norms(v)`` for a C-contiguous 2D block, overwriting ``v``.
-
-    Squares and absolute values are taken in place, so the row sums and
-    maxima see the same values, in the same layout, that ``norms`` sums.
-    """
-    if metric.p == 2.0 and v.shape[-1] > 1:
-        v *= v
-        return np.sqrt(np.sum(v, axis=-1))
-    np.abs(v, out=v)
-    if metric.p == 1.0:
-        return np.sum(v, axis=-1)
-    return np.max(v, axis=-1)
-
-
 def _family_for(metric: Metric) -> str:
     return {1.0: "cauchy", 2.0: "gaussian", math.inf: "coord"}[metric.p]
 
 
+class _Buckets:
+    """B grouped by one table's bucket ids.
+
+    ``order`` sorts B's ids stably, ``ids`` holds the distinct ids in
+    ascending order, and ``start`` and ``size`` give each one's first
+    position in ``order`` and its member count: the arrays that
+    ``np.unique(ids[order], return_index=True, return_counts=True)`` returns.
+    """
+
+    def __init__(self, ids: np.ndarray):
+        self.order = np.argsort(ids, kind="stable")
+        ids = ids[self.order]
+        # a bucket starts where a sorted id differs from the one before it
+        edges = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1], [True])))
+        self.start, self.size = edges[:-1], edges[1:] - edges[:-1]
+        self.ids = ids[self.start]
+        # a presence screen over the top bits of the bucket ids, 16 to 32
+        # slots per bucket: a query id whose slot is clear is in no bucket
+        bits = self.ids.size.bit_length() + _SCREEN_BITS
+        self._shift = np.uint64(64 - bits)
+        self._screen = np.zeros(1 << bits, dtype=bool)
+        self._screen[self._slots(self.ids)] = True
+
+    def _slots(self, ids: np.ndarray) -> np.ndarray:
+        # the shift clears the sign bit, so the int64 view is the slot number
+        return (ids >> self._shift).view(np.int64)
+
+    def lookup(self, qids: np.ndarray):
+        """Positions of the query ids that some point of B shares, and their buckets.
+
+        Only the ids whose screen slot is set are searched for.
+        """
+        maybe = np.flatnonzero(self._screen[self._slots(qids)])
+        ids = qids[maybe]
+        pos = np.minimum(np.searchsorted(self.ids, ids), self.ids.size - 1)
+        found = self.ids[pos] == ids
+        return maybe[found], pos[found]
+
+    def members(self, bucket: np.ndarray) -> np.ndarray:
+        """Ragged bucket expansion: the indices into B of each bucket's members, bucket by bucket."""
+        c = self.size[bucket]
+        ends = np.cumsum(c)
+        flat = np.arange(ends[-1]) - np.repeat(ends - c, c) + np.repeat(self.start[bucket], c)
+        return self.order[flat]
+
+
 class _Table:
-    """One hash table: K concatenated quantized projections over B."""
+    """One hash table: K concatenated quantized projections over B.
+
+    The projection, offsets and combiner are drawn when the table is made,
+    so a ladder's draws do not depend on which tables it uses.  B is hashed
+    and bucketed when ``buckets`` is first called.
+    """
 
     def __init__(self, points: np.ndarray, width: float, family: str, k: int, rng):
         d = points.shape[1]
@@ -96,18 +136,8 @@ class _Table:
         self.offsets = rng.uniform(0.0, width, size=k)
         self.width = width
         self.combiner = (rng.integers(1, 2**62, size=k, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
-        ids = self.hash_points(points)
-        self.order = np.argsort(ids, kind="stable")
-        # distinct bucket ids, with each bucket's first position in order and its size
-        self.bucket_ids, self.bucket_start, self.bucket_size = np.unique(
-            ids[self.order], return_index=True, return_counts=True
-        )
-        # a presence screen over the top bits of the bucket ids, 16 to 32
-        # slots per bucket: a query id whose slot is clear is in no bucket
-        bits = self.bucket_ids.size.bit_length() + _SCREEN_BITS
-        self._shift = np.uint64(64 - bits)
-        self._screen = np.zeros(1 << bits, dtype=bool)
-        self._screen[self._slots(self.bucket_ids)] = True
+        self._points = points
+        self._buckets = None  # built on first use, by ``buckets``
 
     def hash_points(self, pts: np.ndarray) -> np.ndarray:
         # floor((pts @ proj + offsets) / width), each step in place
@@ -118,27 +148,16 @@ class _Table:
         # uint64 arithmetic wraps mod 2^64, so the ids do not depend on the summation order
         return codes.view(np.uint64) @ self.combiner
 
-    def _slots(self, ids: np.ndarray) -> np.ndarray:
-        # the shift clears the sign bit, so the int64 view is the slot number
-        return (ids >> self._shift).view(np.int64)
+    def buckets(self) -> _Buckets:
+        """B's buckets, built on the first call.
 
-    def lookup(self, qids: np.ndarray):
-        """Positions of the query ids that some point of B shares, and their buckets.
-
-        Only the ids whose screen slot is set are searched for.
+        They are published by one assignment, so a concurrent caller sees
+        all of them or none; two callers that race build equal copies.
         """
-        maybe = np.flatnonzero(self._screen[self._slots(qids)])
-        ids = qids[maybe]
-        pos = np.minimum(np.searchsorted(self.bucket_ids, ids), self.bucket_ids.size - 1)
-        found = self.bucket_ids[pos] == ids
-        return maybe[found], pos[found]
-
-    def members(self, bucket: np.ndarray) -> np.ndarray:
-        """Ragged bucket expansion: the indices into B of each bucket's members, bucket by bucket."""
-        c = self.bucket_size[bucket]
-        ends = np.cumsum(c)
-        flat = np.arange(ends[-1]) - np.repeat(ends - c, c) + np.repeat(self.bucket_start[bucket], c)
-        return self.order[flat]
+        built = self._buckets
+        if built is None:
+            built = self._buckets = _Buckets(self.hash_points(self._points))
+        return built
 
 
 class _Scale:
@@ -148,7 +167,13 @@ class _Scale:
 
 
 class ScaleLadder:
-    """Immutable multi-scale near-neighbor structure over one point set."""
+    """Multi-scale near-neighbor structure over one point set.
+
+    Its tables bucket B when a query or the build first needs them, and
+    its exact fallback is built on the first query that misses every
+    scale.  Each is published whole and comes out the same whenever it is
+    built, so answers do not depend on the order of queries.
+    """
 
     def __init__(self, source: PointSet, metric: Metric, c: float, scales: list[_Scale]):
         self.source = source
@@ -166,27 +191,27 @@ class ScaleLadder:
         and its bucket ids their bits.  The members are then gathered over
         tiles of query rows holding at most ``_TILE_ENTRIES`` coordinates;
         a row whose bucket alone is larger has its members split.  Each
-        row's members lie in one contiguous run of a tile, so a segment
-        minimum over the runs gives its nearest distance and a second one,
-        over the members at that distance, the lowest index.  Each tile
-        keeps the smallest (distance, index) pair per row, so the result is
-        the one an untiled probe gives.
+        row's members lie in one contiguous run of a tile, so
+        ``_nearest_in_runs`` gives its nearest distance and the lowest index
+        at it.  Each tile keeps the smallest (distance, index) pair per
+        row, so the result is the one an untiled probe gives.
         """
+        buckets = table.buckets()
         # ``rows`` increase, so while none has retired they are all of q; the
         # gathered rows are freed before the folds
-        hit, bucket = table.lookup(
+        hit, bucket = buckets.lookup(
             table.hash_points(q if rows.size == len(q) else np.take(q, rows, axis=0))
         )
         if hit.size == 0:
             return
         limit = _tile_rows(q.shape[1])
-        sizes = table.bucket_size[bucket]
+        sizes = buckets.size[bucket]
         ends = np.cumsum(sizes)
         lo = 0
         while lo < hit.size:
             start = int(ends[lo - 1]) if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, start + limit, side="right")))
-            cand = table.members(bucket[lo:hi])
+            cand = buckets.members(bucket[lo:hi])
             qrows = rows[hit[lo:hi]]
             if cand.size <= limit:
                 self._fold_runs(q, qrows, sizes[lo:hi], cand, best_d, best_i)
@@ -203,12 +228,7 @@ class ScaleLadder:
         ``cand`` holds the members of ``qrows`` in order, as runs of
         ``counts`` members, none empty.
         """
-        block = np.take(q, np.repeat(qrows, counts), axis=0)
-        block -= self.source.points[cand]
-        d = _norms_in_place(self.metric, block)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        dd = np.minimum.reduceat(d, starts)
-        ii = np.minimum.reduceat(np.where(d == np.repeat(dd, counts), cand, _NO_INDEX), starts)
+        dd, ii = _nearest_in_runs(self.metric, q, qrows, counts, self.source.points, cand)
         better = (dd < best_d[qrows]) | ((dd == best_d[qrows]) & (ii < best_i[qrows]))
         qrows, dd, ii = qrows[better], dd[better], ii[better]
         best_d[qrows] = dd
@@ -264,20 +284,35 @@ def _build_scale(points, radius, family, n, c, rng) -> _Scale:
 def _has_close_bucket_pair(scale: _Scale, points: np.ndarray, metric: Metric, cutoff: float) -> bool:
     """Whether any table puts two distinct points in one bucket within cutoff.
 
-    Each bucket's pairs are measured in blocks of its rows, each block's
-    distance tables holding at most ``_TILE_ENTRIES`` entries together (a
-    single row may hold more), and the scan stops at the first close pair.
+    Tables are bucketed as the scan reaches them, and it stops at the first
+    close pair, so the tables after it stay unbuilt until a query needs
+    them.  In a table, each position of ``order`` pairs with the later
+    positions of its bucket.  The pairs are measured in tiles of at most
+    ``_TILE_ENTRIES`` coordinates (one position's pairs may hold more), one
+    ``norms`` call each.
     """
-    held = _held_tables(points.shape[1])
+    step = _tile_rows(points.shape[1])
     for table in scale.tables:
-        shared = table.bucket_size > 1
-        for start, size in zip(table.bucket_start[shared], table.bucket_size[shared]):
-            members = points[table.order[start : start + size]]
-            step = _tile_rows(size * held)
-            for lo in range(0, size, step):
-                diffs = _cross_norms(metric, members[lo : lo + step], members)
-                if np.any((diffs > 0.0) & (diffs <= cutoff)):
-                    return True
+        buckets = table.buckets()
+        if buckets.ids.size == buckets.order.size:
+            continue  # every bucket holds one point
+        # the later positions in its bucket of each position that has some
+        later = np.repeat(buckets.start + buckets.size, buckets.size) - np.arange(1, buckets.order.size + 1)
+        pos = np.flatnonzero(later)
+        counts = later[pos]
+        ends = np.cumsum(counts)
+        lo = 0
+        while lo < pos.size:
+            done = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + step, side="right")))
+            run, rank = _runs(counts[lo:hi])
+            first = pos[lo:hi][run]
+            diffs = points[buckets.order[first]]
+            diffs -= points[buckets.order[first + rank + 1]]
+            dist = metric.norms(diffs)
+            if np.any((dist > 0.0) & (dist <= cutoff)):
+                return True
+            lo = hi
     return False
 
 

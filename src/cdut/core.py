@@ -256,6 +256,33 @@ def _cross_norms(metric: Metric, q: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out) if square else out
 
 
+# the index of a candidate that is not at its run's nearest distance
+_NO_INDEX = np.iinfo(np.int64).max
+
+
+def _nearest_in_runs(metric: Metric, q, rows, counts, points: np.ndarray, cand: np.ndarray):
+    """Each run's nearest candidate: its least distance, then the lowest index at it.
+
+    Run r pairs query row ``q[rows[r]]`` with the next ``counts[r]``
+    indices of ``cand`` into ``points``; no run is empty.  The differences
+    are squared or made absolute in place, so each distance has the bits
+    of ``metric.norms`` of the same difference.
+    """
+    v = np.take(q, np.repeat(rows, counts), axis=0)
+    v -= points[cand]
+    if metric.p == 2.0 and v.shape[-1] > 1:
+        v *= v
+        d = np.sqrt(np.sum(v, axis=-1))
+    else:
+        np.abs(v, out=v)
+        d = np.sum(v, axis=-1) if metric.p == 1.0 else np.max(v, axis=-1)
+    if d.size == len(counts):  # every run has one member
+        return d, cand
+    starts =np.concatenate(([0], np.cumsum(counts)[:-1]))
+    dist = np.minimum.reduceat(d, starts)
+    return dist, np.minimum.reduceat(np.where(d == np.repeat(dist, counts), cand, _NO_INDEX), starts)
+
+
 def _auto_backend(n: int, d: int, metric: Metric) -> str:
     """The backend that 'auto' takes for n points in d dimensions.
 
@@ -393,32 +420,47 @@ class NearestIndex:
         # s_j gives s_k <= s_j + (6d + 14) u W + 6d eta, plus 2 u W for
         # the threshold's roundings.  The band, (8d + 16) eps W + 16d eta, is
         # over twice that; rounding W itself, with or without underflow,
-        # moves it by far less.  So a row with one point in its band has
-        # found brute's answer, and a row with more goes to one brute pass
-        # with the rows whose W nears overflow.  Centring on B's mean
-        # cancels an offset shared by A and B, such as 1e12.
+        # moves it by far less.  So the band holds brute's answer and every
+        # point tied with it.  Its points are re-scored with ``norms``'s
+        # arithmetic, and each row takes the least distance and the lowest
+        # index at it, as brute does; rows whose W nears overflow keep no
+        # band and go to one brute pass.  Centring on B's mean cancels an
+        # offset shared by A and B, such as 1e12.
         slope = 8.0 * (d + 2) * np.finfo(np.float64).eps
         floor = 8.0 * d * np.finfo(np.float64).smallest_subnormal
-        near = np.empty(len(q), dtype=np.int64)
-        alone = np.empty(len(q), dtype=bool)
-        chunk = max(1, _BRUTE_ENTRIES // n)
+        near = np.zeros(len(q), dtype=np.int64)
+        far = np.zeros(len(q), dtype=bool)
+        # a tile's band holds at most chunk * n points, and their
+        # coordinates one tile's worth
+        chunk = max(1, min(_BRUTE_ENTRIES, _tile_rows(d)) // n)
         lifted = np.ones((min(chunk, len(q)), d + 1))
         for start in range(0, len(q), chunk):
             stop = min(len(q), start + chunk)
             rows = lifted[: stop - start]
             centred = np.subtract(q[start:stop], centre, out=rows[:, :d])
             screened = rows @ lift
-            first = np.argmin(screened, axis=1)
             w = np.sqrt(np.einsum("ij,ij->i", centred, centred)) + reach
             w *= w
-            cut = screened[np.arange(stop - start), first] + (slope * w + floor)
-            inside = np.count_nonzero(screened <= cut[:, None], axis=1)
-            near[start:stop] = first
-            alone[start:stop] = (inside == 1) & (w < _SCREEN_LIMIT)
+            low = screened[np.arange(stop - start), np.argmin(screened, axis=1)]
+            band = screened <= (low + (slope * w + floor))[:, None]
+            wide = w >= _SCREEN_LIMIT
+            if wide.any():
+                band[wide] = False
+            # rows ascend, and each row's points ascend
+            row, point = np.divmod(np.flatnonzero(band), n)
+            if point.size == stop - start and not wide.any():
+                near[start:stop] = point  # each band holds one point
+                continue
+            counts = np.bincount(row, minlength=stop - start)
+            held = np.flatnonzero(counts)
+            far[start:stop] = counts == 0
+            near[start + held] = _nearest_in_runs(
+                self.metric, q[start:stop], held, counts[held], self.source.points, point
+            )[1]
+        # the least distance in a band is its lowest index's, in the same arithmetic
         dist = self.metric.norms(q - self.source.points[near])
-        if not alone.all():
-            rest = ~alone
-            dist[rest], near[rest] = self._brute(q[rest])
+        if far.any():
+            dist[far], near[far] = self._brute(q[far])
         return dist, near
 
     def _kdtree(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdut.ann
-from cdut import L1, L2, LINF, PointSet, build_index, build_ladder, cdut_approx_v2
-from cdut.ann import _family_for, _has_close_bucket_pair, _norms_in_place, _Scale, _Table
+from cdut import L1, L2, LINF, Metric, PointSet, bbox_diameter, build_index, build_ladder, cdut_approx_v2
+from cdut.ann import _family_for, _has_close_bucket_pair, _Scale, _scale_parameters, _Table
 from cdut.instances import uniform_instance
 
 
@@ -36,8 +37,9 @@ class TestBuild:
         assert len(first.scales) == len(second.scales)
         for s1, s2 in zip(first.scales, second.scales):
             for t1, t2 in zip(s1.tables, s2.tables):
-                assert np.array_equal(t1.bucket_ids, t2.bucket_ids)
-                assert np.array_equal(t1.order, t2.order)
+                b1, b2 = t1.buckets(), t2.buckets()
+                for name in ("order", "ids", "start", "size"):
+                    assert np.array_equal(getattr(b1, name), getattr(b2, name))
                 assert np.array_equal(t1.proj, t2.proj)
 
     def test_distinct_seeds_give_distinct_tables(self):
@@ -96,7 +98,7 @@ def old_candidates(sorted_ids, order, qids):
 
 def old_has_close_bucket_pair(scale, points, metric, cutoff):
     for table in scale.tables:
-        order = table.order
+        order = table.buckets().order
         ids = old_hash(table, points)[order]
         start = 0
         for end in range(1, ids.size + 1):
@@ -125,35 +127,36 @@ def lexsort_keep_nearest(ladder, q, rows, rep, cand, best_d, best_i):
 
 
 def lexsort_probe_table(ladder, table, q, rows, best_d, best_i):
-    hit, bucket = table.lookup(old_hash(table, q[rows]))
+    buckets = table.buckets()
+    hit, bucket = buckets.lookup(old_hash(table, q[rows]))
     if hit.size == 0:
         return
     limit = cdut.core._tile_rows(q.shape[1])
-    ends = np.cumsum(table.bucket_size[bucket])
+    ends = np.cumsum(buckets.size[bucket])
     lo = 0
     while lo < hit.size:
         start = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, start + limit, side="right")))
-        rep, cand = np.repeat(hit[lo:hi], table.bucket_size[bucket[lo:hi]]), table.members(bucket[lo:hi])
+        rep, cand = np.repeat(hit[lo:hi], buckets.size[bucket[lo:hi]]), buckets.members(bucket[lo:hi])
         for s in range(0, rep.size, limit):
             lexsort_keep_nearest(ladder, q, rows, rep[s : s + limit], cand[s : s + limit], best_d, best_i)
         lo = hi
 
 
-def full_search_lookup(table, qids):
+def full_search_lookup(buckets, qids):
     """The lookup with no presence screen: every query id is searched for."""
-    pos = np.minimum(np.searchsorted(table.bucket_ids, qids), table.bucket_ids.size - 1)
-    hit = np.flatnonzero(table.bucket_ids[pos] == qids)
+    pos = np.minimum(np.searchsorted(buckets.ids, qids), buckets.ids.size - 1)
+    hit = np.flatnonzero(buckets.ids[pos] == qids)
     return hit, pos[hit]
 
 
 def fancy_fold_runs(ladder, q, qrows, counts, cand, best_d, best_i):
     block = q[np.repeat(qrows, counts)]
     block -= ladder.source.points[cand]
-    d = _norms_in_place(ladder.metric, block)
+    d = ladder.metric.norms(block)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     dd = np.minimum.reduceat(d, starts)
-    ii = np.minimum.reduceat(np.where(d == np.repeat(dd, counts), cand, cdut.ann._NO_INDEX), starts)
+    ii = np.minimum.reduceat(np.where(d == np.repeat(dd, counts), cand, cdut.core._NO_INDEX), starts)
     better = (dd < best_d[qrows]) | ((dd == best_d[qrows]) & (ii < best_i[qrows]))
     qrows, dd, ii = qrows[better], dd[better], ii[better]
     best_d[qrows] = dd
@@ -162,17 +165,18 @@ def fancy_fold_runs(ladder, q, qrows, counts, cand, best_d, best_i):
 
 def fancy_probe_table(ladder, table, q, rows, best_d, best_i):
     """The segment-minimum probe that gathers ``q[rows]`` and searches every id."""
-    hit, bucket = full_search_lookup(table, table.hash_points(q[rows]))
+    buckets = table.buckets()
+    hit, bucket = full_search_lookup(buckets, table.hash_points(q[rows]))
     if hit.size == 0:
         return
     limit = cdut.core._tile_rows(q.shape[1])
-    sizes = table.bucket_size[bucket]
+    sizes = buckets.size[bucket]
     ends = np.cumsum(sizes)
     lo = 0
     while lo < hit.size:
         start = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, start + limit, side="right")))
-        cand = table.members(bucket[lo:hi])
+        cand = buckets.members(bucket[lo:hi])
         qrows = rows[hit[lo:hi]]
         if cand.size <= limit:
             fancy_fold_runs(ladder, q, qrows, sizes[lo:hi], cand, best_d, best_i)
@@ -230,12 +234,13 @@ class TestTable:
             assert np.array_equal(table.hash_points(b), old_hash(table, b))
             qids = table.hash_points(q)
             assert np.array_equal(qids, old_hash(table, q))
-            sorted_ids = old_hash(table, b)[table.order]
-            want, (hit, bucket) = old_candidates(sorted_ids, table.order, qids), table.lookup(qids)
+            buckets = table.buckets()
+            sorted_ids = old_hash(table, b)[buckets.order]
+            want, (hit, bucket) = old_candidates(sorted_ids, buckets.order, qids), buckets.lookup(qids)
             assert (want[0] is None) == (hit.size == 0)
             if hit.size:
-                assert np.array_equal(want[0], np.repeat(hit, table.bucket_size[bucket]))
-                assert np.array_equal(want[1], table.members(bucket))
+                assert np.array_equal(want[0], np.repeat(hit, buckets.size[bucket]))
+                assert np.array_equal(want[1], buckets.members(bucket))
 
     def test_close_pair_scan_matches_the_run_length_loop(self):
         for seed in range(6):
@@ -249,7 +254,7 @@ class TestTable:
         # the only shared bucket holds exactly two points
         pair = np.array([[0.0], [0.1], [50.0], [80.0]])
         table = _Table(pair, 10.0, "coord", 1, np.random.default_rng(0))
-        assert sorted(table.bucket_size) == [1, 1, 2]
+        assert sorted(table.buckets().size) == [1, 1, 2]
         assert _has_close_bucket_pair(_Scale(2.5, [table]), pair, L2, 1.0)
         assert not _has_close_bucket_pair(_Scale(2.5, [table]), pair, L2, 0.05)
 
@@ -258,37 +263,171 @@ class TestTable:
         rng = np.random.default_rng(29)
         b = PointSet(rng.integers(-3, 4, size=(40, 3)).astype(np.float64))
         ladder = build_ladder(b, c=2.0, seed=29, metric=metric)
-        # the top scale puts more than one tile's rows in one bucket
-        biggest = max(t.bucket_size.max() for t in ladder.scales[-1].tables)
-        held = cdut.core._held_tables(3)
-        assert biggest * biggest * held > 48
-        monkeypatch.setattr(cdut.core, "_TILE_ENTRIES", 48)
+        # the top scale puts more than one tile's pairs in one bucket
+        biggest = max(t.buckets().size.max() for t in ladder.scales[-1].tables)
+        assert biggest * (biggest - 1) // 2 * 3 > 48
         blocks = record_close_pair_blocks(monkeypatch)
+        # distinct grid points are 1 apart or more: no scan stops early, and
+        # each table with a shared bucket takes one norms call
+        for scale in ladder.scales:
+            start = len(blocks)
+            assert not _has_close_bucket_pair(scale, b.points, metric, 0.5)
+            assert len(blocks) - start == sum(t.buckets().size.max() > 1 for t in scale.tables)
+        monkeypatch.setattr(cdut.core, "_TILE_ENTRIES", 48)
+        del blocks[:]
         for scale in ladder.scales:
             for cutoff in (0.5, 1.0, 2.0 * scale.radius):
+                want = old_has_close_bucket_pair(scale, b.points, metric, cutoff)
                 start = len(blocks)
-                got = _has_close_bucket_pair(scale, b.points, metric, cutoff)
-                assert got == old_has_close_bucket_pair(scale, b.points, metric, cutoff)
-                # one row is wider than a tile only when the bucket is
-                assert all(rows * s * held <= max(48, s * held) for rows, s in blocks[start:])
-        assert any(rows < s for rows, s in blocks)  # some bucket took more than one block
-        # a close pair in the first rows of a bucket ends the scan there
+                assert _has_close_bucket_pair(scale, b.points, metric, cutoff) == want
+                # one position's pairs are wider than a tile only when its bucket is
+                assert all(rows * d <= max(48, (biggest - 1) * d) for rows, d in blocks[start:])
         del blocks[:]
         top = ladder.scales[-1]
+        assert not _has_close_bucket_pair(top, b.points, metric, 0.5)
+        assert len(blocks) > len(top.tables)  # some table took more than one block
+        # a close pair in the first tile of a table ends the scan there
+        del blocks[:]
         assert _has_close_bucket_pair(top, b.points, metric, 2.0 * top.radius)
         assert len(blocks) == 1
 
 
+def eager_ladder(b, c, seed, metric):
+    """The ladder build that buckets each table with ``np.unique`` as it is
+    drawn and checks each shared bucket's pairs in turn: the scales' radii,
+    and each table's (order, ids, start, size)."""
+    family, pts = _family_for(metric), b.points
+    rng = np.random.default_rng(seed)
+    radius, scales = float(bbox_diameter(b, metric)), []
+    for _ in range(cdut.ann._MAX_SCALES):
+        k, count = _scale_parameters(family, len(b), c)
+        tables = []
+        for _ in range(count):
+            ids = _Table(pts, cdut.ann._WIDTH_FACTOR * radius, family, k, rng).hash_points(pts)
+            order = np.argsort(ids, kind="stable")
+            tables.append((order, *np.unique(ids[order], return_index=True, return_counts=True)))
+        scales.append((radius, tables))
+        close = False
+        for order, _, start, size in tables:
+            for lo, count in zip(start, size):
+                members = pts[order[lo : lo + count]]
+                dist = metric.norms(members[:, None, :] - members[None, :, :])
+                close |= bool(np.any((dist > 0.0) & (dist <= c * radius)))
+        if not close:
+            break
+        radius /= c
+    return scales[::-1]
+
+
+class TestLazyBuckets:
+    @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    def test_buckets_match_an_eager_build(self, metric):
+        for seed in range(4):
+            ladder, _ = grid_ladder(seed, 30, 1 + seed % 4, metric, 2.0)
+            want = eager_ladder(ladder.source, 2.0, seed, metric)
+            assert [s.radius for s in ladder.scales] == [radius for radius, _ in want]
+            for scale, (_, tables) in zip(ladder.scales, want):
+                assert len(scale.tables) == len(tables)
+                for table, arrays in zip(scale.tables, tables):
+                    got = table.buckets()
+                    for name, array in zip(("order", "ids", "start", "size"), arrays):
+                        assert np.array_equal(getattr(got, name), array)
+                        assert getattr(got, name).dtype == array.dtype
+
+    @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    def test_only_reached_tables_are_bucketed(self, monkeypatch, metric):
+        built, probed = [], set()
+
+        class Counting(cdut.ann._Buckets):
+            def __init__(self, ids):
+                super().__init__(ids)
+                built.append(self)
+
+        probe = cdut.ann.ScaleLadder._probe_table
+
+        def recording(ladder, table, *args):
+            probed.add(id(table))
+            return probe(ladder, table, *args)
+
+        monkeypatch.setattr(cdut.ann, "_Buckets", Counting)
+        monkeypatch.setattr(cdut.ann.ScaleLadder, "_probe_table", recording)
+        unbuilt = 0
+        for seed in range(4):
+            del built[:]
+            ladder, queries = grid_ladder(seed, 40, 3, metric, 2.0)
+            tables = [t for scale in ladder.scales for t in scale.tables]
+            bucketed = {id(t) for t in tables if t._buckets is not None}
+            assert len(built) == len(bucketed)
+            # the build reaches, at each scale, the tables up to its first
+            # close pair, and every table of the lowest scale, which has none
+            reached = set()
+            for scale in ladder.scales:
+                for table in scale.tables:
+                    reached.add(id(table))
+                    if scale is not ladder.scales[0] and _has_close_bucket_pair(
+                        _Scale(scale.radius, [table]), ladder.source.points, metric, 2.0 * scale.radius
+                    ):
+                        break
+            assert bucketed == reached
+            ladder.query_batch(queries)
+            bucketed = {id(t) for t in tables if t._buckets is not None}
+            assert bucketed == reached | probed
+            assert len(built) == len(bucketed)  # each table once
+            unbuilt += len(tables) - len(bucketed)
+            probed.clear()
+        assert unbuilt > 0
+
+    @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    def test_close_pair_scan_of_one_dense_bucket_holds_a_tile(self, monkeypatch, metric):
+        # a top scale over a dense B: one coordinate-sampling bucket of 4,000
+        # points, pairwise at least 1 apart but for one pair at 0.5, which
+        # the scan meets in its last tiles
+        rng = np.random.default_rng(3)
+        pts = np.stack([np.arange(4000.0), rng.permutation(4000).astype(np.float64)], axis=1)
+        pts[3999] = pts[3900] + [0.0, 0.5]
+        table = _Table(pts, 1e9, "coord", 1, np.random.default_rng(0))
+        assert table.buckets().size.tolist() == [4000]
+        scale = _Scale(1.0, [table])
+        tile = 1 << 16
+        monkeypatch.setattr(cdut.core, "_TILE_ENTRIES", tile)
+        for cutoff, want in ((0.75, True), (0.25, False)):
+            assert bucketwise_close_pair(scale, pts, metric, cutoff) == want
+            tracemalloc.start()
+            try:
+                got = _has_close_bucket_pair(scale, pts, metric, cutoff)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            # a few tiles: the bucket's 8M pairs would hold 16M coordinates
+            assert peak <= 8 * 8 * tile
+
+
+def bucketwise_close_pair(scale, points, metric, cutoff):
+    """The close-pair check one shared bucket at a time, in row blocks."""
+    held = cdut.core._held_tables(points.shape[1])
+    for table in scale.tables:
+        buckets = table.buckets()
+        for start, size in zip(buckets.start, buckets.size):
+            members = points[buckets.order[start : start + size]]
+            step = cdut.core._tile_rows(size * held)
+            for lo in range(0, size, step):
+                dist = cdut.core._cross_norms(metric, members[lo : lo + step], members)
+                if np.any((dist > 0.0) & (dist <= cutoff)):
+                    return True
+    return False
+
+
 def record_close_pair_blocks(monkeypatch):
-    """The (rows, bucket size) of every block that the close-pair check measures."""
+    """The shape of every block of differences that the close-pair check measures."""
     shapes = []
 
-    def recording(metric, rows, members):
-        shapes.append((len(rows), len(members)))
-        return cross_norms(metric, rows, members)
+    def recording(metric, v):
+        shapes.append(v.shape)
+        return norms(metric, v)
 
-    cross_norms = cdut.ann._cross_norms
-    monkeypatch.setattr(cdut.ann, "_cross_norms", recording)
+    norms = Metric.norms
+    monkeypatch.setattr(Metric, "norms", recording)
     return shapes
 
 
@@ -296,11 +435,12 @@ def record_probe_blocks(monkeypatch):
     """The shapes of the member blocks that the ladder probe measures."""
     shapes = []
 
-    def recording(metric, v):
-        shapes.append(v.shape)
-        return _norms_in_place(metric, v)
+    def recording(metric, q, rows, counts, points, cand):
+        shapes.append((len(cand), q.shape[1]))
+        return nearest_in_runs(metric, q, rows, counts, points, cand)
 
-    monkeypatch.setattr(cdut.ann, "_norms_in_place", recording)
+    nearest_in_runs = cdut.core._nearest_in_runs
+    monkeypatch.setattr(cdut.ann, "_nearest_in_runs", recording)
     return shapes
 
 
@@ -322,7 +462,7 @@ class TestTiledProbe:
         assert len(tiled) > len(untiled)
         # coarse scales put more than 8 members in one bucket, so one row's
         # members are split between blocks
-        assert max(t.bucket_size.max() for s in ladder.scales for t in s.tables) > 8
+        assert max(t.buckets().size.max() for s in ladder.scales for t in s.tables) > 8
         assert sum(rows for rows, _ in tiled) == sum(rows for rows, _ in untiled)
 
 
@@ -384,6 +524,10 @@ def test_each_table_hashes_the_fancy_gather_rows(monkeypatch, metric):
     retired_mid_scale = False
     for seed in range(12):
         ladder, queries = grid_ladder(seed, 30, 1 + seed % 8, metric, (1.5, 2.0, 3.0)[seed % 3])
+        # every table bucketed first, so that only the queries' hashes are recorded
+        for scale in ladder.scales:
+            for table in scale.tables:
+                table.buckets()
         seen = record_hash_inputs(monkeypatch)
         ladder.query_batch(queries)
         got = list(seen)
@@ -409,10 +553,10 @@ def test_each_table_hashes_the_fancy_gather_rows(monkeypatch, metric):
 def test_screened_lookup_matches_the_full_search(seed, n, d, family, k, width):
     rng = np.random.default_rng(seed)
     b = rng.integers(-4, 5, size=(n, d)).astype(np.float64)
-    table = _Table(b, width, family, k, rng)
-    ids = table.bucket_ids
+    buckets = _Table(b, width, family, k, rng).buckets()
+    ids = buckets.ids
     top = np.uint64(2**64 - 1)
-    shift = table._shift
+    shift = buckets._shift
     # ids in a bucket's screen slot but not the bucket's own: the low bit
     # flipped, and the first and last ids of the slot
     first = (ids >> shift) << shift
@@ -426,8 +570,8 @@ def test_screened_lookup_matches_the_full_search(seed, n, d, family, k, width):
     random = rng.integers(0, top, size=40, dtype=np.uint64, endpoint=True)
     qids = np.concatenate([ids, ids ^ np.uint64(1), first, last, np.array(outside, dtype=np.uint64), random])
     qids = qids[rng.permutation(qids.size)]
-    assert np.any(table._screen[table._slots(qids)] & ~np.isin(qids, ids))
-    got, want = table.lookup(qids), full_search_lookup(table, qids)
+    assert np.any(buckets._screen[buckets._slots(qids)] & ~np.isin(qids, ids))
+    got, want = buckets.lookup(qids), full_search_lookup(buckets, qids)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
 

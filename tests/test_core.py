@@ -318,6 +318,33 @@ def test_screen_agrees_on_lattices_whose_squares_underflow(case):
     assert_backends_agree(*case, L2, backends=("screen",))
 
 
+@st.composite
+def fold_cases(draw):
+    """Runs of candidate indices into a tie-heavy B, ascending and with
+    repeats, some of one member, paired with query rows in any order."""
+    kind = draw(st.sampled_from(["grid", "scaled", "tiny"]))
+    b, queries = draw(tie_heavy(scaled=kind == "scaled", tiny=kind == "tiny"))
+    if draw(st.booleans()) and kind != "tiny":
+        b, queries = PointSet(b.points + 1e12), queries + 1e12
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, len(queries), size=draw(st.integers(1, 40)))
+    counts = np.where(rng.random(rows.size) < 0.3, 1, rng.integers(1, 2 * len(b) + 2, size=rows.size))
+    runs = [np.sort(rng.integers(0, len(b), size=count)) for count in counts]
+    return b, queries, rows, counts, runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=fold_cases(), metric=st.sampled_from([L1, L2, LINF]))
+def test_run_fold_matches_brute(case, metric):
+    # each run's (distance, lowest index) is brute's over the run's points
+    b, queries, rows, counts, runs = case
+    dist, idx = cdut.core._nearest_in_runs(metric, queries, rows, counts, b.points, np.concatenate(runs))
+    for r, (row, run) in enumerate(zip(rows, runs)):
+        want_d, want_i = build_index(PointSet(b.points[run]), metric, "brute").query_many(queries[row : row + 1])
+        assert dist[r].tobytes() == want_d[0].tobytes()
+        assert idx[r] == run[want_i[0]]
+
+
 class TestScreen:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("d", [2, 3, 16, 64])
@@ -339,21 +366,31 @@ class TestScreen:
             queries = (ts[:, None, :] + a.points[None, :, :]).reshape(-1, d)
             assert_backends_agree(b, queries, L2, backends=("screen",))
 
-    def test_only_rows_with_two_points_in_the_band_go_to_brute(self, monkeypatch):
+    def test_only_rows_near_overflow_go_to_brute(self, monkeypatch):
         rng = np.random.default_rng(5)
         distinct = PointSet(rng.uniform(-10, 10, size=(30, 3)))
         doubled = PointSet(np.repeat(distinct.points, 2, axis=0))
-        queries = rng.uniform(-12, 12, size=(200, 3))
-        for b, brute_rows in ((distinct, []), (doubled, [len(queries)])):
+        # the last two rows' (|q'| + max |p'|)^2 nears overflow
+        queries = np.vstack([rng.uniform(-12, 12, size=(200, 3)), [[1e154, 0.0, 0.0], [-1e154, 1e154, 0.0]]])
+        fold = cdut.core._nearest_in_runs
+        for b, least in ((distinct, 1), (doubled, 2)):
             index = build_index(b, L2, "screen")
-            calls = []
+            calls, runs = [], []
             brute = index._brute
             monkeypatch.setattr(index, "_brute", lambda q: calls.append(len(q)) or brute(q))
+
+            def recording(metric, q, rows, counts, points, cand):
+                runs.extend(counts)
+                return fold(metric, q, rows, counts, points, cand)
+
+            monkeypatch.setattr(cdut.core, "_nearest_in_runs", recording)
             dist, idx = index.query_many(queries)
             want = build_index(b, L2, "brute").query_many(queries)
             assert dist.tobytes() == want[0].tobytes() and np.array_equal(idx, want[1])
-            # every query's nearest point is doubled, so every row holds two
-            assert calls == brute_rows
+            assert calls == [2]
+            # every other row is folded from its band; each of ``doubled``'s
+            # nearest points is doubled, so each of its bands holds two
+            assert len(runs) == len(queries) - 2 and min(runs) == least
 
     def test_rows_near_overflow_go_to_brute(self):
         b = pts([[0.0, 0.0], [1.0, 1.0], [3e153, 0.0]])
