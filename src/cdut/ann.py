@@ -287,11 +287,12 @@ def _has_close_bucket_pair(scale: _Scale, points: np.ndarray, metric: Metric, cu
     Tables are bucketed as the scan reaches them, and it stops at the first
     close pair, so the tables after it stay unbuilt until a query needs
     them.  In a table, each position of ``order`` pairs with the later
-    positions of its bucket.  The pairs are measured in tiles of at most
-    ``_TILE_ENTRIES`` coordinates (one position's pairs may hold more), one
-    ``norms`` call each.
+    positions of its bucket.  The pairs are measured in tiles, one
+    ``norms`` call each, whose two gathered blocks and squares hold at
+    most ``_TILE_ENTRIES`` coordinates together (one position's pairs may
+    hold more).
     """
-    step = _tile_rows(points.shape[1])
+    step = _tile_rows(3 * points.shape[1])
     for table in scale.tables:
         buckets = table.buckets()
         if buckets.ids.size == buckets.order.size:

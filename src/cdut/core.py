@@ -278,7 +278,7 @@ def _nearest_in_runs(metric: Metric, q, rows, counts, points: np.ndarray, cand: 
         d = np.sum(v, axis=-1) if metric.p == 1.0 else np.max(v, axis=-1)
     if d.size == len(counts):  # every run has one member
         return d, cand
-    starts =np.concatenate(([0], np.cumsum(counts)[:-1]))
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     dist = np.minimum.reduceat(d, starts)
     return dist, np.minimum.reduceat(np.where(d == np.repeat(dist, counts), cand, _NO_INDEX), starts)
 

@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -263,9 +265,10 @@ class TestTable:
         rng = np.random.default_rng(29)
         b = PointSet(rng.integers(-3, 4, size=(40, 3)).astype(np.float64))
         ladder = build_ladder(b, c=2.0, seed=29, metric=metric)
-        # the top scale puts more than one tile's pairs in one bucket
+        # the top scale puts more than one tile's pairs in one bucket: a
+        # tile's pairs hold 3 coordinates in each of 3 blocks
         biggest = max(t.buckets().size.max() for t in ladder.scales[-1].tables)
-        assert biggest * (biggest - 1) // 2 * 3 > 48
+        assert biggest * (biggest - 1) // 2 * 9 > 48
         blocks = record_close_pair_blocks(monkeypatch)
         # distinct grid points are 1 apart or more: no scan stops early, and
         # each table with a shared bucket takes one norms call
@@ -281,7 +284,7 @@ class TestTable:
                 start = len(blocks)
                 assert _has_close_bucket_pair(scale, b.points, metric, cutoff) == want
                 # one position's pairs are wider than a tile only when its bucket is
-                assert all(rows * d <= max(48, (biggest - 1) * d) for rows, d in blocks[start:])
+                assert all(rows * 3 * d <= max(48, (biggest - 1) * 3 * d) for rows, d in blocks[start:])
         del blocks[:]
         top = ladder.scales[-1]
         assert not _has_close_bucket_pair(top, b.points, metric, 0.5)
@@ -377,6 +380,21 @@ class TestLazyBuckets:
             probed.clear()
         assert unbuilt > 0
 
+    def test_threads_that_race_to_bucket_a_table_get_the_serial_answer(self):
+        # B's 450 points make each build long enough for threads to meet in it
+        ladder, queries = grid_ladder(11, 300, 3, L2, 2.0)
+        want = grid_ladder(11, 300, 3, L2, 2.0)[0].query_batch(queries)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = [pool.submit(ladder.query_batch, queries) for _ in range(8)]
+                results = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for dist, idx in results:
+            assert np.array_equal(dist, want[0]) and np.array_equal(idx, want[1])
+
     @pytest.mark.parametrize("metric", [L1, L2, LINF], ids=["l1", "l2", "linf"])
     def test_close_pair_scan_of_one_dense_bucket_holds_a_tile(self, monkeypatch, metric):
         # a top scale over a dense B: one coordinate-sampling bucket of 4,000
@@ -399,8 +417,9 @@ class TestLazyBuckets:
             finally:
                 tracemalloc.stop()
             assert got == want
-            # a few tiles: the bucket's 8M pairs would hold 16M coordinates
-            assert peak <= 8 * 8 * tile
+            # the blocks of a tile, and its index arrays: the bucket's 8M
+            # pairs would hold 16M coordinates in each block
+            assert peak <= 3 * 8 * tile
 
 
 def bucketwise_close_pair(scale, points, metric, cutoff):
