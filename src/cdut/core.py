@@ -574,7 +574,14 @@ _QUERY_ROWS = 1 << 20
 _ARGMIN_STAGES = 8
 # a chamfer_argmin scan of fewer query rows than this is one call: on
 # 2 CPUs one chamfer_many call beat the stages' calls on every measured scan
-# below it (1.2-7.8x at d = 1-3), while above it the stages' pruning wins
+# below it (1.2-7.8x at d = 1-3), while above it the stages' pruning wins.
+# Re-measured with cell floors on uniform approx-v1 sets of 4.1k-12.3k rows
+# (m = n = 32-64, medians of 41 calls, 2 CPUs, three runs): at d = 2 the
+# stages were level at 4.1k-4.6k rows, which build no cell table, and
+# 1.1-1.6x faster from 7.2k rows, which do; at d = 3 no such set builds
+# one, and one call was 1.2-1.6x faster on a 4.6k-row set while the stages
+# were up to 1.3x faster from 7.2k rows in most runs, not all.  Single
+# calls cannot settle it, so the constant stays until BENCH pairs move it
 _STAGED_ROWS = 4096
 # a partial sum and the full sum it bounds are rounded in different orders;
 # a candidate is dropped only when its partial sum clears the bound by more
@@ -582,6 +589,20 @@ _PRUNE_SLACK = 1e-9
 # query rows one evaluation must hold before its blocks go to the thread
 # pool; below this the handoff costs more than the second thread saves
 _POOL_ROWS = 1 << 12
+# cells per axis of the table over B's box that bounds a staged scan's terms,
+# by dimension; no other dimension has been measured, so none builds one
+_FLOOR_SIDES = {2: 32, 3: 16}
+# B's points below which no table is built: ``auto`` scans such sets by
+# brute, whose queries cost too little to repay it
+_FLOOR_POINTS = 32
+# a table of more entries, its cells times |B|, than this many times the
+# scan's query rows costs more than its floors save: uniform approx-v1
+# scans at d = 2-3 gained 1.3-2.1x with tables of up to 3.1x their rows,
+# and from 8.5x on (one anchor, |B| = 1000-20000) lost up to 13x or
+# gained at most 6%
+_FLOOR_WORK = 8
+# per-term cell floors computed at once
+_FLOOR_TILE = 1 << 13
 # lattice keys per side of lattice_argmin's pruning cells, coarse to fine;
 # each side divides the one before, so every fine cell nests in a coarse one
 _CELL_SIDES = (16, 4)
@@ -721,6 +742,17 @@ def chamfer_argmin(
     When every box floor is the same, as when A + t stays inside the box for
     every t, none can clear the bound and no candidate is seeded.
 
+    A staged scan at d = 2 or 3 (``_FLOOR_SIDES``) on B of at least
+    ``_FLOOR_POINTS`` points, given ``floors`` or not, also cuts B's box
+    into cells (``_cell_table``), unless the table's entries exceed
+    ``_FLOOR_WORK`` times the scan's query rows.  Each candidate that its
+    box floor or given floor keeps gets a floor per term from the table,
+    summed over each stage's columns and those after it (``_cell_floors``).
+    Before every stage, a candidate is dropped when its partial sum plus
+    the floor of its unscanned columns, less ``_PRUNE_SLACK`` of that floor
+    and the same rounding slack, exceeds the bound; before the first stage
+    that floor is its whole value's.
+
     ``upper`` pre-seeds the bound: only a value <= ``upper`` can win, and if
     none does the result is ``(-1, inf)``.  ``floors``, when given, holds a
     lower bound on each candidate's computed value, and a candidate is also
@@ -758,11 +790,22 @@ def chamfer_argmin(
             floor[seed] = math.inf  # it leaves the pool at the first prune
     else:
         floor = np.asarray(floors, dtype=np.float64)
+    side = _FLOOR_SIDES.get(a.dim)
+    cells = None
+    if side and len(b) >= _FLOOR_POINTS and side**a.dim * len(b) <= _FLOOR_WORK * total * m:
+        cells = _cell_table(b, metric, side)
+    if cells is not None:
+        keep = floor <= best_val
+        alive, partial, floor = alive[keep], partial[keep], floor[keep]
+        suffix = _cell_floors(a, ts[alive], cells, metric, cuts)
+        suffix -= _PRUNE_SLACK * suffix + slack
     stored = []  # distances of the alive candidates, one array per stage
     seen = 0  # columns of A folded into the column floor's ``near`` and ``gap``
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    for s, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
         bar = best_val * (1.0 + _PRUNE_SLACK)
         keep = (partial <= bar) & (floor <= best_val)
+        if cells is not None:
+            keep &= partial + suffix[:, s] <= bar
         if lo and alive.size * (hi - lo) >= _POOL_ROWS:
             # the column floor costs no query, but its numpy calls repay
             # themselves only before a stage this large
@@ -776,6 +819,8 @@ def chamfer_argmin(
         if not keep.all():
             alive, partial, floor = alive[keep], partial[keep], floor[keep]
             stored = [dist[keep] for dist in stored]
+            if cells is not None:
+                suffix = suffix[keep]
         if alive.size == 0:
             break
         stage = PointSet(a.points[lo:hi])
@@ -971,9 +1016,13 @@ def _rounding(a: PointSet, ts: np.ndarray) -> float:
     The computed values round each query's coordinates, which stay below
     A's largest coordinate plus the largest of ``ts``, and each sum.
     ``_PRUNE_SLACK`` is millions of unit roundoffs, which covers the few
-    roundings per term with room to spare.
+    roundings per term with room to spare.  Near 1e-162, l2's squares
+    round to subnormals, so a distance can also move by the root of d
+    smallest subnormals; each term's floor reads up to three distances,
+    and four such roots per term cover them.
     """
-    return _PRUNE_SLACK * len(a) * float(np.abs(a.points).max() + np.abs(ts).max())
+    underflow = 4.0 * math.sqrt(a.dim * np.finfo(np.float64).smallest_subnormal)
+    return len(a) * (_PRUNE_SLACK * float(np.abs(a.points).max() + np.abs(ts).max()) + underflow)
 
 
 def _box_floor(a: PointSet, ts: np.ndarray, b: PointSet, metric: Metric, slack: float) -> np.ndarray:
@@ -1007,6 +1056,108 @@ def _box_floor(a: PointSet, ts: np.ndarray, b: PointSet, metric: Metric, slack: 
     else:
         box = sums.max(axis=1)
     return box - _PRUNE_SLACK * box - slack
+
+
+class _Cells(NamedTuple):
+    """B's bounding box [lo, hi] cut into cells, each with its distance to B."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    scale: np.ndarray  # cells per unit along each axis, 0 along a flat one
+    top: np.ndarray  # the last cell along each axis
+    stride: np.ndarray  # cells per step along each axis, in C order
+    value: np.ndarray  # each cell's distance to B (its square for l2)
+
+
+def _cell_table(b: PointSet, metric: Metric, side: int) -> Optional[_Cells]:
+    """B's bounding box cut into ``side`` cells along each axis that it spans.
+
+    Axis i's cells are the intervals lo_i + [j, j + 1] (hi_i - lo_i) / side,
+    each widened by 8 eps (|lo_i| + |hi_i|) on both sides.  The cell of a
+    point p in the box is read as ``floor((p_i - lo_i) * scale_i)``, whose
+    roundings, with those of the edges, can misplace p by about half that
+    width, so the widened cell still holds p.  An axis too narrow for a
+    finite ``scale_i``, a flat one among them, is one cell.  Each cell holds
+    the distance from it to the nearest point of B: the gaps between the
+    cells' intervals and the points' coordinates make one (cells, n) table
+    per axis, which fold with the metric in tiles of ``_BRUTE_ENTRIES``.
+    Returns None when the box's span overflows.
+    """
+    pts = b.points
+    (n, d), l2 = pts.shape, metric.p == 2.0
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    with np.errstate(divide="ignore", over="ignore"):
+        span = hi - lo
+        scale = side / span
+    if not np.all(np.isfinite(span)):
+        return None
+    cut = np.isfinite(scale)
+    sides, scale = np.where(cut, side, 1), np.where(cut, scale, 0.0)
+    pad = 8.0 * np.finfo(np.float64).eps * (np.abs(lo) + np.abs(hi))
+    gaps = []  # per axis: (cells along it, n)
+    for i in range(d):
+        edges = lo[i] + np.arange(sides[i] + 1) * (span[i] / sides[i])
+        x = pts[:, i]
+        gap = np.maximum((edges[:-1, None] - pad[i]) - x, x - (edges[1:, None] + pad[i]))
+        np.maximum(gap, 0.0, out=gap)
+        gaps.append(gap * gap if l2 else gap)
+    fold = np.maximum if metric.p == math.inf else np.add
+    # axes 1.. fold once into (cells across them, n); axis 0 joins in tiles
+    rest = gaps[-1]
+    for gap in gaps[-2:0:-1]:
+        rest = fold(gap[:, None, :], rest[None, :, :]).reshape(-1, n)
+    value = np.empty((sides[0], len(rest)))
+    step = max(1, _BRUTE_ENTRIES // rest.size)
+    for start in range(0, sides[0], step):
+        total = fold(gaps[0][start : start + step, None, :], rest[None, :, :])
+        np.min(total, axis=2, out=value[start : start + step])
+    stride = np.append(np.cumprod(sides[::-1])[-2::-1], 1)
+    return _Cells(lo, hi, scale, sides - 1, stride, value.ravel())
+
+
+def _cell_floors(a: PointSet, ts: np.ndarray, cells: _Cells, metric: Metric, cuts: np.ndarray) -> np.ndarray:
+    """Lower bounds on the distances of ``a + t`` to B, per translation, each
+    summed over the columns ``cuts[s]:`` for every stage s.
+
+    Take q = a_k + t, rounded as a query is, its projection p onto B's box
+    and its gap g = q - p.  Along every axis |q_i - b_i| = |g_i| + |p_i - b_i|
+    for each b of B, which lies in the box, and |p_i - b_i| is at least the
+    gap from p's cell to b.  So d(q, b) is at least the distance v from p's
+    cell to B combined with g: sqrt(v^2 + |g|^2) for l2, v + |g|_1 for l1
+    and max(v, |g|_inf) for linf.  Each term's roundings are relative, so the
+    sums are off by a relative few eps at most.  The floors are built for
+    ``_FLOOR_TILE`` terms at a time.
+    """
+    m, d = a.points.shape
+    l2 = metric.p == 2.0
+    fold = np.maximum if metric.p == math.inf else np.add
+    cols = np.ascontiguousarray(a.points.T)
+    # one product with this (m, stages) mask sums each stage's columns and those after it
+    after = (np.arange(m)[:, None] >= cuts[None, :-1]).astype(np.float64)
+    out = np.empty((len(ts), len(cuts) - 1))
+    step = max(1, _FLOOR_TILE // m)
+    for start in range(0, len(ts), step):
+        tb = ts[start : start + step]
+        flat = gap = None
+        for i in range(d):
+            q = tb[:, i, None] + cols[i]
+            p = np.maximum(q, cells.lo[i])
+            np.minimum(p, cells.hi[i], out=p)
+            q -= p
+            q = np.multiply(q, q, out=q) if l2 else np.abs(q, out=q)
+            gap = q if gap is None else fold(gap, q, out=gap)
+            p -= cells.lo[i]
+            p *= cells.scale[i]
+            j = p.astype(np.int64)
+            np.minimum(j, cells.top[i], out=j)
+            if cells.stride[i] != 1:
+                j *= cells.stride[i]
+            flat = j if flat is None else np.add(flat, j, out=flat)
+        floor = fold(cells.value[flat], gap, out=gap)
+        if l2:
+            np.sqrt(floor, out=floor)
+        np.matmul(floor, after, out=out[start : start + len(tb)])
+    return out
 
 
 def _cell_floor(values: np.ndarray, r: np.ndarray, m: int, rounding: float) -> np.ndarray:

@@ -76,8 +76,10 @@ def shaped(seed: int, m: int, n: int, d: int, shape: str):
     "repeated" A has many equal points (gap 0), "clustered" A sits in two
     tight clumps, and "offset" moves both sets by 1e9, so that the queries
     round at that scale, which the floor's rounding slack must cover.
+    "line" puts B on a line of the grid, so that its box is flat along
+    every other axis.
     """
-    a, b = instance(seed, m, n, d, shape == "grid")
+    a, b = instance(seed, m, n, d, shape in ("grid", "line"))
     rng = np.random.default_rng(seed + 2)
     pa = a.points.copy()
     if shape == "repeated":
@@ -86,6 +88,10 @@ def shaped(seed: int, m: int, n: int, d: int, shape: str):
         pa = rng.choice([-5.0, 5.0], (m, 1)) + rng.normal(0.0, 1e-3, (m, d))
     elif shape == "offset":
         return PointSet(pa + 1e9), PointSet(b.points + 1e9)
+    elif shape == "line":
+        pb = b.points.copy()
+        pb[:, 1:] = pb[0, 1:]
+        return PointSet(pa), PointSet(pb)
     return PointSet(pa), b
 
 
@@ -98,10 +104,11 @@ def shaped(seed: int, m: int, n: int, d: int, shape: str):
     count=st.integers(1, 60),
     metric=st.sampled_from(sorted(METRICS)),
     backend=st.sampled_from(["brute", "kdtree", "sorted"]),
-    shape=st.sampled_from(["uniform", "grid", "repeated", "clustered", "offset"]),
+    shape=st.sampled_from(["uniform", "grid", "repeated", "clustered", "offset", "line"]),
     stages=st.sampled_from([1, 2, 8, 64]),
+    cells=st.booleans(),
 )
-def test_matches_full_scan(seed, m, n, d, count, metric, backend, shape, stages):
+def test_matches_full_scan(seed, m, n, d, count, metric, backend, shape, stages, cells):
     assume(backend != "sorted" or d == 1)
     a, b = shaped(seed, m, n, d, shape)
     ts = translations(seed, a, b, count)
@@ -111,12 +118,16 @@ def test_matches_full_scan(seed, m, n, d, count, metric, backend, shape, stages)
     value = values[pos]
     # floors at or below each computed value, some of them exact
     floors = values - np.random.default_rng(seed).choice([0.0, 1.0, 1e9], len(values))
+    # with ``cells`` every staged scan at d = 2 or 3 bounds its terms by a
+    # table over B's box, however few points B has and however small the
+    # scan; without, none does
+    gates = dict(_FLOOR_POINTS=0, _FLOOR_WORK=math.inf) if cells else dict(_FLOOR_SIDES={})
     for workers in (None, "2"):
         # no row floors, so that these small scans run in stages, the stages
         # go to the pool, and the column floor runs before every stage but
         # the first
         with threads(workers), mock.patch.multiple(
-            cdut.core, _ARGMIN_STAGES=stages, _POOL_ROWS=0, _STAGED_ROWS=0
+            cdut.core, _ARGMIN_STAGES=stages, _POOL_ROWS=0, _STAGED_ROWS=0, **gates
         ):
             for upper in (math.inf, value):
                 for given_floors in (None, floors):
@@ -142,8 +153,9 @@ def test_column_floor_keeps_a_tie_it_bounds_exactly(monkeypatch):
 
 def test_column_floor_drops_candidates_the_partial_sums_keep(monkeypatch):
     # partial sums alone drop too few here: they query 41% of the rows; the
-    # box floors are taken away, so that the column floor prunes alone
+    # box and cell floors are taken away, so that the column floor prunes alone
     monkeypatch.setattr(cdut.core, "_box_floor", lambda a, ts, *rest: np.full(len(ts), -math.inf))
+    monkeypatch.setattr(cdut.core, "_FLOOR_SIDES", {})
     a, b = uniform_instance(120, 120, 2, 1)
     got = cdut_approx_v1(a, b, 0.5, seed=1)
     assert got.extras["engine_rows"] <= 0.30 * got.extras["engine_rows_full"]
@@ -177,6 +189,96 @@ def test_box_floor_never_exceeds_the_value(seed, m, n, d, metric, grid, offset, 
     values = chamfer_many(a, ts, b, METRICS[metric])
     floors = cdut.core._box_floor(a, ts, b, METRICS[metric], 2.0 * cdut.core._rounding(a, ts))
     assert np.all(floors <= values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(1, 30),
+    n=st.integers(1, 40),
+    d=st.integers(2, 4),
+    metric=st.sampled_from(sorted(METRICS)),
+    shape=st.sampled_from(["uniform", "grid", "repeated", "line", "point"]),
+    side=st.sampled_from([1, 3, 16, 32]),
+    offset=st.one_of(st.sampled_from([0.0, 1e12, -1e12]), st.floats(-1e12, 1e12)),
+    both=st.booleans(),
+    reach=st.sampled_from([3.0, 30.0, 1e4, 1e9]),
+)
+def test_cell_floors_never_exceed_the_distances(seed, m, n, d, metric, shape, side, offset, both, reach):
+    # B's box is cut into side^d cells, or fewer along its flat axes: B on a
+    # line leaves all axes but one flat, and a single point of B all of
+    # them.  Each suffix of A's columns is bounded, down to the last column
+    # alone, as the staged scan uses them, less the scan's rounding slack
+    a, b = instance(seed, m, n, d, shape == "grid")
+    rng = np.random.default_rng(seed + 3)
+    pb = b.points.copy()
+    if shape == "repeated":
+        pb = pb[rng.integers(0, max(1, n // 4), n)]
+    elif shape == "line":
+        pb[:, 1:] = pb[0, 1:]
+    elif shape == "point":
+        pb[:] = pb[0]
+    b = PointSet(pb + offset)
+    if both:
+        a = PointSet(a.points + offset)
+    ts = translations(seed, a, b, 20)
+    ts = np.concatenate([ts, ts + rng.uniform(-reach, reach, ts.shape)])
+    if shape == "grid":
+        ts = np.round(ts)
+    _, dist = chamfer_many(a, ts, b, METRICS[metric], want_distances=True)
+    cells = cdut.core._cell_table(b, METRICS[metric], side)
+    floors = cdut.core._cell_floors(a, ts, cells, METRICS[metric], np.arange(m + 1))
+    floors -= cdut.core._PRUNE_SLACK * floors + 2.0 * cdut.core._rounding(a, ts)
+    assert np.all(floors <= np.cumsum(dist[:, ::-1], axis=1)[:, ::-1])
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
+def test_cell_floor_holds_a_point_its_index_rounds_into_the_next_cell(metric):
+    # B spans 2e12 along axis 0, whose 16th of 32 cell edges is 0.  The
+    # query -1e-5 lies in cell 15, 0.99999 from B's point at -1, but
+    # (q - lo) rounds to 1e12 and reads cell 16, which starts at 0, a whole
+    # 1 from that point; the widened cell still holds the query
+    a, b = PointSet([[0.0, 0.0]]), PointSet([[-1e12, 0.0], [-1.0, 0.0], [1e12, 0.0]])
+    ts = np.array([[-1e-5, 0.0]])
+    cells = cdut.core._cell_table(b, METRICS[metric], 32)
+    floor = cdut.core._cell_floors(a, ts, cells, METRICS[metric], np.arange(2))[0, 0]
+    floor -= cdut.core._PRUNE_SLACK * floor + 2.0 * cdut.core._rounding(a, ts)
+    assert 0.99 < floor <= chamfer_many(a, ts, b, METRICS[metric])[0] == 0.99999
+
+
+def test_cell_table_keeps_axes_too_narrow_to_cut_whole():
+    # axis 0 spans one subnormal, so 32 / span overflows: that axis is one
+    # cell, and the floors still hold; a span that overflows builds no table
+    a = PointSet([[0.0, 0.0], [1e-300, 3.0]])
+    b = PointSet([[0.0, 0.0], [5e-324, 1.0], [0.0, 2.0]])
+    ts = np.array([[0.0, 0.0], [1e-310, -7.0], [-1.0, 4.0]])
+    for metric in (L1, L2, LINF):
+        cells = cdut.core._cell_table(b, metric, 32)
+        assert cells.top.tolist() == [0, 31]
+        floors = cdut.core._cell_floors(a, ts, cells, metric, np.arange(len(a) + 1))
+        _, dist = chamfer_many(a, ts, b, metric, want_distances=True)
+        assert np.all(floors - 2.0 * cdut.core._rounding(a, ts) <= np.cumsum(dist[:, ::-1], axis=1)[:, ::-1])
+    assert cdut.core._cell_table(PointSet([[-1e308, 0.0], [1e308, 1.0]]), L2, 32) is None
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
+def test_matches_full_scan_on_lattices_whose_squares_underflow(monkeypatch, metric):
+    # near 1e-162 l2's squares round to subnormals or to 0, so a computed
+    # distance can sit below the box, column and cell floors' exact values;
+    # the rounding slack must cover it, or a tie at 0 goes to a later position
+    monkeypatch.setattr(cdut.core, "_STAGED_ROWS", 0)
+    monkeypatch.setattr(cdut.core, "_POOL_ROWS", 0)
+    monkeypatch.setattr(cdut.core, "_FLOOR_POINTS", 0)
+    monkeypatch.setattr(cdut.core, "_FLOOR_WORK", math.inf)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        d, m, n = int(rng.integers(2, 4)), int(rng.integers(1, 20)), int(rng.integers(1, 30))
+        scale = float(rng.choice([1e-160, 1e-162, 1e-163]))
+        a, b = PointSet(rng.integers(0, 4, (m, d)) * scale), PointSet(rng.integers(0, 4, (n, d)) * scale)
+        ts = rng.integers(-4, 5, (30, d)) * scale
+        pos, value = full_scan(a, ts, b, METRICS[metric])
+        got = chamfer_argmin(a, ts, b, METRICS[metric])
+        assert (got.pos, bits(got.value)) == (pos, bits(value))
 
 
 def test_box_floor_keeps_a_tie_it_seeds_out_of_order(monkeypatch):
@@ -224,13 +326,29 @@ def test_equal_box_floors_seed_no_candidate(monkeypatch):
 
 
 @pytest.mark.parametrize("family, share", [("uniform", 0.20), ("noisy-copy", 0.15)])
-def test_box_floor_drops_candidates_before_any_query(family, share):
+def test_box_floor_drops_candidates_before_any_query(monkeypatch, family, share):
     # with partial sums and column floors alone, 27% (uniform) and 22%
-    # (noisy-copy) of the rows are queried; the box floors leave 16% and 11%
+    # (noisy-copy) of the rows are queried; the box floors leave 16% and
+    # 11%, with the cell floors taken away
+    monkeypatch.setattr(cdut.core, "_FLOOR_SIDES", {})
     if family == "uniform":
         a, b = uniform_instance(120, 120, 2, 1)
     else:
         p = noisy_copy_instance(120, 2, 1)
+        a, b = p.a, p.b
+    got = cdut_approx_v1(a, b, 0.5, seed=1)
+    assert got.extras["engine_rows"] <= share * got.extras["engine_rows_full"]
+
+
+@pytest.mark.parametrize("family, d, share", [("uniform", 2, 0.08), ("uniform", 3, 0.08), ("noisy-copy", 2, 0.04)])
+def test_cell_floors_drop_candidates_the_box_floors_keep(family, d, share):
+    # with partial sums, column and box floors alone, 16% and 21% (uniform,
+    # d = 2 and 3) and 11% (noisy-copy) of the rows are queried; the cell
+    # floors leave 5.6%, 6.2% and 2.0%
+    if family == "uniform":
+        a, b = uniform_instance(120, 120, d, 1)
+    else:
+        p = noisy_copy_instance(120, d, 1)
         a, b = p.a, p.b
     got = cdut_approx_v1(a, b, 0.5, seed=1)
     assert got.extras["engine_rows"] <= share * got.extras["engine_rows_full"]
