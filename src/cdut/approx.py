@@ -3,9 +3,11 @@
 Both variants sample anchor points from A and try every translation b - a
 over the sampled anchors: some difference vector always lands close enough
 to an optimal translation that its Chamfer cost is within a (2 + eps)
-factor of the optimum.  Variant 1 scores each candidate by its exact
-Chamfer sum; variant 2 scores it by summing multi-scale ANN distances,
-trading a factor c for query speed and never underestimating.
+factor of the optimum.  Variant 1 reports the least exact Chamfer sum.
+Variant 2 reports the least sum of multi-scale ANN distances, a score that
+is within a factor c of the exact sum and never below it; the exact sums
+bound the scores from below, so only the candidates that can still win
+are scored on the ANN ladder.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .core import (
     bbox_diameter,
     build_index,
     chamfer_argmin,
-    chamfer_many,  # noqa: F401  still importable here; perfbench's tracer patches it per module
+    chamfer_many,
     chamfer_translated,
     difference_candidates,
     sample_anchors,
@@ -90,10 +92,24 @@ def cdut_approx_v2(
 ) -> ChamferReport:
     """(2 + eps) * c approximation scoring candidates with the ANN ladder.
 
-    One ladder is built over B; every anchor translation is scored by the
-    sum of ladder distances of the translated points.  Each summand is an
-    exact distance to a real point of B, so no score underestimates the
+    One ladder is built over B.  The report is the candidate whose ladder
+    sum, the sum of the ladder distances of its translated points, is
+    least, the first such in candidate order.  Each summand is an exact
+    distance to a real point of B, so no ladder sum underestimates the
     Chamfer cost at its translation.
+
+    Only the candidates that can still win are scored on the ladder.  A
+    ladder distance is the ``norms`` distance from the query row
+    fl(t + a_i) to some point of B, so it is at least the exact index's
+    distance for the same row.  The exact sum (``chamfer_many``) and the
+    ladder sum add their m terms as one contiguous row in the same order,
+    and rounding is monotone, so the exact sum is never above the ladder
+    sum, bit for bit.  The exact sums are taken one anchor group at a
+    time.  Candidates go to the ladder in increasing order of exact sum:
+    the n least together, then only those whose exact sum is ``<=`` the
+    best ladder sum so far.  A candidate that ties the least ladder sum
+    has an exact sum ``<=`` it, so it is scored, and the report is the one
+    that scoring every candidate gives.
     """
     _check_epsilon(epsilon)
     _check_same_dim(a, b)
@@ -106,23 +122,40 @@ def cdut_approx_v2(
         metric=metric,
     )
     m, n = len(a), len(b)
-    # anchors are scored in groups whose query rows make one tile (or one
-    # anchor's rows); a strict < keeps the first minimum across groups, and
-    # the winner is copied out of its group's arrays
+    index = build_index(b, metric)
+    # anchors are summed exactly in groups whose query rows make one tile
+    # (or one anchor's rows)
     group = _tile_rows(n * m * a.dim)
-    best = None  # (sum, candidate row, translation, assignment)
-    for lo in range(0, anchors.size, group):
-        candidates = difference_candidates(a, b, anchors[lo : lo + group])
-        queries = (candidates[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
+    bounds = np.concatenate(
+        [
+            chamfer_many(a, difference_candidates(a, b, anchors[lo : lo + group]), b, metric, index)
+            for lo in range(0, anchors.size, group)
+        ]
+    )
+    order = np.argsort(bounds, kind="stable")
+    # a ladder call holds at most one tile of query rows.  A small call
+    # costs mostly per table it probes, so the first takes the n least
+    # bounds rather than the least alone: the winner is rarely past them
+    step = _tile_rows(m * a.dim)
+    # (ladder sum, candidate row, assignment); ``bounds.size`` sorts after every row
+    best = (math.inf, bounds.size, None)
+    pos, size = 0, min(n, step)
+    while pos < order.size and bounds[order[pos]] <= best[0]:
+        rows = order[pos : pos + size]
+        rows = rows[bounds[rows] <= best[0]]
+        pos, size = pos + size, step
+        translations = b.points[rows % n] - a.points[anchors[rows // n]]
+        queries = (translations[:, None, :] + a.points[None, :, :]).reshape(-1, a.dim)
         dists, idx = ladder.query_batch(queries)
-        sums = dists.reshape(len(candidates), m).sum(axis=1)
-        row = int(np.argmin(sums))
-        if best is None or sums[row] < best[0]:
-            best = (float(sums[row]), lo * n + row, candidates[row].copy(), idx[row * m : (row + 1) * m].copy())
-    value, row, translation, assignment = best
+        sums = dists.reshape(len(rows), m).sum(axis=1)
+        # the least sum, then the first candidate row at it
+        k = int(np.lexsort((rows, sums))[0])
+        if (sums[k], rows[k]) < best[:2]:
+            best = (float(sums[k]), int(rows[k]), idx[k * m : (k + 1) * m].copy())
+    value, row, assignment = best
     return ChamferReport(
         value=value,
-        translation=translation,
+        translation=b.points[row % n] - a.points[anchors[row // n]],
         assignment=assignment,
         algorithm="approx-v2",
         epsilon=epsilon,
