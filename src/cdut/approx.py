@@ -4,10 +4,9 @@ Both variants sample anchor points from A and try every translation b - a
 over the sampled anchors: some difference vector always lands close enough
 to an optimal translation that its Chamfer cost is within a (2 + eps)
 factor of the optimum.  Variant 1 reports the least exact Chamfer sum.
-Variant 2 reports the least sum of multi-scale ANN distances, a score that
-is within a factor c of the exact sum and never below it; the exact sums
-bound the scores from below, so only the candidates that can still win
-are scored on the ANN ladder.
+Variant 2 reports the least sum of multi-scale ANN distances, trading a
+factor c for query speed; the exact sums bound those scores from below,
+so only the candidates that can still win are scored on the ANN ladder.
 """
 
 from __future__ import annotations
