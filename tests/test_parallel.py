@@ -1,7 +1,7 @@
 import multiprocessing
 import os
 import threading
-from concurrent.futures import Future
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from cdut import chamfer_many
 from cdut.parallel import concurrency, run_chunked, worker_count
 from cdut.instances import uniform_instance
 
-# translations of a 9-point set that hold enough query rows to use the pool
+# translations of a 9-point set that hold enough query rows to use threads
 POOLED = 1024
 assert POOLED * 9 >= cdut.core._POOL_ROWS
 
@@ -35,21 +35,6 @@ class TestWorkerCount:
         assert worker_count() == 1
 
 
-class TestDeterministicReduction:
-    def test_parallel_evaluation_matches_serial(self, monkeypatch, fresh_pool):
-        a, b = uniform_instance(9, 11, 2, 5)
-        rng = np.random.default_rng(6)
-        # enough query rows that the evaluation goes to the pool
-        ts = rng.uniform(-20, 20, size=(POOLED, 2))
-        monkeypatch.delenv("CDUT_THREADS", raising=False)
-        serial = chamfer_many(a, ts, b)
-        assert cdut.parallel._pool is None
-        monkeypatch.setenv("CDUT_THREADS", "4")
-        parallel = chamfer_many(a, ts, b)
-        assert cdut.parallel._pool is not None
-        assert np.array_equal(serial, parallel)
-
-
 class RecordingPool:
     """Records each pool built and runs blocks inline, so no thread starts."""
 
@@ -58,28 +43,65 @@ class RecordingPool:
     def __init__(self, max_workers):
         self.built.append(max_workers)
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, blocks):
+        return map(fn, blocks)
 
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """No cached pool, and every pool built is a ``RecordingPool``."""
-    monkeypatch.setattr(cdut.parallel, "_pool", None)
+    """Every pool built is a ``RecordingPool``; returns the sizes built."""
     monkeypatch.setattr(cdut.parallel, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "built", [])
     return RecordingPool.built
 
 
 @pytest.fixture
-def fresh_pool(monkeypatch):
-    """No cached pool; a real pool built during the test is shut down after it."""
-    monkeypatch.setattr(cdut.parallel, "_pool", None)
-    yield
-    if cdut.parallel._pool is not None:
-        cdut.parallel._pool.shutdown(wait=False, cancel_futures=True)
+def counted_pool(monkeypatch):
+    """Every pool built is a real one; returns the sizes built."""
+    built = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cdut.parallel, "ThreadPoolExecutor", CountedPool)
+    return built
+
+
+class TestDeterministicReduction:
+    def test_parallel_evaluation_matches_serial(self, monkeypatch, counted_pool):
+        a, b = uniform_instance(9, 11, 2, 5)
+        rng = np.random.default_rng(6)
+        # enough query rows that the evaluation goes to threads
+        ts = rng.uniform(-20, 20, size=(POOLED, 2))
+        monkeypatch.setattr(cdut.parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.delenv("CDUT_THREADS", raising=False)
+        serial = chamfer_many(a, ts, b)
+        assert counted_pool == []
+        monkeypatch.setenv("CDUT_THREADS", "4")
+        parallel = chamfer_many(a, ts, b)
+        assert counted_pool == [2]
+        assert np.array_equal(serial, parallel)
+
+    def test_pooled_evaluation_leaves_no_thread_behind(self, monkeypatch, counted_pool):
+        a, b = uniform_instance(9, 11, 2, 5)
+        ts = np.random.default_rng(6).uniform(-20, 20, size=(POOLED, 2))
+        monkeypatch.setattr(cdut.parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.delenv("CDUT_THREADS", raising=False)
+        serial = chamfer_many(a, ts, b)
+        monkeypatch.setenv("CDUT_THREADS", "2")
+        before = threading.active_count()
+        pooled = chamfer_many(a, ts, b)
+        assert threading.active_count() == before
+        assert counted_pool == [2]
+        assert np.array_equal(pooled, serial)
 
 
 class TestPoolSize:
@@ -88,23 +110,27 @@ class TestPoolSize:
         monkeypatch.setenv("CDUT_THREADS", "100000")
         items = np.arange(400_000)
         blocks = run_chunked(len, items, worker_count())
-        assert len(blocks) == concurrency(len(items), worker_count()) and sum(blocks) == len(items)
-        assert seen == [min(100_000, len(os.sched_getaffinity(0)))]
-        assert seen == [concurrency(len(items), worker_count())]
+        size = concurrency(len(items), worker_count())
+        assert len(blocks) == size and sum(blocks) == len(items)
+        assert size == min(100_000, len(os.sched_getaffinity(0)))
+        # a single usable CPU runs the blocks on the caller
+        assert seen == ([size] if size > 1 else [])
 
-    def test_parallel_calls_share_one_pool(self, monkeypatch, recording_pool):
+    def test_each_parallel_call_builds_and_shuts_its_own_pool(self, monkeypatch, counted_pool):
         monkeypatch.setattr(cdut.parallel, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
         for total in (100, 1000):
             items = np.arange(total)
             assert run_chunked(np.sum, items, 2) == [np.sum(items[: total // 2]), np.sum(items[total // 2 :])]
-        assert recording_pool == [2]
+            assert threading.active_count() == before
+        assert counted_pool == [2, 2]
 
     def test_serial_path_starts_no_thread(self, monkeypatch, recording_pool):
         monkeypatch.setenv("CDUT_THREADS", "100000")
         before = threading.active_count()
         items = np.arange(1000)  # too few to split between 100,000 workers
         assert run_chunked(len, items, worker_count()) == [1000]
-        assert recording_pool == [] and cdut.parallel._pool is None
+        assert recording_pool == []
         assert threading.active_count() == before
 
     def test_small_evaluation_never_touches_the_pool(self, monkeypatch, recording_pool):
@@ -116,10 +142,9 @@ class TestPoolSize:
         assert 4 * 2 <= below  # run_chunked alone would split this call
         want = chamfer_many(a, ts, b)
         assert recording_pool == [2]
-        monkeypatch.setattr(cdut.parallel, "_pool", None)
         recording_pool.clear()
         got = chamfer_many(a, ts[:below], b)
-        assert recording_pool == [] and cdut.parallel._pool is None
+        assert recording_pool == []
         assert np.array_equal(got, want[:below])
 
     def test_concurrency_follows_the_serial_path(self, monkeypatch):
@@ -137,12 +162,13 @@ def _child_values(conn):
     conn.close()
 
 
-class TestSharedPool:
-    def test_nested_call_returns(self, monkeypatch, fresh_pool):
+class TestPoolPerCall:
+    def test_nested_call_returns(self, monkeypatch):
         monkeypatch.setattr(cdut.parallel, "_usable_cpus", lambda: 2)
 
         def outer(block):
-            # every pool thread is busy running an outer block here
+            # every thread of the outer pool is busy running an outer block
+            # here, so the inner call needs threads of its own
             return sum(run_chunked(len, block, 2))
 
         out = []
@@ -152,13 +178,13 @@ class TestSharedPool:
         assert not caller.is_alive()
         assert out == [[50, 50]]
 
-    def test_forked_child_builds_its_own_pool(self, monkeypatch, fresh_pool):
+    def test_forked_child_builds_its_own_pool(self, monkeypatch, counted_pool):
         monkeypatch.setattr(cdut.parallel, "_usable_cpus", lambda: 2)
         monkeypatch.setenv("CDUT_THREADS", "2")
         a, b = uniform_instance(9, 11, 2, 5)
         ts = np.random.default_rng(6).uniform(-20, 20, size=(POOLED, 2))
         want = chamfer_many(a, ts, b)
-        assert cdut.parallel._pool is not None  # the parent used the pool
+        assert counted_pool == [2]  # the parent evaluated on threads
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_child_values, args=(send,))
