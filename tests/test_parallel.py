@@ -35,6 +35,35 @@ class TestWorkerCount:
         assert worker_count() == 1
 
 
+class TestDeterministicReduction:
+    def test_parallel_evaluation_matches_serial(self, monkeypatch, counted_pool):
+        a, b = uniform_instance(9, 11, 2, 5)
+        rng = np.random.default_rng(6)
+        # enough query rows that the evaluation goes to threads
+        ts = rng.uniform(-20, 20, size=(POOLED, 2))
+        monkeypatch.setattr(cdut.parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.delenv("CDUT_THREADS", raising=False)
+        serial = chamfer_many(a, ts, b)
+        assert counted_pool == []
+        monkeypatch.setenv("CDUT_THREADS", "4")
+        parallel = chamfer_many(a, ts, b)
+        assert counted_pool == [2]
+        assert np.array_equal(serial, parallel)
+
+    def test_pooled_evaluation_leaves_no_thread_behind(self, monkeypatch, counted_pool):
+        a, b = uniform_instance(9, 11, 2, 5)
+        ts = np.random.default_rng(6).uniform(-20, 20, size=(POOLED, 2))
+        monkeypatch.setattr(cdut.parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.delenv("CDUT_THREADS", raising=False)
+        serial = chamfer_many(a, ts, b)
+        monkeypatch.setenv("CDUT_THREADS", "2")
+        before = threading.active_count()
+        pooled = chamfer_many(a, ts, b)
+        assert threading.active_count() == before
+        assert counted_pool == [2]
+        assert np.array_equal(pooled, serial)
+
+
 class RecordingPool:
     """Records each pool built and runs blocks inline, so no thread starts."""
 
@@ -73,35 +102,6 @@ def counted_pool(monkeypatch):
 
     monkeypatch.setattr(cdut.parallel, "ThreadPoolExecutor", CountedPool)
     return built
-
-
-class TestDeterministicReduction:
-    def test_parallel_evaluation_matches_serial(self, monkeypatch, counted_pool):
-        a, b = uniform_instance(9, 11, 2, 5)
-        rng = np.random.default_rng(6)
-        # enough query rows that the evaluation goes to threads
-        ts = rng.uniform(-20, 20, size=(POOLED, 2))
-        monkeypatch.setattr(cdut.parallel, "_usable_cpus", lambda: 2)
-        monkeypatch.delenv("CDUT_THREADS", raising=False)
-        serial = chamfer_many(a, ts, b)
-        assert counted_pool == []
-        monkeypatch.setenv("CDUT_THREADS", "4")
-        parallel = chamfer_many(a, ts, b)
-        assert counted_pool == [2]
-        assert np.array_equal(serial, parallel)
-
-    def test_pooled_evaluation_leaves_no_thread_behind(self, monkeypatch, counted_pool):
-        a, b = uniform_instance(9, 11, 2, 5)
-        ts = np.random.default_rng(6).uniform(-20, 20, size=(POOLED, 2))
-        monkeypatch.setattr(cdut.parallel, "_usable_cpus", lambda: 2)
-        monkeypatch.delenv("CDUT_THREADS", raising=False)
-        serial = chamfer_many(a, ts, b)
-        monkeypatch.setenv("CDUT_THREADS", "2")
-        before = threading.active_count()
-        pooled = chamfer_many(a, ts, b)
-        assert threading.active_count() == before
-        assert counted_pool == [2]
-        assert np.array_equal(pooled, serial)
 
 
 class TestPoolSize:

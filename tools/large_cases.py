@@ -13,10 +13,11 @@ seconds with ``SIGALRM``.  The children inherit the environment, so
 ``CDUT_THREADS=2`` before the command runs every case on two threads.
 
 One JSON line per case goes to standard output: the case and its
-``CDUT_THREADS`` setting, the exit status, the child's wall time (start-up included) and solve time, its peak RSS from
-``wait4``, the value and its bits (``float.hex``), and a sha256 over the
-translation's and the assignment's bytes, so two trees' lines can be
-compared for bit-identical outputs.
+``CDUT_THREADS`` setting, the exit status, the child's wall time (start-up
+included) and solve time, its peak RSS from ``wait4``, the value and its
+bits (``float.hex``), and a sha256 over the translation's and the
+assignment's bytes, so two trees' lines can be compared for bit-identical
+outputs.
 """
 
 from __future__ import annotations
